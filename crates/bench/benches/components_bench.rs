@@ -290,10 +290,13 @@ fn bench(c: &mut Criterion) {
         });
         g.finish();
 
-        // The two GEMM shapes the relevance scorer hits hardest: the input
-        // layer (batch 256, 300 -> 64) and the hidden layer (batch 256,
-        // 64 -> 32). The `ikj_axpy` entries reproduce the pre-blocking
-        // kernel (one axpy per scalar of A) as the before/after reference.
+        // The relevance scorer's GEMM shapes (a 128-d input, hidden layers
+        // 300-64-32, batch 256): the hidden-layer forwards (300 -> 64 and
+        // 64 -> 32, whose `ikj_axpy` entries reproduce the pre-blocking
+        // kernel, one axpy per scalar of A, as the before/after reference)
+        // and the three training GEMMs of the widest layer — the input
+        // layer's forward, its ∂W = Xᵀ·δ, and the ∂X = δ·Wᵀ the second
+        // layer propagates back.
         let ikj_axpy = |a: &Matrix, b: &Matrix| -> Matrix {
             let mut out = Matrix::zeros(a.rows(), b.cols());
             for i in 0..a.rows() {
@@ -314,6 +317,26 @@ fn bench(c: &mut Criterion) {
         let b2 = Matrix::randn(64, 32, 1.0, &mut rng);
         g.bench_function("matmul_256x64x32", |bch| bch.iter(|| a2.matmul(&b2)));
         g.bench_function("matmul_256x64x32_ikj_axpy", |bch| bch.iter(|| ikj_axpy(&a2, &b2)));
+        let x = Matrix::randn(256, 128, 1.0, &mut rng);
+        let w1 = Matrix::randn(128, 300, 0.1, &mut rng);
+        let d1 = Matrix::randn(256, 300, 1.0, &mut rng);
+        let d2 = Matrix::randn(256, 64, 1.0, &mut rng);
+        let w2 = Matrix::randn(300, 64, 0.1, &mut rng);
+        g.bench_function("matmul_256x128x300", |bch| bch.iter(|| x.matmul(&w1)));
+        g.bench_function("t_matmul_256x128x300", |bch| bch.iter(|| x.t_matmul(&d1)));
+        g.bench_function("matmul_t_256x64x300", |bch| bch.iter(|| d2.matmul_t(&w2)));
+        g.finish();
+
+        // One epoch of the scorer's training step at its paper shape:
+        // 1024 rows of 128-d features, 300-64-32-1, batch 256.
+        let mut g = c.benchmark_group("nn");
+        let x = Matrix::randn(1024, 128, 1.0, &mut rng);
+        let y = Matrix::from_vec(1024, 1, x.iter_rows().map(|r| r[0].tanh()).collect());
+        let mlp = wym_nn::Mlp::new(&wym_nn::MlpConfig::scorer(128, 0));
+        let cfg = wym_nn::TrainConfig { epochs: 1, batch_size: 256, ..Default::default() };
+        g.bench_function("train_epoch_scorer", |bch| {
+            bch.iter(|| wym_nn::train::fit(&mut mlp.clone(), &x, &y, &cfg))
+        });
         g.finish();
     }
 

@@ -12,13 +12,15 @@
 //! 3. the eight lane accumulators collapse in the fixed tree
 //!    `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` (`reduce8`).
 //!
-//! The element-wise kernels ([`axpy`], [`gemm_update4`]) perform the same
-//! fused update per output element in every implementation, so they are
-//! trivially bit-identical. Because the recipe — not the instruction set —
-//! defines the result, the portable scalar path and every SIMD path
-//! (AVX2+FMA, AVX-512, NEON) return **bit-identical f32 for every input
-//! length** (including the 1..=15 remainders that straddle one or two
-//! vector registers). That is the determinism contract the similarity
+//! The element-wise kernel [`axpy`] performs the same fused update per
+//! output element in every implementation, so it is trivially
+//! bit-identical. The register-tiled GEMMs ([`gemm`], [`gemm_nt`]) fix the
+//! operation chain of every output element (see their docs), so the tile
+//! shape and vector width are unobservable. Because the recipe — not the
+//! instruction set — defines the result, the portable scalar path and
+//! every SIMD path (AVX2+FMA, AVX-512, NEON) return **bit-identical f32
+//! for every input length** (including the 1..=15 remainders that
+//! straddle one or two vector registers). That is the determinism contract the similarity
 //! cache and the smoke gate rely on: `WYM_KERNEL=scalar` and
 //! `WYM_KERNEL=auto` runs of the full pipeline must emit identical scores.
 //!
@@ -29,15 +31,19 @@
 //! * **AVX-512** must *not* widen the f32 reductions to 16 lanes — that
 //!   would change which elements share an accumulator chain and therefore
 //!   the rounding — so [`dot`], [`cosine`] and [`dist_sq`] reuse the AVX2
-//!   bodies verbatim (every AVX-512 CPU has AVX2). Only the element-wise
-//!   kernels ([`axpy`], [`gemm_update4`]), where each output element is one
-//!   independent fused chain, and the exact-integer int8 kernels widen to
-//!   full `zmm` registers — that is where the pairing pass actually spends
-//!   its bandwidth.
+//!   bodies verbatim (every AVX-512 CPU has AVX2), and the [`gemm_nt`] dot
+//!   tile keeps 8-lane `ymm` chains too (AVX-512VL only gives it 32
+//!   registers, enough for whole 4 × 4 tiles). Only [`axpy`] and the
+//!   [`gemm`] tile, where each output element is one independent fused
+//!   chain, and the exact-integer int8 kernels widen to full `zmm`
+//!   registers — that is where the pairing pass and the scorer's training
+//!   spend their bandwidth.
 //! * **NEON** (aarch64) splits the same eight lanes across two
 //!   `float32x4_t` accumulators — lanes 0..4 and 4..8 — with `vfmaq_f32`
 //!   providing the single-rounding fused update, then stores both halves
 //!   into the lane array and runs the identical (private) `reduce8` tree.
+//!   The GEMMs have no NEON body: [`gemm`] runs its scalar tile there and
+//!   [`gemm_nt`] calls the NEON [`dot`] per output element.
 //!
 //! Dispatch is resolved once per process ([`active`]) from CPU feature
 //! detection plus the `WYM_KERNEL` environment variable
@@ -101,6 +107,7 @@ pub fn supported(imp: KernelImpl) -> bool {
         KernelImpl::Avx512 => {
             std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512vl")
         }
         #[cfg(target_arch = "aarch64")]
         KernelImpl::Neon => std::arch::is_aarch64_feature_detected!("neon"),
@@ -207,12 +214,49 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     cosine_with(active(), a, b)
 }
 
-/// The blocked-GEMM inner update: `o[i]` chains four fused multiply-adds
-/// `o[i] = fma(a[3], b3[i], fma(a[2], b2[i], fma(a[1], b1[i],
-/// fma(a[0], b0[i], o[i]))))` for every element of the output row.
+/// `c = a · b` under the active implementation: the register-tiled GEMM
+/// behind `Matrix::matmul` and `Matrix::t_matmul`.
+///
+/// `a` is `m × k` (read through its strides), `b` is `k × n` row-major and
+/// `c` is `m × n` row-major, fully overwritten. Every output element runs
+/// one fixed chain, whatever the tile shape or vector width:
+///
+/// 1. the accumulator starts at `+0.0`;
+/// 2. the inner dimension is consumed in aligned groups of four steps,
+///    `acc = fma(a3, b3, fma(a2, b2, fma(a1, b1, fma(a0, b0, acc))))`, and
+///    a group whose four coefficients `a(i, 4g..4g + 4)` are all zero
+///    (after ReLU, a common case) is skipped;
+/// 3. the `k % 4` tail steps run one `fma(a, b, acc)` each, skipping zero
+///    coefficients.
+///
+/// Skipping is part of the recipe, not an optimisation: `fma(0, b, acc)`
+/// is not `acc` when `b` is infinite or `acc` is `-0.0`. The bodies keep a
+/// `GEMM_MR × NR` output tile in registers across the whole inner
+/// dimension (AVX-512: `NR = 32`, two `zmm` per row, a row's dead groups
+/// blended out; AVX2: `NR = 8`; scalar: one row at a time), so the result
+/// is bit-identical across implementations.
+///
+/// # Panics
+/// Panics when `b` or `c` is shorter than its shape.
 #[inline]
-pub fn gemm_update4(coef: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32], o: &mut [f32]) {
-    gemm_update4_with(active(), coef, b0, b1, b2, b3, o);
+pub fn gemm(a: StridedMat<'_>, b: &[f32], n: usize, c: &mut [f32]) {
+    gemm_with(active(), a, b, n, c);
+}
+
+/// `c[i][j] = dot(a_i, b_j)` under the active implementation: the
+/// transposed-right GEMM behind `Matrix::matmul_t`.
+///
+/// `a` holds `m` rows and `b` holds `n` rows, each of length `k`,
+/// row-major; `c` is `m × n`, fully overwritten. Every element is exactly
+/// [`dot`]'s recipe (8 lane chains, lane tail, `reduce8`); the AVX2 and
+/// AVX-512 bodies compute 4 × 4 of them at once so each loaded block of
+/// `a` and `b` feeds four chains.
+///
+/// # Panics
+/// Panics when a buffer is shorter than its shape.
+#[inline]
+pub fn gemm_nt(a: &[f32], m: usize, b: &[f32], n: usize, k: usize, c: &mut [f32]) {
+    gemm_nt_with(active(), a, m, b, n, k, c);
 }
 
 /// Integer dot product of two int8 vectors under the active implementation.
@@ -454,31 +498,275 @@ pub fn cosine_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
     (ab / (na * nb)).clamp(-1.0, 1.0)
 }
 
-/// [`gemm_update4`] under an explicitly chosen implementation.
-#[inline]
-pub fn gemm_update4_with(
-    imp: KernelImpl,
-    coef: [f32; 4],
-    b0: &[f32],
-    b1: &[f32],
-    b2: &[f32],
-    b3: &[f32],
-    o: &mut [f32],
-) {
-    debug_assert!(
-        b0.len() == o.len() && b1.len() == o.len() && b2.len() == o.len() && b3.len() == o.len()
-    );
-    match imp {
-        KernelImpl::Scalar => scalar::gemm_update4(coef, b0, b1, b2, b3, o),
-        #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx2Fma => unsafe { avx2::gemm_update4(coef, b0, b1, b2, b3, o) },
-        #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx512 => unsafe { avx512::gemm_update4(coef, b0, b1, b2, b3, o) },
-        #[cfg(target_arch = "aarch64")]
-        KernelImpl::Neon => unsafe { neon::gemm_update4(coef, b0, b1, b2, b3, o) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::gemm_update4(coef, b0, b1, b2, b3, o),
+/// Rows of every GEMM register tile: [`gemm`] packs its left operand one
+/// tile of this many rows at a time, and each body keeps `GEMM_MR` output
+/// rows in registers.
+pub const GEMM_MR: usize = 8;
+
+/// The left operand of [`gemm`]: a `rows × cols` matrix read through
+/// element strides, `a(i, p) = data[i * row_stride + p * col_stride]`, so
+/// `Matrix::t_matmul` passes `selfᵀ` without materialising it.
+#[derive(Debug, Clone, Copy)]
+pub struct StridedMat<'a> {
+    /// Backing buffer.
+    pub data: &'a [f32],
+    /// Number of rows (`m`).
+    pub rows: usize,
+    /// Number of columns (`k`, the inner dimension).
+    pub cols: usize,
+    /// Distance between vertically adjacent elements.
+    pub row_stride: usize,
+    /// Distance between horizontally adjacent elements.
+    pub col_stride: usize,
+}
+
+/// One `GEMM_MR`-row tile of [`gemm`]'s left operand, packed for the tile
+/// bodies: `vals[p][r]` holds `a(row r, step p)` (zero past the last row),
+/// and `live[s][r]` flags whether row `r` runs step slot `s` — slots
+/// `0..k / 4` are the four-step groups (live when any of the four
+/// coefficients is nonzero), the rest the tail steps (live when the
+/// coefficient is). A flag is all-ones or all-zero so the AVX-512 body can
+/// use it directly as a mask.
+#[derive(Default)]
+struct PackedTile {
+    vals: Vec<[f32; GEMM_MR]>,
+    live: Vec<[u16; GEMM_MR]>,
+}
+
+impl PackedTile {
+    /// Packs rows `i0..i0 + GEMM_MR` of `a`, reusing the buffers (no
+    /// allocation once they hold one tile of this inner dimension).
+    fn pack(&mut self, a: StridedMat<'_>, i0: usize) {
+        let k = a.cols;
+        let groups = k / 4;
+        let rows = GEMM_MR.min(a.rows - i0);
+        let (base, cs) = (&a.data[i0 * a.row_stride..], a.col_stride);
+        self.vals.clear();
+        self.vals.resize(k, [0.0; GEMM_MR]);
+        if rows == GEMM_MR && a.row_stride == 1 {
+            // `t_matmul`'s transposed operand: each step's rows are
+            // contiguous.
+            for (p, step) in self.vals.iter_mut().enumerate() {
+                step.copy_from_slice(&base[p * cs..][..GEMM_MR]);
+            }
+        } else if rows == GEMM_MR && cs == 1 {
+            // `matmul`'s row-major operand: gather one step from each row.
+            let r: [&[f32]; GEMM_MR] = std::array::from_fn(|r| &base[r * a.row_stride..][..k]);
+            for (p, step) in self.vals.iter_mut().enumerate() {
+                *step = std::array::from_fn(|i| r[i][p]);
+            }
+        } else {
+            for r in 0..rows {
+                let row = &base[r * a.row_stride..];
+                for (p, step) in self.vals.iter_mut().enumerate() {
+                    step[r] = row[p * cs];
+                }
+            }
+        }
+        self.live.clear();
+        for s in 0..groups + k % 4 {
+            let steps =
+                if s < groups { 4 * s..4 * s + 4 } else { s + 3 * groups..s + 3 * groups + 1 };
+            // Nonzero ⇔ any bit but the sign set (`-0.0` counts as zero,
+            // NaN as nonzero, as with `!= 0.0`).
+            let mut any = [0u32; GEMM_MR];
+            for step in &self.vals[steps] {
+                for (x, &v) in any.iter_mut().zip(step) {
+                    *x |= v.to_bits() & 0x7fff_ffff;
+                }
+            }
+            self.live.push(any.map(|x| if x != 0 { u16::MAX } else { 0 }));
+        }
     }
+}
+
+thread_local! {
+    /// Per-thread packing buffer of [`gemm`]: one row tile, grown to the
+    /// longest inner dimension seen and then reused, so steady-state GEMMs
+    /// do not allocate.
+    static PACKED: std::cell::RefCell<PackedTile> = std::cell::RefCell::default();
+}
+
+/// [`gemm`] under an explicitly chosen implementation.
+pub fn gemm_with(imp: KernelImpl, a: StridedMat<'_>, b: &[f32], n: usize, c: &mut [f32]) {
+    let (m, k) = (a.rows, a.cols);
+    assert!(b.len() >= k * n, "gemm: b holds {} values, shape {k}x{n}", b.len());
+    assert!(c.len() >= m * n, "gemm: c holds {} values, shape {m}x{n}", c.len());
+    if m > 0 && k > 0 {
+        let last = (m - 1) * a.row_stride + (k - 1) * a.col_stride;
+        assert!(last < a.data.len(), "gemm: a is shorter than its {m}x{k} shape");
+    }
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        // No steps: every accumulator stays at its initial +0.0.
+        c[..m * n].fill(0.0);
+        return;
+    }
+    // Column-panel width: two `zmm` per tile row on AVX-512, one `ymm` on
+    // AVX2, eight scalar accumulators otherwise.
+    let nr = match imp {
+        KernelImpl::Avx512 => 32,
+        _ => 8,
+    };
+    PACKED.with(|cell| {
+        let mut packed = cell.borrow_mut();
+        // Tile-outer order: each row tile packs once (a few KiB, L1
+        // resident) and sweeps every column panel of `b` from L2.
+        for i0 in (0..m).step_by(GEMM_MR) {
+            packed.pack(a, i0);
+            let rows = GEMM_MR.min(m - i0);
+            for j0 in (0..n).step_by(nr) {
+                let cols = nr.min(n - j0);
+                let (vals, live) = (packed.vals.as_flattened(), packed.live.as_flattened());
+                let tile = Tile { a: vals, live, b: &b[j0..], ldb: n, rows, cols };
+                let c = &mut c[i0 * n + j0..];
+                // SAFETY: dispatch only selects these ISAs after CPUID
+                // detection, and the length asserts above give the panel
+                // `(k - 1) * n + cols` values of `b` and the tile
+                // `(rows - 1) * n + cols` values of `c` from its origin.
+                match imp {
+                    #[cfg(target_arch = "x86_64")]
+                    KernelImpl::Avx2Fma => unsafe { avx2::gemm_tile(&tile, c, n) },
+                    #[cfg(target_arch = "x86_64")]
+                    KernelImpl::Avx512 => unsafe { avx512::gemm_tile(&tile, c, n) },
+                    _ => scalar::gemm_tile(&tile, c, n),
+                }
+            }
+        }
+    });
+}
+
+/// One `GEMM_MR`-row tile of [`gemm`] against a column panel of `b`.
+struct Tile<'a> {
+    /// Packed tile values, `a[p * GEMM_MR + r]`.
+    a: &'a [f32],
+    /// Packed live flags, `live[s * GEMM_MR + r]`.
+    live: &'a [u16],
+    /// `b` from the panel's first column on, row stride `ldb`.
+    b: &'a [f32],
+    ldb: usize,
+    /// Valid rows (`≤ GEMM_MR`) and panel columns.
+    rows: usize,
+    cols: usize,
+}
+
+/// [`gemm_nt`] under an explicitly chosen implementation.
+pub fn gemm_nt_with(
+    imp: KernelImpl,
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    k: usize,
+    c: &mut [f32],
+) {
+    assert!(a.len() >= m * k, "gemm_nt: a holds {} values, shape {m}x{k}", a.len());
+    assert!(b.len() >= n * k, "gemm_nt: b holds {} values, shape {n}x{k}", b.len());
+    assert!(c.len() >= m * n, "gemm_nt: c holds {} values, shape {m}x{n}", c.len());
+    let (mut m4, mut n4) = (0, 0);
+    #[cfg(target_arch = "x86_64")]
+    if matches!(imp, KernelImpl::Avx2Fma | KernelImpl::Avx512) {
+        (m4, n4) = (m / 4 * 4, n / 4 * 4);
+        for i in (0..m4).step_by(4) {
+            for j in (0..n4).step_by(4) {
+                // SAFETY: dispatch only selects these ISAs after CPUID
+                // detection, and rows i..i+4 / j..j+4 are in bounds.
+                unsafe {
+                    if imp == KernelImpl::Avx512 {
+                        avx512::dot_tile(&a[i * k..], &b[j * k..], k, &mut c[i * n + j..], n);
+                    } else {
+                        // Two-row halves: 16 `ymm` registers hold 2 × 4 chains.
+                        for h in [0, 2] {
+                            let (a, c) = (&a[(i + h) * k..], &mut c[(i + h) * n + j..]);
+                            avx2::dot_tile(a, &b[j * k..], k, c, n);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Ragged edges (and every element without a tile body): per-element
+    // dot, the same recipe.
+    for i in 0..m {
+        let js = if i < m4 { n4..n } else { 0..n };
+        for j in js {
+            c[i * n + j] = dot_with(imp, &a[i * k..][..k], &b[j * k..][..k]);
+        }
+    }
+}
+
+/// Stamps out the [`gemm_nt`] dot tile for one instruction set: `$rows`
+/// rows of `a` against four rows of `b`, each of the `$rows × 4` dot
+/// products with its own 8-lane `ymm` accumulator, lane tail and `reduce8`
+/// tree — [`dot`]'s recipe, so every result is bit-identical to it. Each
+/// loaded block of a row feeds four (or `$rows`) chains. AVX2 has 16 `ymm`
+/// registers and runs two-row halves; AVX-512VL addresses 32 and runs
+/// whole four-row tiles (about 1.4× faster on the scorer's `∂X` shape).
+macro_rules! dot_tile {
+    ($features:literal, $rows:literal) => {
+        /// `c[i * ldc + j] = dot(a_i, b_j)` for `i < $rows`, `j < 4` (see
+        /// the `dot_tile!` macro).
+        ///
+        /// # Safety
+        /// The caller must have verified the module's CPU features; `a`
+        /// must hold `$rows` rows of `k` values, `b` four, and `c`
+        /// `($rows - 1) * ldc + 4`.
+        #[target_feature(enable = $features)]
+        pub(super) unsafe fn dot_tile(a: &[f32], b: &[f32], k: usize, c: &mut [f32], ldc: usize) {
+            const R: usize = $rows;
+            debug_assert!(a.len() >= R * k && b.len() >= 4 * k && c.len() >= (R - 1) * ldc + 4);
+            let blocks = k / LANES * LANES;
+            let (pa, pb) = (a.as_ptr(), b.as_ptr());
+            let mut acc = [[_mm256_setzero_ps(); 4]; R];
+            let mut p = 0;
+            while p < blocks {
+                let mut va = [_mm256_setzero_ps(); R];
+                for (i, v) in va.iter_mut().enumerate() {
+                    *v = _mm256_loadu_ps(pa.add(i * k + p));
+                }
+                for j in 0..4 {
+                    let vb = _mm256_loadu_ps(pb.add(j * k + p));
+                    for (row, &x) in acc.iter_mut().zip(&va) {
+                        row[j] = _mm256_fmadd_ps(x, vb, row[j]);
+                    }
+                }
+                p += LANES;
+            }
+            // Tail: fold the last `k % 8` elements into lanes `0..k % 8`
+            // with the same fused update; the blend leaves the other lanes
+            // exactly as they are.
+            if blocks < k {
+                let live = _mm256_cmpgt_epi32(
+                    _mm256_set1_epi32((k - blocks) as i32),
+                    _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                );
+                let mut vb = [_mm256_setzero_ps(); 4];
+                for (j, v) in vb.iter_mut().enumerate() {
+                    *v = _mm256_maskload_ps(pb.add(j * k + blocks), live);
+                }
+                for (i, row) in acc.iter_mut().enumerate() {
+                    let va = _mm256_maskload_ps(pa.add(i * k + blocks), live);
+                    for (x, &y) in row.iter_mut().zip(&vb) {
+                        let t = _mm256_fmadd_ps(va, y, *x);
+                        *x = _mm256_blendv_ps(*x, t, _mm256_castsi256_ps(live));
+                    }
+                }
+            }
+            // `reduce8` of four accumulators at once: the first `hadd`
+            // forms (l0+l1), (l2+l3), (l4+l5), (l6+l7), the second their
+            // pairwise sums, and the 128-bit halves add last.
+            for (i, row) in acc.iter().enumerate() {
+                let h = _mm256_hadd_ps(
+                    _mm256_hadd_ps(row[0], row[1]),
+                    _mm256_hadd_ps(row[2], row[3]),
+                );
+                let v = _mm_add_ps(_mm256_castps256_ps128(h), _mm256_extractf128_ps::<1>(h));
+                _mm_storeu_ps(c.as_mut_ptr().add(i * ldc), v);
+            }
+        }
+    };
 }
 
 // --- portable 8-lane scalar implementation --------------------------------
@@ -488,7 +776,7 @@ pub fn gemm_update4_with(
 /// FMA where one exists and to the correctly rounded soft-float `fmaf`
 /// otherwise — in both cases one rounding per update, like `vfmadd`.
 pub mod scalar {
-    use super::{reduce8, LANES};
+    use super::{reduce8, Tile, GEMM_MR, LANES};
 
     /// 8-lane dot product.
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -596,21 +884,42 @@ pub mod scalar {
         }
     }
 
-    /// Element-wise four-step fused update (see [`super::gemm_update4`]).
-    pub fn gemm_update4(
-        coef: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-        o: &mut [f32],
-    ) {
-        let [a0, a1, a2, a3] = coef;
-        for (i, oi) in o.iter_mut().enumerate() {
-            let mut acc = a0.mul_add(b0[i], *oi);
-            acc = a1.mul_add(b1[i], acc);
-            acc = a2.mul_add(b2[i], acc);
-            *oi = a3.mul_add(b3[i], acc);
+    /// One [`super::gemm`] tile, one row at a time: the row's `LANES`
+    /// accumulators stay in locals across the whole inner dimension, and a
+    /// dead group or tail step (see the live flags) is skipped.
+    pub(super) fn gemm_tile(t: &Tile<'_>, c: &mut [f32], ldc: usize) {
+        let k = t.a.len() / GEMM_MR;
+        let groups = k / 4;
+        let b = |p: usize| &t.b[p * t.ldb..][..t.cols];
+        for r in 0..t.rows {
+            let mut acc = [0.0f32; LANES];
+            let acc = &mut acc[..t.cols];
+            for g in 0..groups {
+                if t.live[g * GEMM_MR + r] == 0 {
+                    continue;
+                }
+                let p = 4 * g;
+                let a = |j: usize| t.a[(p + j) * GEMM_MR + r];
+                let (a0, a1, a2, a3) = (a(0), a(1), a(2), a(3));
+                let (b0, b1, b2, b3) = (b(p), b(p + 1), b(p + 2), b(p + 3));
+                for (i, o) in acc.iter_mut().enumerate() {
+                    let mut x = a0.mul_add(b0[i], *o);
+                    x = a1.mul_add(b1[i], x);
+                    x = a2.mul_add(b2[i], x);
+                    *o = a3.mul_add(b3[i], x);
+                }
+            }
+            for s in groups..groups + k % 4 {
+                if t.live[s * GEMM_MR + r] == 0 {
+                    continue;
+                }
+                let p = s + 3 * groups;
+                let a = t.a[p * GEMM_MR + r];
+                for (o, &bv) in acc.iter_mut().zip(b(p)) {
+                    *o = a.mul_add(bv, *o);
+                }
+            }
+            c[r * ldc..][..t.cols].copy_from_slice(acc);
         }
     }
 }
@@ -627,14 +936,17 @@ pub mod scalar {
 /// operation the vector body performs per lane.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::{reduce8, LANES};
+    use super::{reduce8, Tile, GEMM_MR, LANES};
     use std::arch::x86_64::{
-        _mm256_add_epi32, _mm256_andnot_ps, _mm256_castsi256_si128, _mm256_cvtepi8_epi16,
-        _mm256_cvtps_epi32, _mm256_extracti128_si256, _mm256_fmadd_ps, _mm256_loadu_ps,
-        _mm256_madd_epi16, _mm256_max_epi32, _mm256_max_ps, _mm256_min_epi32, _mm256_mul_ps,
-        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_setzero_si256,
-        _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi16, _mm256_sub_ps,
-        _mm_loadu_si128, _mm_packs_epi16, _mm_packs_epi32, _mm_storel_epi64,
+        __m256i, _mm256_add_epi32, _mm256_andnot_ps, _mm256_blendv_ps, _mm256_castps256_ps128,
+        _mm256_castsi256_ps, _mm256_castsi256_si128, _mm256_cmpgt_epi32, _mm256_cvtepi8_epi16,
+        _mm256_cvtps_epi32, _mm256_extractf128_ps, _mm256_extracti128_si256, _mm256_fmadd_ps,
+        _mm256_hadd_ps, _mm256_loadu_ps, _mm256_madd_epi16, _mm256_maskload_ps,
+        _mm256_maskstore_ps, _mm256_max_epi32, _mm256_max_ps, _mm256_min_epi32, _mm256_mul_ps,
+        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps,
+        _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi16,
+        _mm256_sub_ps, _mm_add_ps, _mm_loadu_si128, _mm_packs_epi16, _mm_packs_epi32,
+        _mm_storel_epi64, _mm_storeu_ps,
     };
 
     /// 8-lane dot product.
@@ -880,42 +1192,69 @@ pub mod avx2 {
         }
     }
 
-    /// Element-wise four-step fused update.
+    /// Lanes `0..n` of a `ymm` as a `vmaskmovps` mask.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lane_mask(n: usize) -> __m256i {
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+    }
+
+    /// One [`super::gemm`] tile: `GEMM_MR` rows by one `ymm` of columns,
+    /// the accumulators in registers across the whole inner dimension.
+    /// Each group's four rows of `b` load once for all tile rows; a row
+    /// whose group is dead branches past it.
     ///
     /// # Safety
-    /// The caller must have verified AVX2+FMA support (via
-    /// [`super::detect_best`]) before calling.
+    /// The caller must have verified AVX2+FMA support; `t.b` must hold
+    /// `(k - 1) * t.ldb + t.cols` values and `c` `(t.rows - 1) * ldc +
+    /// t.cols`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_update4(
-        coef: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-        o: &mut [f32],
-    ) {
-        let [a0, a1, a2, a3] = coef;
-        let n = o.len();
-        let blocks = n / LANES * LANES;
-        let (v0, v1, v2, v3) =
-            (_mm256_set1_ps(a0), _mm256_set1_ps(a1), _mm256_set1_ps(a2), _mm256_set1_ps(a3));
-        let mut i = 0;
-        while i < blocks {
-            let mut vo = _mm256_loadu_ps(o.as_ptr().add(i));
-            vo = _mm256_fmadd_ps(v0, _mm256_loadu_ps(b0.as_ptr().add(i)), vo);
-            vo = _mm256_fmadd_ps(v1, _mm256_loadu_ps(b1.as_ptr().add(i)), vo);
-            vo = _mm256_fmadd_ps(v2, _mm256_loadu_ps(b2.as_ptr().add(i)), vo);
-            vo = _mm256_fmadd_ps(v3, _mm256_loadu_ps(b3.as_ptr().add(i)), vo);
-            _mm256_storeu_ps(o.as_mut_ptr().add(i), vo);
-            i += LANES;
+    pub(super) unsafe fn gemm_tile(t: &Tile<'_>, c: &mut [f32], ldc: usize) {
+        let k = t.a.len() / GEMM_MR;
+        let groups = k / 4;
+        debug_assert!(k == 0 || t.b.len() >= (k - 1) * t.ldb + t.cols);
+        debug_assert!(c.len() >= (t.rows - 1) * ldc + t.cols);
+        let mask = lane_mask(t.cols);
+        let (a, b) = (t.a.as_ptr(), t.b.as_ptr());
+        let mut acc = [_mm256_setzero_ps(); GEMM_MR];
+        for g in 0..groups {
+            let live = &t.live[g * GEMM_MR..][..GEMM_MR];
+            if live == [0; GEMM_MR] {
+                continue;
+            }
+            let p = 4 * g;
+            let bv = [
+                _mm256_maskload_ps(b.add(p * t.ldb), mask),
+                _mm256_maskload_ps(b.add((p + 1) * t.ldb), mask),
+                _mm256_maskload_ps(b.add((p + 2) * t.ldb), mask),
+                _mm256_maskload_ps(b.add((p + 3) * t.ldb), mask),
+            ];
+            for r in 0..GEMM_MR {
+                if live[r] == 0 {
+                    continue;
+                }
+                let ar = a.add(p * GEMM_MR + r);
+                let mut x = acc[r];
+                for (j, bj) in bv.iter().enumerate() {
+                    x = _mm256_fmadd_ps(_mm256_set1_ps(*ar.add(j * GEMM_MR)), *bj, x);
+                }
+                acc[r] = x;
+            }
         }
-        for l in blocks..n {
-            let mut acc = a0.mul_add(b0[l], o[l]);
-            acc = a1.mul_add(b1[l], acc);
-            acc = a2.mul_add(b2[l], acc);
-            o[l] = a3.mul_add(b3[l], acc);
+        for s in groups..groups + k % 4 {
+            let p = s + 3 * groups;
+            let bv = _mm256_maskload_ps(b.add(p * t.ldb), mask);
+            for (r, x) in acc.iter_mut().enumerate() {
+                if t.live[s * GEMM_MR + r] != 0 {
+                    *x = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(p * GEMM_MR + r)), bv, *x);
+                }
+            }
+        }
+        for (r, x) in acc.iter().enumerate().take(t.rows) {
+            _mm256_maskstore_ps(c.as_mut_ptr().add(r * ldc), mask, *x);
         }
     }
+
+    dot_tile!("avx2,fma", 2);
 }
 
 // --- AVX-512 implementation -----------------------------------------------
@@ -923,27 +1262,35 @@ pub mod avx2 {
 /// AVX-512 (F + BW) implementation of the kernels that can widen to `zmm`
 /// registers **without** touching the 8-lane reduction recipe:
 ///
-/// * the element-wise f32 kernels (`axpy`, `gemm_update4`) — each output
-///   element is its own independent fused-multiply-add chain, so block
-///   width is unobservable and 16-wide blocks are bit-identical;
+/// * [`axpy`] and the [`gemm`] tile — each
+///   output element is its own independent fused-multiply-add chain, so
+///   block width is unobservable and 16-wide blocks are bit-identical;
 /// * the int8 kernels — exact integer arithmetic is associative, so any
 ///   accumulation order (here 32 int8 lanes widened to one `zmm` of i16,
 ///   `vpmaddwd` into 16 i32 lanes) gives the identical result.
 ///
-/// The f32 *reductions* (`dot`, `dot3`, `dist_sq`) are deliberately absent:
+/// The f32 *reductions* (`dot`, `dot3`, `dist_sq`, and the
+/// [`gemm_nt`] dot tile) are deliberately absent:
 /// widening them to 16 accumulator lanes would change which elements share
 /// a chain and therefore the rounding. The dispatch layer routes them to
 /// the [`avx2`] bodies instead (every AVX-512 host also has AVX2+FMA).
 #[cfg(target_arch = "x86_64")]
 pub mod avx512 {
+    use super::{Tile, GEMM_MR, LANES};
     use std::arch::x86_64::{
-        __m512i, _mm256_loadu_si256, _mm512_abs_ps, _mm512_add_epi32, _mm512_castsi512_si256,
-        _mm512_cvtepi32_epi8, _mm512_cvtepi8_epi16, _mm512_cvtps_epi32,
+        _mm256_blendv_ps, _mm256_castps256_ps128, _mm256_castsi256_ps, _mm256_cmpgt_epi32,
+        _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_hadd_ps, _mm256_loadu_ps,
+        _mm256_maskload_ps, _mm256_set1_epi32, _mm256_setr_epi32, _mm256_setzero_ps,
+        _mm_add_ps, _mm_storeu_ps,
+        __m512i, __mmask16, _mm256_loadu_si256, _mm512_abs_ps, _mm512_add_epi32,
+        _mm512_castsi512_si256, _mm512_cvtepi32_epi8, _mm512_cvtepi8_epi16, _mm512_cvtps_epi32,
         _mm512_extracti64x4_epi64, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_loadu_si512,
-        _mm512_madd_epi16, _mm512_maskz_loadu_epi8, _mm512_max_epi32, _mm512_max_ps,
-        _mm512_min_epi32, _mm512_mul_ps, _mm512_reduce_add_epi32, _mm512_set1_epi32,
-        _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512, _mm512_storeu_ps,
-        _mm512_storeu_si512, _mm512_sub_epi16, _mm_storeu_si128,
+        _mm512_madd_epi16, _mm512_mask3_fmadd_ps, _mm512_mask_blend_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_epi8,
+        _mm512_maskz_loadu_ps, _mm512_max_epi32, _mm512_max_ps, _mm512_min_epi32, _mm512_mul_ps,
+        _mm512_reduce_add_epi32, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_setzero_si512, _mm512_storeu_ps, _mm512_storeu_si512, _mm512_sub_epi16,
+        _mm_storeu_si128,
     };
 
     /// f32 elements per `zmm` register.
@@ -974,42 +1321,93 @@ pub mod avx512 {
         }
     }
 
-    /// Element-wise four-step fused update, 16 elements per block. The four
-    /// fused updates chain in the same fixed order per element as the
-    /// scalar path, so the result is bit-identical.
+    dot_tile!("avx512f,avx512vl,avx2,fma", 4);
+
+    /// Lanes `0..n` (clamped to 16) of a `zmm` as a write mask.
+    fn lane_mask(n: usize) -> __mmask16 {
+        if n >= W {
+            u16::MAX
+        } else {
+            (1u16 << n) - 1
+        }
+    }
+
+    /// One [`super::gemm`] tile: `GEMM_MR` rows by two `zmm` of columns,
+    /// sixteen accumulators in registers across the whole inner dimension.
+    /// Each step's row of `b` loads once for all tile rows. A group live in
+    /// every row runs plain fused updates; a group dead in every row is not
+    /// run; a mixed group chains each row into a copy and keeps it only
+    /// where the row is live (its flag is the blend mask), which is exactly
+    /// the skip of the recipe.
     ///
     /// # Safety
-    /// The caller must have verified AVX-512 F support (via
-    /// [`super::supported`]) before calling.
+    /// The caller must have verified AVX-512 F support; `t.b` must hold
+    /// `(k - 1) * t.ldb + t.cols` values and `c` `(t.rows - 1) * ldc +
+    /// t.cols`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm_update4(
-        coef: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-        o: &mut [f32],
-    ) {
-        let [a0, a1, a2, a3] = coef;
-        let n = o.len();
-        let blocks = n / W * W;
-        let (v0, v1, v2, v3) =
-            (_mm512_set1_ps(a0), _mm512_set1_ps(a1), _mm512_set1_ps(a2), _mm512_set1_ps(a3));
-        let mut i = 0;
-        while i < blocks {
-            let mut vo = _mm512_loadu_ps(o.as_ptr().add(i));
-            vo = _mm512_fmadd_ps(v0, _mm512_loadu_ps(b0.as_ptr().add(i)), vo);
-            vo = _mm512_fmadd_ps(v1, _mm512_loadu_ps(b1.as_ptr().add(i)), vo);
-            vo = _mm512_fmadd_ps(v2, _mm512_loadu_ps(b2.as_ptr().add(i)), vo);
-            vo = _mm512_fmadd_ps(v3, _mm512_loadu_ps(b3.as_ptr().add(i)), vo);
-            _mm512_storeu_ps(o.as_mut_ptr().add(i), vo);
-            i += W;
+    pub(super) unsafe fn gemm_tile(t: &Tile<'_>, c: &mut [f32], ldc: usize) {
+        const V: usize = 2;
+        let k = t.a.len() / GEMM_MR;
+        let groups = k / 4;
+        debug_assert!(k == 0 || t.b.len() >= (k - 1) * t.ldb + t.cols);
+        debug_assert!(c.len() >= (t.rows - 1) * ldc + t.cols);
+        let lm = [lane_mask(t.cols), lane_mask(t.cols.saturating_sub(W))];
+        let (a, b) = (t.a.as_ptr(), t.b.as_ptr());
+        // The second vector's address may lie past the panel when
+        // `cols <= 16`; its mask is then empty and nothing is read, so the
+        // address is formed with `wrapping_add`.
+        let load = |p: usize| {
+            let bp = b.add(p * t.ldb);
+            [
+                _mm512_maskz_loadu_ps(lm[0], bp),
+                _mm512_maskz_loadu_ps(lm[1], bp.wrapping_add(W)),
+            ]
+        };
+        let mut acc = [[_mm512_setzero_ps(); V]; GEMM_MR];
+        for g in 0..groups {
+            let live = &t.live[g * GEMM_MR..][..GEMM_MR];
+            let p = 4 * g;
+            if live == [u16::MAX; GEMM_MR] {
+                for j in p..p + 4 {
+                    let bv = load(j);
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        let ar = _mm512_set1_ps(*a.add(j * GEMM_MR + r));
+                        for (x, &bj) in row.iter_mut().zip(&bv) {
+                            *x = _mm512_fmadd_ps(ar, bj, *x);
+                        }
+                    }
+                }
+            } else if live != [0; GEMM_MR] {
+                let bv = [load(p), load(p + 1), load(p + 2), load(p + 3)];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let mut y = *row;
+                    for (j, bj) in bv.iter().enumerate() {
+                        let ar = _mm512_set1_ps(*a.add((p + j) * GEMM_MR + r));
+                        for (x, &bjv) in y.iter_mut().zip(bj) {
+                            *x = _mm512_fmadd_ps(ar, bjv, *x);
+                        }
+                    }
+                    for (x, &yv) in row.iter_mut().zip(&y) {
+                        *x = _mm512_mask_blend_ps(live[r], *x, yv);
+                    }
+                }
+            }
         }
-        for l in blocks..n {
-            let mut acc = a0.mul_add(b0[l], o[l]);
-            acc = a1.mul_add(b1[l], acc);
-            acc = a2.mul_add(b2[l], acc);
-            o[l] = a3.mul_add(b3[l], acc);
+        for s in groups..groups + k % 4 {
+            let p = s + 3 * groups;
+            let bv = load(p);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let ar = _mm512_set1_ps(*a.add(p * GEMM_MR + r));
+                let kr = t.live[s * GEMM_MR + r];
+                for (x, &bj) in row.iter_mut().zip(&bv) {
+                    *x = _mm512_mask3_fmadd_ps(ar, bj, *x, kr);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate().take(t.rows) {
+            for (v, &x) in row.iter().enumerate() {
+                _mm512_mask_storeu_ps(c.as_mut_ptr().wrapping_add(r * ldc + v * W), lm[v], x);
+            }
         }
     }
 
@@ -1364,45 +1762,6 @@ pub mod neon {
         }
     }
 
-    /// Element-wise four-step fused update; the four fused updates chain in
-    /// the same fixed order per element as the scalar path.
-    ///
-    /// # Safety
-    /// The caller must have verified NEON support (via [`super::supported`])
-    /// before calling.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn gemm_update4(
-        coef: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-        o: &mut [f32],
-    ) {
-        const W: usize = 4;
-        let [a0, a1, a2, a3] = coef;
-        let n = o.len();
-        let blocks = n / W * W;
-        let (v0, v1, v2, v3) =
-            (vdupq_n_f32(a0), vdupq_n_f32(a1), vdupq_n_f32(a2), vdupq_n_f32(a3));
-        let mut i = 0;
-        while i < blocks {
-            let mut vo = vld1q_f32(o.as_ptr().add(i));
-            vo = vfmaq_f32(vo, v0, vld1q_f32(b0.as_ptr().add(i)));
-            vo = vfmaq_f32(vo, v1, vld1q_f32(b1.as_ptr().add(i)));
-            vo = vfmaq_f32(vo, v2, vld1q_f32(b2.as_ptr().add(i)));
-            vo = vfmaq_f32(vo, v3, vld1q_f32(b3.as_ptr().add(i)));
-            vst1q_f32(o.as_mut_ptr().add(i), vo);
-            i += W;
-        }
-        for l in blocks..n {
-            let mut acc = a0.mul_add(b0[l], o[l]);
-            acc = a1.mul_add(b1[l], acc);
-            acc = a2.mul_add(b2[l], acc);
-            o[l] = a3.mul_add(b3[l], acc);
-        }
-    }
-
     /// Largest absolute value: two 4-lane `vmaxq_f32` accumulators over
     /// `vabsq_f32`-stripped lanes, collapsed by `vmaxvq_f32`. Exactly
     /// associative, bit-identical to the scalar fold for finite inputs.
@@ -1532,6 +1891,7 @@ pub mod neon {
 mod tests {
     use super::*;
     use crate::rng::Rng64;
+    use proptest::prelude::*;
 
     fn vecs(len: usize, seed: u64, scale: f32) -> (Vec<f32>, Vec<f32>) {
         let mut rng = Rng64::new(seed);
@@ -1584,24 +1944,93 @@ mod tests {
         }
     }
 
+    /// `rows × cols` values with ReLU-style zero four-groups and `-0.0`
+    /// entries, scaled by `scale`.
+    fn gemm_operand(rows: usize, cols: usize, seed: u64, scale: f32) -> Vec<f32> {
+        let mut rng = Rng64::new(seed);
+        let mut v: Vec<f32> = (0..rows * cols).map(|_| rng.normal() as f32 * scale).collect();
+        for g in v.chunks_mut(4) {
+            if rng.gen_f32() < 0.3 {
+                g.fill(0.0);
+            }
+        }
+        for x in v.iter_mut() {
+            if rng.gen_f32() < 0.05 {
+                *x = -0.0;
+            }
+        }
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The tile kernels under every available implementation equal the
+        /// scalar bodies bit for bit — `gemm` through both operand layouts
+        /// (`matmul`'s row-major and `t_matmul`'s transposed strides) and
+        /// `gemm_nt` — on shapes straddling the row tiles, column panels,
+        /// four-step groups and 8-lane blocks.
+        #[test]
+        fn gemm_tiles_bit_identical_across_impls(
+            m in 1usize..20,
+            k in 0usize..42,
+            n in 1usize..70,
+            seed in 0u64..1_000_000,
+            scale in prop::sample::select(vec![1e-6f32, 1.0, 1e6]),
+        ) {
+            let a = gemm_operand(m, k, seed, scale);
+            let b = gemm_operand(k, n, seed ^ 1, scale);
+            let bt = gemm_operand(n, k, seed ^ 2, scale);
+            let at: Vec<f32> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
+            let row_major = StridedMat { data: &a, rows: m, cols: k, row_stride: k, col_stride: 1 };
+            let transposed =
+                StridedMat { data: &at, rows: m, cols: k, row_stride: 1, col_stride: m };
+            let run = |imp: KernelImpl| {
+                let mut c = [vec![0.0; m * n], vec![0.0; m * n], vec![0.0; m * n]];
+                gemm_with(imp, row_major, &b, n, &mut c[0]);
+                gemm_with(imp, transposed, &b, n, &mut c[1]);
+                gemm_nt_with(imp, &a, m, &bt, n, k, &mut c[2]);
+                c.map(|c| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            };
+            let want = run(KernelImpl::Scalar);
+            prop_assert_eq!(&want[0], &want[1], "gemm layouts disagree");
+            for imp in available() {
+                let got = run(imp);
+                prop_assert_eq!(&got[0], &want[0], "gemm {} {}x{}x{}", imp.name(), m, k, n);
+                prop_assert_eq!(&got[1], &want[1], "t-gemm {} {}x{}x{}", imp.name(), m, k, n);
+                prop_assert_eq!(&got[2], &want[2], "gemm_nt {} {}x{}x{}", imp.name(), m, k, n);
+            }
+        }
+    }
+
+    /// A dead group or tail step is skipped, not multiplied by zero: its
+    /// rows of `b` hold `+inf`, so `fma(0, inf, acc)` would turn the
+    /// result into NaN. Rows alternate live/dead in group 1 (the AVX-512
+    /// mixed path), every row is dead in group 2 and in the tail step,
+    /// and 9 rows × 40 columns leave partial row tiles and column panels.
     #[test]
-    fn gemm_update4_bit_identical_across_impls() {
+    fn dead_groups_are_skipped_not_multiplied() {
+        let (m, k, n) = (9, 13, 40);
+        let a: Vec<f32> = (0..m * k)
+            .map(|idx| {
+                let (i, p) = (idx / k, idx % k);
+                f32::from(p < 4 || (p < 8 && i % 2 == 1))
+            })
+            .collect();
+        let b: Vec<f32> =
+            (0..k * n).map(|idx| if idx / n < 4 { 1.0 } else { f32::INFINITY }).collect();
+        let at: Vec<f32> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
         for imp in available() {
-            for len in 0..=40usize {
-                let (b0, b1) = vecs(len, 3 ^ len as u64, 1.0);
-                let (b2, b3) = vecs(len, 4 ^ len as u64, 1.0);
-                let (o0, _) = vecs(len, 5 ^ len as u64, 1.0);
-                let coef = [0.5, -1.25, 3.0e-3, 7.5];
-                let mut oa = o0.clone();
-                let mut ob = o0;
-                gemm_update4_with(imp, coef, &b0, &b1, &b2, &b3, &mut oa);
-                gemm_update4_with(KernelImpl::Scalar, coef, &b0, &b1, &b2, &b3, &mut ob);
-                assert_eq!(
-                    oa.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    ob.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{} len {len}",
-                    imp.name()
-                );
+            for lhs in [
+                StridedMat { data: &a, rows: m, cols: k, row_stride: k, col_stride: 1 },
+                StridedMat { data: &at, rows: m, cols: k, row_stride: 1, col_stride: m },
+            ] {
+                let mut c = vec![0.0; m * n];
+                gemm_with(imp, lhs, &b, n, &mut c);
+                for (idx, &v) in c.iter().enumerate() {
+                    let want = if (idx / n) % 2 == 1 { f32::INFINITY } else { 4.0 };
+                    assert_eq!(v.to_bits(), want.to_bits(), "{} element {idx}", imp.name());
+                }
             }
         }
     }

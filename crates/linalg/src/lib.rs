@@ -7,10 +7,10 @@
 //! [`Rng64`] so every experiment is reproducible bit-for-bit.
 //!
 //! The crate is deliberately BLAS-free: matrices in this system are small
-//! (feature matrices of a few hundred columns), and a blocked triple-loop
-//! over the [`kernels`] layer — runtime-dispatched between a portable
-//! 8-lane scalar path and AVX2+FMA intrinsics, bit-identical to each
-//! other — is fast enough while keeping the reproduction dependency-light.
+//! (feature matrices of a few hundred columns), and register-tiled GEMMs
+//! in the [`kernels`] layer — runtime-dispatched between a portable scalar
+//! path and AVX2 / AVX-512 intrinsics, bit-identical to each other — are
+//! fast enough while keeping the reproduction dependency-light.
 
 pub mod kernels;
 pub mod matrix;

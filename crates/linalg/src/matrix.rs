@@ -149,11 +149,18 @@ impl Matrix {
 
     /// Returns a new matrix containing only the rows whose indices are given.
     pub fn select_rows(&self, idx: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(idx.len(), self.cols);
+        let mut out = Matrix::zeros(0, 0);
+        self.select_rows_into(idx, &mut out);
+        out
+    }
+
+    /// [`Matrix::select_rows`] into `out` (reshaped to
+    /// `idx.len() × self.cols()`, buffer reused) — the mini-batch gather.
+    pub fn select_rows_into(&self, idx: &[usize], out: &mut Matrix) {
+        out.resize(idx.len(), self.cols);
         for (k, &i) in idx.iter().enumerate() {
             out.row_mut(k).copy_from_slice(self.row(i));
         }
-        out
     }
 
     /// Returns a new matrix containing only the columns whose indices are given.
@@ -188,81 +195,103 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * other`, cache-blocked over the inner dimension.
+    /// Matrix product `self * other` through the register-tiled
+    /// [`kernels::gemm`].
     ///
-    /// The inner dimension is processed in `KC`-sized panels so the active
-    /// slice of `other` stays L1/L2-resident while every row of `self`
-    /// streams past it, and four inner-dimension steps are combined per pass
-    /// over the output row (4× fewer output-row traversals, four independent
-    /// multiply chains for the SIMD units). Combining four products before
-    /// adding to the accumulator reorders the float sums relative to the
-    /// naive one-step-at-a-time loop; results match it to ~1e-6 relative
-    /// (both are valid roundings of the same exact sum), which the matmul
-    /// property test pins down.
+    /// Every output element runs one fixed chain: four inner-dimension
+    /// steps fused per group (`fma` after `fma`), all-zero coefficient
+    /// groups (common after ReLU) and zero tail coefficients skipped. That
+    /// reorders the float sums relative to the naive one-step-at-a-time
+    /// loop; results match it to ~1e-6 relative (both are valid roundings
+    /// of the same exact sum), which the matmul property test pins down,
+    /// and they are bit-identical across kernel implementations.
     ///
     /// # Panics
     /// Panics on an inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul`] into `out`, which is reshaped to
+    /// `self.rows() × other.cols()` and fully overwritten; its buffer is
+    /// reused, so a caller looping over same-sized products does not
+    /// allocate.
+    ///
+    /// # Panics
+    /// Panics on an inner-dimension mismatch.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        let n = other.cols;
-        for kk in (0..self.cols).step_by(KC) {
-            let kb = KC.min(self.cols - kk);
-            for i in 0..self.rows {
-                let a_panel = &self.data[i * self.cols + kk..i * self.cols + kk + kb];
-                let b_panel = &other.data[kk * n..(kk + kb) * n];
-                gemm_panel_row(a_panel, b_panel, out.row_mut(i), n);
-            }
-        }
-        out
+        out.resize(self.rows, other.cols);
+        let a = kernels::StridedMat {
+            data: &self.data,
+            rows: self.rows,
+            cols: self.cols,
+            row_stride: self.cols,
+            col_stride: 1,
+        };
+        kernels::gemm(a, &other.data, other.cols, &mut out.data);
     }
 
     /// `self^T * other` without materializing the transpose.
     ///
-    /// Same panel kernel as [`Matrix::matmul`], reading `self` column-wise:
-    /// the shared (row) dimension is blocked, and four samples are combined
-    /// per pass over each output row. Same ~1e-6 sum-reordering note.
+    /// Same tiled kernel and per-element chain as [`Matrix::matmul`], with
+    /// `self` read column-wise: the shared (row) dimension is the inner one,
+    /// four samples fused per group. Same ~1e-6 sum-reordering note.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        let (k, n) = (self.cols, other.cols);
-        let mut out = Matrix::zeros(k, n);
-        let mut a_col = vec![0.0f32; KC]; // one A column within the row panel
-        for rr in (0..self.rows).step_by(KC) {
-            let rb = KC.min(self.rows - rr);
-            let b_panel = &other.data[rr * n..(rr + rb) * n];
-            for i in 0..k {
-                for (p, slot) in a_col[..rb].iter_mut().enumerate() {
-                    *slot = self.data[(rr + p) * k + i];
-                }
-                gemm_panel_row(&a_col[..rb], b_panel, out.row_mut(i), n);
-            }
-        }
+        let mut out = Matrix::zeros(0, 0);
+        self.t_matmul_into(other, &mut out);
         out
+    }
+
+    /// [`Matrix::t_matmul`] into `out` (reshaped to
+    /// `self.cols() × other.cols()`, buffer reused, fully overwritten).
+    pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
+        out.resize(self.cols, other.cols);
+        let a = kernels::StridedMat {
+            data: &self.data,
+            rows: self.cols,
+            cols: self.rows,
+            row_stride: 1,
+            col_stride: self.cols,
+        };
+        kernels::gemm(a, &other.data, other.cols, &mut out.data);
     }
 
     /// `self * other^T` without materializing the transpose.
     ///
-    /// Each output element is one contiguous-row dot product, so this routes
-    /// straight through the dispatched [`kernels::dot`]: the 8-lane
-    /// accumulator chains give the instruction-level parallelism the old
-    /// hand-unrolled 4-column loop bought, and the input row stays
-    /// L1-resident across the `n` passes at this system's shapes.
+    /// Each output element is one contiguous-row dot product with exactly
+    /// [`kernels::dot`]'s recipe (8-lane accumulator chains, `reduce8`);
+    /// [`kernels::gemm_nt`] computes them in 4 × 4 tiles so every loaded
+    /// block of either row feeds four chains.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let n = other.rows;
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let o_row = out.row_mut(i);
-            for (jj, o) in o_row.iter_mut().enumerate().take(n) {
-                *o = kernels::dot(a_row, other.row(jj));
-            }
-        }
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_t_into(other, &mut out);
         out
+    }
+
+    /// [`Matrix::matmul_t`] into `out` (reshaped to
+    /// `self.rows() × other.rows()`, buffer reused, fully overwritten).
+    pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
+        out.resize(self.rows, other.rows);
+        kernels::gemm_nt(&self.data, self.rows, &other.data, other.rows, self.cols, &mut out.data);
+    }
+
+    /// Sets the shape to `rows × cols` in place, reusing the allocation:
+    /// the buffer is truncated or zero-extended, so after a change of shape
+    /// the cell values are unspecified. This is how the `*_into` products
+    /// and reusable batch buffers avoid reallocating.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
     }
 
     /// Element-wise in-place map.
@@ -287,14 +316,6 @@ impl Matrix {
         }
     }
 
-    /// In-place `self -= other`.
-    pub fn sub_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "sub_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-    }
-
     /// In-place scalar multiply.
     pub fn scale_inplace(&mut self, s: f32) {
         for v in &mut self.data {
@@ -314,16 +335,6 @@ impl Matrix {
         assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
         let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
         Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Adds `bias` (length `cols`) to every row, in place.
-    pub fn add_row_broadcast(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.cols, "broadcast width mismatch");
-        for i in 0..self.rows {
-            for (v, b) in self.row_mut(i).iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
     }
 
     /// Per-column mean (length `cols`).
@@ -352,17 +363,6 @@ impl Matrix {
         var.into_iter().map(|s| ((s / n) as f32).sqrt()).collect()
     }
 
-    /// Sum over all entries in each column.
-    pub fn col_sum(&self) -> Vec<f32> {
-        let mut sum = vec![0.0f32; self.cols];
-        for row in self.iter_rows() {
-            for (s, &v) in sum.iter_mut().zip(row) {
-                *s += v;
-            }
-        }
-        sum
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|v| (v * v) as f64).sum::<f64>().sqrt() as f32
@@ -371,52 +371,6 @@ impl Matrix {
     /// True if any entry is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
-    }
-}
-
-/// Panel width (inner-dimension block) for the blocked GEMM kernels.
-///
-/// A `KC x n` panel of the right-hand matrix is the working set of the inner
-/// loops; at the scorer's widest layer (n = 300) that is 128 * 300 * 4 bytes
-/// = 150 KiB, which fits comfortably in L2, and at the common n = 64 it is
-/// 32 KiB, i.e. L1-resident.
-const KC: usize = 128;
-
-/// Accumulate `a_panel * b_panel` into `o_row`: for each `p`,
-/// `o_row += a_panel[p] * b_panel[p*n..][..n]`.
-///
-/// Four panel steps are fused per pass over `o_row` via the dispatched
-/// [`kernels::gemm_update4`] (the output row is traversed `kb/4` times
-/// instead of `kb`, each store folding four fused multiply-adds). Zero
-/// coefficients (common after ReLU) skip their panel row entirely via the
-/// all-zero fast path.
-#[inline]
-fn gemm_panel_row(a_panel: &[f32], b_panel: &[f32], o_row: &mut [f32], n: usize) {
-    let kb = a_panel.len();
-    debug_assert_eq!(b_panel.len(), kb * n);
-    let mut p = 0;
-    while p + 4 <= kb {
-        let coef = [a_panel[p], a_panel[p + 1], a_panel[p + 2], a_panel[p + 3]];
-        if coef == [0.0; 4] {
-            p += 4;
-            continue;
-        }
-        kernels::gemm_update4(
-            coef,
-            &b_panel[p * n..(p + 1) * n],
-            &b_panel[(p + 1) * n..(p + 2) * n],
-            &b_panel[(p + 2) * n..(p + 3) * n],
-            &b_panel[(p + 3) * n..(p + 4) * n],
-            o_row,
-        );
-        p += 4;
-    }
-    while p < kb {
-        let a = a_panel[p];
-        if a != 0.0 {
-            kernels::axpy(a, &b_panel[p * n..(p + 1) * n], o_row);
-        }
-        p += 1;
     }
 }
 
@@ -541,8 +495,8 @@ mod tests {
     #[test]
     fn blocked_matmul_matches_naive_on_awkward_shapes() {
         let mut rng = Rng64::new(77);
-        // Shapes straddling the panel width and the 4-step unroll:
-        // odd inner dims, inner dim > KC, single row/col edges.
+        // Shapes straddling the tiles and the 4-step groups: odd inner
+        // dims, long inner dims, single row/col edges.
         for &(m, k, n) in &[(1, 1, 1), (3, 5, 2), (7, 131, 9), (2, 300, 4), (5, 257, 3)] {
             let a = Matrix::randn(m, k, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 1.0, &mut rng);
@@ -555,9 +509,9 @@ mod tests {
     }
 
     #[test]
-    fn t_matmul_matches_naive_past_panel_width() {
+    fn t_matmul_matches_naive_on_a_long_inner_dimension() {
         let mut rng = Rng64::new(78);
-        // More rows than KC so the panel loop runs more than once.
+        // 260 shared rows: 65 four-step groups per output element.
         let a = Matrix::randn(260, 6, 1.0, &mut rng);
         let b = Matrix::randn(260, 5, 1.0, &mut rng);
         let fast = a.t_matmul(&b);
@@ -578,6 +532,117 @@ mod tests {
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
         }
+    }
+
+    /// Chain-order reference of [`kernels::gemm`]: a `+0.0` accumulator,
+    /// aligned four-step `fma` groups skipped when all four coefficients
+    /// are zero, then zero-skipped single tail steps.
+    fn chain_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let (k, groups) = (a.cols(), a.cols() / 4 * 4);
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0f32;
+                for p in (0..groups).step_by(4) {
+                    let c = [a[(i, p)], a[(i, p + 1)], a[(i, p + 2)], a[(i, p + 3)]];
+                    if c != [0.0; 4] {
+                        for (q, &cq) in c.iter().enumerate() {
+                            acc = cq.mul_add(b[(p + q, j)], acc);
+                        }
+                    }
+                }
+                for p in groups..k {
+                    if a[(i, p)] != 0.0 {
+                        acc = a[(i, p)].mul_add(b[(p, j)], acc);
+                    }
+                }
+                out[(i, j)] = acc;
+            }
+        }
+        out
+    }
+
+    /// Reference of [`kernels::dot`]'s recipe for `a · bᵀ`: element `p`
+    /// feeds lane `p % 8`, and the lanes fold in the `reduce8` tree.
+    fn chain_matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                let mut l = [0.0f32; 8];
+                for p in 0..a.cols() {
+                    l[p % 8] = a[(i, p)].mul_add(b[(j, p)], l[p % 8]);
+                }
+                out[(i, j)] = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+            }
+        }
+        out
+    }
+
+    /// A matrix as the scorer's layers see it: ReLU zeros, whole zero
+    /// four-step groups (a quarter of them) and `-0.0` entries.
+    fn relu_like(rows: usize, cols: usize, rng: &mut Rng64) -> Matrix {
+        let mut m = Matrix::randn(rows, cols, 1.0, rng);
+        for i in 0..rows {
+            let row = m.row_mut(i);
+            for g in row.chunks_mut(4) {
+                if rng.gen_f32() < 0.25 {
+                    g.fill(0.0);
+                }
+            }
+            for v in row.iter_mut() {
+                let u = rng.gen_f32();
+                if u < 0.05 {
+                    *v = -0.0;
+                } else if u < 0.3 {
+                    *v = v.max(0.0);
+                }
+            }
+        }
+        m
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `matmul`, `t_matmul` and `matmul_t` equal their chain-order
+    /// references bit for bit on shapes straddling the `GEMM_MR`-row tiles,
+    /// the 8/16/32-column panels, the four-step groups and the 8-lane dot
+    /// blocks, with ReLU-style zero groups and `-0.0` inputs.
+    #[test]
+    fn gemms_bit_identical_to_chain_reference() {
+        let mut rng = Rng64::new(2024);
+        for m in 1..=9 {
+            for k in [1, 3, 4, 5, 127, 128, 129, 300] {
+                for n in [1, 15, 16, 17, 31, 32, 33, 300] {
+                    let a = relu_like(m, k, &mut rng);
+                    let b = relu_like(k, n, &mut rng);
+                    let want = bits(&chain_matmul(&a, &b));
+                    assert_eq!(bits(&a.matmul(&b)), want, "matmul {m}x{k}x{n}");
+                    assert_eq!(bits(&a.transpose().t_matmul(&b)), want, "t_matmul {m}x{k}x{n}");
+                    let bt = b.transpose();
+                    let want_t = bits(&chain_matmul_t(&a, &bt));
+                    assert_eq!(bits(&a.matmul_t(&bt)), want_t, "matmul_t {m}x{k}x{n}");
+                }
+            }
+        }
+    }
+
+    /// The `*_into` variants reuse a buffer of any previous shape.
+    #[test]
+    fn into_variants_reshape_and_overwrite() {
+        let mut rng = Rng64::new(5);
+        let a = Matrix::randn(6, 5, 1.0, &mut rng);
+        let b = Matrix::randn(5, 7, 1.0, &mut rng);
+        let mut out = Matrix::filled(9, 9, f32::NAN);
+        a.matmul_into(&b, &mut out);
+        assert_eq!(out, a.matmul(&b));
+        a.t_matmul_into(&a, &mut out);
+        assert_eq!(out, a.t_matmul(&a));
+        a.matmul_t_into(&a, &mut out);
+        assert_eq!(out, a.matmul_t(&a));
+        a.select_rows_into(&[4, 1], &mut out);
+        assert_eq!(out, a.select_rows(&[4, 1]));
     }
 
     #[test]
@@ -613,14 +678,6 @@ mod tests {
         m.push_row(&[3.0, 4.0]);
         assert_eq!(m.shape(), (2, 2));
         assert_eq!(m.row(1), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn broadcast_adds_bias_to_every_row() {
-        let mut m = Matrix::zeros(2, 3);
-        m.add_row_broadcast(&[1.0, 2.0, 3.0]);
-        assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(m.row(1), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -15,15 +15,6 @@ pub struct Dense {
     pub activation: Activation,
 }
 
-/// Per-layer cache produced by the forward pass and consumed by backward.
-#[derive(Debug, Clone)]
-pub struct DenseCache {
-    /// Input to the layer (`n × in_dim`).
-    pub input: Matrix,
-    /// Pre-activation `X·W + b` (`n × out_dim`).
-    pub pre: Matrix,
-}
-
 /// Gradients of a dense layer's parameters.
 #[derive(Debug, Clone)]
 pub struct DenseGrad {
@@ -50,48 +41,57 @@ impl Dense {
         self.w.cols()
     }
 
-    /// Forward pass; returns the activated output and a cache for backward.
-    pub fn forward(&self, x: &Matrix) -> (Matrix, DenseCache) {
-        let mut pre = x.matmul(&self.w);
-        pre.add_row_broadcast(&self.b);
-        let act = self.activation;
-        let out = pre.map(|z| act.apply(z));
-        (out, DenseCache { input: x.clone(), pre })
-    }
-
     /// Forward pass without caching (inference).
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut pre = x.matmul(&self.w);
-        pre.add_row_broadcast(&self.b);
+        let mut out = x.matmul(&self.w);
         let act = self.activation;
-        pre.map_inplace(|z| act.apply(z));
-        pre
-    }
-
-    /// Backward pass.
-    ///
-    /// `d_out` is `∂L/∂A` (gradient w.r.t. the activated output). Returns the
-    /// parameter gradients and `∂L/∂X` to propagate to the previous layer.
-    pub fn backward(&self, cache: &DenseCache, d_out: &Matrix) -> (DenseGrad, Matrix) {
-        // δ = ∂L/∂Z = ∂L/∂A ⊙ act'(Z)
-        let act = self.activation;
-        let mut delta = d_out.clone();
-        for i in 0..delta.rows() {
-            let pre_row = cache.pre.row(i).to_vec();
-            for (d, z) in delta.row_mut(i).iter_mut().zip(pre_row) {
-                *d *= act.derivative(z);
+        for row in out.as_mut_slice().chunks_exact_mut(self.out_dim().max(1)) {
+            for (z, b) in row.iter_mut().zip(&self.b) {
+                *z = act.apply(*z + b);
             }
         }
-        let dw = cache.input.t_matmul(&delta);
-        let db = delta.col_sum();
-        let dx = delta.matmul_t(&self.w);
-        (DenseGrad { dw, db }, dx)
+        out
+    }
+
+    /// The training forward of one layer, after the GEMM has written
+    /// `pre = X·W`: adds the bias and applies the activation in one pass,
+    /// keeping the pre-activation `Z = X·W + b` in `pre` (the backward pass
+    /// differentiates at it) and writing `act(Z)` to `out`.
+    pub(crate) fn bias_activate(&self, pre: &mut Matrix, out: &mut Matrix) {
+        let act = self.activation;
+        let width = self.out_dim().max(1);
+        let rows = pre.as_mut_slice().chunks_exact_mut(width);
+        for (z_row, a_row) in rows.zip(out.as_mut_slice().chunks_exact_mut(width)) {
+            for ((z, a), b) in z_row.iter_mut().zip(a_row).zip(&self.b) {
+                *z += b;
+                *a = act.apply(*z);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mlp::{Loss, Mlp};
+    use crate::train::Step;
+
+    /// Loss, per-layer gradients and `∂L/∂A` buffers of one training step
+    /// of `layers` under MSE.
+    fn step(layers: &[Dense], x: &Matrix, y: &Matrix) -> (f32, Step) {
+        let mlp = Mlp::from_parts(layers.to_vec(), Loss::Mse);
+        let mut step = Step::new(&mlp, x.rows());
+        step.forward(&mlp, x);
+        let loss = step.backward(&mlp, x, y);
+        (loss, step)
+    }
+
+    fn mse(layer: &Dense, x: &Matrix, y: &Matrix) -> f32 {
+        let out = layer.infer(x);
+        let d: f64 =
+            out.as_slice().iter().zip(y.as_slice()).map(|(a, t)| ((a - t) * (a - t)) as f64).sum();
+        d as f32 / x.rows() as f32
+    }
 
     #[test]
     fn forward_known_values() {
@@ -99,44 +99,42 @@ mod tests {
         layer.w = Matrix::from_rows(&[&[2.0], &[3.0]]);
         layer.b = vec![1.0];
         let x = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 2.0]]);
-        let (out, _) = layer.forward(&x);
+        let out = layer.infer(&x);
         assert_eq!(out.row(0), &[6.0]);
         assert_eq!(out.row(1), &[7.0]);
     }
 
+    /// The training step's fused bias + activation pass matches inference
+    /// bit for bit.
     #[test]
-    fn infer_matches_forward() {
+    fn infer_matches_training_forward() {
         let mut rng = Rng64::new(1);
         let layer = Dense::new(4, 3, Activation::Relu, &mut rng);
         let x = Matrix::randn(5, 4, 1.0, &mut rng);
-        let (out, _) = layer.forward(&x);
-        let inf = layer.infer(&x);
-        assert_eq!(out, inf);
+        let (_, step) = step(std::slice::from_ref(&layer), &x, &Matrix::zeros(5, 3));
+        assert_eq!(step.act[0], layer.infer(&x));
     }
 
     #[test]
     fn gradient_check_weights() {
-        // Numeric vs analytic gradient of L = sum(A) for a tanh layer.
+        // Numeric vs analytic gradient of the MSE of a tanh layer.
         let mut rng = Rng64::new(5);
         let mut layer = Dense::new(3, 2, Activation::Tanh, &mut rng);
         let x = Matrix::randn(4, 3, 1.0, &mut rng);
-
-        let loss = |l: &Dense| -> f32 { l.infer(&x).as_slice().iter().sum() };
-        let (out, cache) = layer.forward(&x);
-        let d_out = Matrix::filled(out.rows(), out.cols(), 1.0); // dL/dA = 1
-        let (grad, _) = layer.backward(&cache, &d_out);
+        let y = Matrix::randn(4, 2, 1.0, &mut rng);
+        let (_, step) = step(std::slice::from_ref(&layer), &x, &y);
 
         let eps = 1e-3;
         for i in 0..layer.w.rows() {
             for j in 0..layer.w.cols() {
                 let orig = layer.w[(i, j)];
                 layer.w[(i, j)] = orig + eps;
-                let up = loss(&layer);
+                let up = mse(&layer, &x, &y);
                 layer.w[(i, j)] = orig - eps;
-                let down = loss(&layer);
+                let down = mse(&layer, &x, &y);
                 layer.w[(i, j)] = orig;
                 let numeric = (up - down) / (2.0 * eps);
-                let analytic = grad.dw[(i, j)];
+                let analytic = step.grads[0].dw[(i, j)];
                 assert!(
                     (numeric - analytic).abs() < 1e-2,
                     "dW[{i},{j}]: numeric {numeric} analytic {analytic}"
@@ -150,34 +148,39 @@ mod tests {
         let mut rng = Rng64::new(6);
         let mut layer = Dense::new(2, 2, Activation::Sigmoid, &mut rng);
         let x = Matrix::randn(3, 2, 1.0, &mut rng);
-        let (out, cache) = layer.forward(&x);
-        let d_out = Matrix::filled(out.rows(), out.cols(), 1.0);
-        let (grad, dx) = layer.backward(&cache, &d_out);
+        let y = Matrix::randn(3, 2, 1.0, &mut rng);
+        let (_, one) = step(std::slice::from_ref(&layer), &x, &y);
 
         let eps = 1e-3;
         // Bias gradient.
         for j in 0..layer.b.len() {
             let orig = layer.b[j];
             layer.b[j] = orig + eps;
-            let up: f32 = layer.infer(&x).as_slice().iter().sum();
+            let up = mse(&layer, &x, &y);
             layer.b[j] = orig - eps;
-            let down: f32 = layer.infer(&x).as_slice().iter().sum();
+            let down = mse(&layer, &x, &y);
             layer.b[j] = orig;
             let numeric = (up - down) / (2.0 * eps);
-            assert!((numeric - grad.db[j]).abs() < 1e-2, "db[{j}]");
+            assert!((numeric - one.grads[0].db[j]).abs() < 1e-2, "db[{j}]");
         }
-        // Input gradient.
+        // Input gradient: behind an identity layer (W = I, b = 0) the
+        // layer's input is X, so the ∂L/∂A the step propagates into the
+        // identity layer is ∂L/∂X.
+        let mut identity = Dense::new(2, 2, Activation::Identity, &mut rng);
+        identity.w = Matrix::identity(2);
+        identity.b = vec![0.0; 2];
+        let (_, two) = step(&[identity, layer.clone()], &x, &y);
         let mut x2 = x.clone();
         for i in 0..x.rows() {
             for j in 0..x.cols() {
                 let orig = x2[(i, j)];
                 x2[(i, j)] = orig + eps;
-                let up: f32 = layer.infer(&x2).as_slice().iter().sum();
+                let up = mse(&layer, &x2, &y);
                 x2[(i, j)] = orig - eps;
-                let down: f32 = layer.infer(&x2).as_slice().iter().sum();
+                let down = mse(&layer, &x2, &y);
                 x2[(i, j)] = orig;
                 let numeric = (up - down) / (2.0 * eps);
-                assert!((numeric - dx[(i, j)]).abs() < 1e-2, "dx[{i},{j}]");
+                assert!((numeric - two.delta[0][(i, j)]).abs() < 1e-2, "dx[{i},{j}]");
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Multi-layer perceptron with manual backpropagation.
 
 use crate::activation::{sigmoid, Activation};
-use crate::layer::{Dense, DenseCache, DenseGrad};
+use crate::layer::{Dense, DenseGrad};
+use crate::train::Step;
 use serde::{Deserialize, Serialize};
 use wym_linalg::{Matrix, Rng64};
 
@@ -150,61 +151,15 @@ impl Mlp {
         }
     }
 
-    /// Forward with caches, loss evaluation, and full backward pass.
-    ///
-    /// Returns `(loss, per-layer gradients)`. Gradients are averaged over the
-    /// batch.
+    /// Loss and per-layer gradients (averaged over the batch) of one
+    /// forward + backward pass over `(x, y)` — the training step of
+    /// [`crate::train::fit`], run once on fresh buffers.
     pub fn loss_and_grads(&self, x: &Matrix, y: &Matrix) -> (f32, Vec<DenseGrad>) {
         assert_eq!(x.rows(), y.rows(), "x / y row mismatch");
-        let n = x.rows().max(1) as f32;
-
-        // Forward, caching pre-activations.
-        let mut caches: Vec<DenseCache> = Vec::with_capacity(self.layers.len());
-        let mut a = x.clone();
-        for layer in &self.layers {
-            let (out, cache) = layer.forward(&a);
-            caches.push(cache);
-            a = out;
-        }
-
-        // Loss and ∂L/∂(output activation). For BCE-with-logits we instead
-        // compute ∂L/∂Z directly (the fused form) and rely on the output
-        // layer being Identity so backward's act' = 1 leaves it untouched.
-        let (loss, d_out) = match self.loss {
-            Loss::Mse => {
-                let mut d = a.clone();
-                d.sub_assign(y);
-                let loss =
-                    d.as_slice().iter().map(|v| (v * v) as f64).sum::<f64>() as f32 / n;
-                d.scale_inplace(2.0 / n);
-                (loss, d)
-            }
-            Loss::BceWithLogits => {
-                assert_eq!(a.cols(), 1, "BCE expects a single logit output");
-                let mut d = Matrix::zeros(a.rows(), 1);
-                let mut loss = 0.0f64;
-                for i in 0..a.rows() {
-                    let z = a[(i, 0)];
-                    let t = y[(i, 0)];
-                    // log(1 + e^z) - t*z, stable form.
-                    let log1pe = if z > 0.0 { z + (-z).exp().ln_1p() } else { z.exp().ln_1p() };
-                    loss += (log1pe - t * z) as f64;
-                    d[(i, 0)] = (sigmoid(z) - t) / n;
-                }
-                (loss as f32 / n, d)
-            }
-        };
-
-        // Backward.
-        let mut grads: Vec<DenseGrad> = Vec::with_capacity(self.layers.len());
-        let mut d = d_out;
-        for (layer, cache) in self.layers.iter().zip(&caches).rev() {
-            let (g, dx) = layer.backward(cache, &d);
-            grads.push(g);
-            d = dx;
-        }
-        grads.reverse();
-        (loss, grads)
+        let mut step = Step::new(self, x.rows());
+        step.forward(self, x);
+        let loss = step.backward(self, x, y);
+        (loss, step.grads)
     }
 }
 

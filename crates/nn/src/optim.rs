@@ -69,27 +69,43 @@ impl Adam {
         let bc1 = 1.0 - c.beta1.powi(self.t as i32);
         let bc2 = 1.0 - c.beta2.powi(self.t as i32);
         for ((layer, grad), slot) in layers.iter_mut().zip(grads).zip(&mut self.slots) {
-            // Weights.
-            let n = layer.w.as_slice().len();
-            for k in 0..n {
-                let g = grad.dw.as_slice()[k] + c.weight_decay * layer.w.as_slice()[k];
-                let m = &mut slot.mw.as_mut_slice()[k];
-                *m = c.beta1 * *m + (1.0 - c.beta1) * g;
-                let v = &mut slot.vw.as_mut_slice()[k];
-                *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
-                let m_hat = slot.mw.as_slice()[k] / bc1;
-                let v_hat = slot.vw.as_slice()[k] / bc2;
-                layer.w.as_mut_slice()[k] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
-            }
-            // Biases (no weight decay).
-            for k in 0..layer.b.len() {
-                let g = grad.db[k];
-                slot.mb[k] = c.beta1 * slot.mb[k] + (1.0 - c.beta1) * g;
-                slot.vb[k] = c.beta2 * slot.vb[k] + (1.0 - c.beta2) * g * g;
-                let m_hat = slot.mb[k] / bc1;
-                let v_hat = slot.vb[k] / bc2;
-                layer.b[k] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
-            }
+            let w = layer.w.as_mut_slice();
+            let (mw, vw) = (slot.mw.as_mut_slice(), slot.vw.as_mut_slice());
+            c.update(w, grad.dw.as_slice(), mw, vw, Some(c.weight_decay), bc1, bc2);
+            // Biases: no weight decay.
+            c.update(&mut layer.b, &grad.db, &mut slot.mb, &mut slot.vb, None, bc1, bc2);
+        }
+    }
+}
+
+impl AdamConfig {
+    /// One Adam update of a tensor `p` with gradient `g` and moments
+    /// `m`, `v`, as a single zipped pass the compiler vectorises (every
+    /// operation is an IEEE add, multiply, divide or square root, so the
+    /// lanes round exactly like the scalar loop). `decay` adds
+    /// `decay · p` to the gradient.
+    #[allow(clippy::too_many_arguments)]
+    fn update(
+        &self,
+        p: &mut [f32],
+        g: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        decay: Option<f32>,
+        bc1: f32,
+        bc2: f32,
+    ) {
+        let c = self;
+        for (((p, &g), m), v) in p.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+            let g = match decay {
+                Some(wd) => g + wd * *p,
+                None => g,
+            };
+            *m = c.beta1 * *m + (1.0 - c.beta1) * g;
+            *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
         }
     }
 }

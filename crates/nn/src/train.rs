@@ -1,6 +1,8 @@
 //! Mini-batch training loop.
 
-use crate::mlp::Mlp;
+use crate::activation::sigmoid;
+use crate::layer::DenseGrad;
+use crate::mlp::{Loss, Mlp};
 use crate::optim::{Adam, AdamConfig};
 use serde::{Deserialize, Serialize};
 use wym_linalg::{Matrix, Rng64};
@@ -53,6 +55,13 @@ pub struct TrainReport {
 
 /// Trains `mlp` on `(x, y)` with shuffled mini-batches and Adam.
 ///
+/// Every mini-batch runs one training step over buffers sized once per fit:
+/// the rows are gathered into a reused batch matrix, and the forward,
+/// backward and Adam passes write into reused activation, gradient and
+/// optimizer buffers, so after the first batch the loop does not allocate.
+/// Under tracing, the `nn.gather`, `nn.forward`, `nn.backward` (loss
+/// included) and `nn.adam` spans split each batch's time.
+///
 /// # Panics
 /// Panics if `x` and `y` disagree on the number of rows or `x` is empty.
 pub fn fit(mlp: &mut Mlp, x: &Matrix, y: &Matrix, config: &TrainConfig) -> TrainReport {
@@ -67,6 +76,8 @@ pub fn fit(mlp: &mut Mlp, x: &Matrix, y: &Matrix, config: &TrainConfig) -> Train
         AdamConfig { lr: config.lr, weight_decay: config.weight_decay, ..AdamConfig::default() },
         mlp.layers(),
     );
+    let mut step = Step::new(mlp, bs);
+    let (mut bx, mut by) = (Matrix::zeros(bs, x.cols()), Matrix::zeros(bs, y.cols()));
 
     let mut order: Vec<usize> = (0..n).collect();
     let mut epoch_losses = Vec::with_capacity(config.epochs);
@@ -76,17 +87,30 @@ pub fn fit(mlp: &mut Mlp, x: &Matrix, y: &Matrix, config: &TrainConfig) -> Train
         let mut batches = 0usize;
         let mut grad_sq = 0.0f64;
         for chunk in order.chunks(bs) {
-            let bx = x.select_rows(chunk);
-            let by = y.select_rows(chunk);
-            let (loss, grads) = mlp.loss_and_grads(&bx, &by);
+            {
+                let _span = wym_obs::span("nn.gather");
+                x.select_rows_into(chunk, &mut bx);
+                y.select_rows_into(chunk, &mut by);
+            }
+            {
+                let _span = wym_obs::span("nn.forward");
+                step.forward(mlp, &bx);
+            }
+            let loss = {
+                let _span = wym_obs::span("nn.backward");
+                step.backward(mlp, &bx, &by)
+            };
             if telemetry {
-                for g in &grads {
+                for g in &step.grads {
                     grad_sq +=
                         g.dw.as_slice().iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
                     grad_sq += g.db.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
                 }
             }
-            adam.step(mlp.layers_mut(), &grads);
+            {
+                let _span = wym_obs::span("nn.adam");
+                adam.step(mlp.layers_mut(), &step.grads);
+            }
             total += loss as f64;
             batches += 1;
         }
@@ -111,6 +135,123 @@ pub fn fit(mlp: &mut Mlp, x: &Matrix, y: &Matrix, config: &TrainConfig) -> Train
         wym_obs::counter_add("nn.epochs_run", epoch_losses.len() as u64);
     }
     TrainReport { epochs_run: epoch_losses.len(), epoch_losses, final_loss }
+}
+
+/// The buffers of one training step — forward, loss and backward over a
+/// mini-batch — sized for a batch of up to `rows` rows and reused by every
+/// batch. [`fit`] and [`Mlp::loss_and_grads`] both run through it, so there
+/// is one training path.
+pub(crate) struct Step {
+    /// Per layer, the pre-activation `Z = X·W + b`.
+    pre: Vec<Matrix>,
+    /// Per layer, the activation `act(Z)` (the next layer's input).
+    pub(crate) act: Vec<Matrix>,
+    /// Per layer, `∂L/∂A`, turned into `∂L/∂Z` in place by the backward
+    /// pass.
+    pub(crate) delta: Vec<Matrix>,
+    /// Per layer, the parameter gradients of the last backward pass.
+    pub(crate) grads: Vec<DenseGrad>,
+}
+
+impl Step {
+    /// Buffers for `mlp` at batches of up to `rows` rows.
+    pub(crate) fn new(mlp: &Mlp, rows: usize) -> Self {
+        let layers = mlp.layers();
+        let outs = || layers.iter().map(|l| Matrix::zeros(rows, l.out_dim())).collect::<Vec<_>>();
+        Self {
+            pre: outs(),
+            act: outs(),
+            delta: outs(),
+            grads: layers
+                .iter()
+                .map(|l| DenseGrad {
+                    dw: Matrix::zeros(l.in_dim(), l.out_dim()),
+                    db: vec![0.0; l.out_dim()],
+                })
+                .collect(),
+        }
+    }
+
+    /// Forward pass over the batch `x`: per layer, one GEMM into `pre`,
+    /// then bias and activation in one pass.
+    pub(crate) fn forward(&mut self, mlp: &Mlp, x: &Matrix) {
+        for (l, layer) in mlp.layers().iter().enumerate() {
+            let (done, rest) = self.act.split_at_mut(l);
+            let input = if l == 0 { x } else { &done[l - 1] };
+            input.matmul_into(&layer.w, &mut self.pre[l]);
+            let out = &mut rest[0];
+            out.resize(input.rows(), layer.out_dim());
+            layer.bias_activate(&mut self.pre[l], out);
+        }
+    }
+
+    /// Loss of the last [`Step::forward`] against `y`, and the backward
+    /// pass filling [`Step::grads`] (averaged over the batch). The input
+    /// layer's `∂L/∂X` is never formed: nothing consumes it.
+    pub(crate) fn backward(&mut self, mlp: &Mlp, x: &Matrix, y: &Matrix) -> f32 {
+        let layers = mlp.layers();
+        let last = layers.len() - 1;
+        let n = x.rows().max(1) as f32;
+        let loss = output_grad(mlp.loss_kind(), &self.act[last], y, &mut self.delta[last], n);
+        for l in (0..layers.len()).rev() {
+            let layer = &layers[l];
+            // δ = ∂L/∂Z = ∂L/∂A ⊙ act'(Z), in place.
+            let act = layer.activation;
+            let delta = &mut self.delta[l];
+            for (d, &z) in delta.as_mut_slice().iter_mut().zip(self.pre[l].as_slice()) {
+                *d *= act.derivative(z);
+            }
+            let input = if l == 0 { x } else { &self.act[l - 1] };
+            let grad = &mut self.grads[l];
+            input.t_matmul_into(delta, &mut grad.dw);
+            grad.db.fill(0.0);
+            for row in delta.iter_rows() {
+                for (s, &v) in grad.db.iter_mut().zip(row) {
+                    *s += v;
+                }
+            }
+            if l > 0 {
+                let (before, from) = self.delta.split_at_mut(l);
+                from[0].matmul_t_into(&layer.w, &mut before[l - 1]);
+            }
+        }
+        loss
+    }
+}
+
+/// The loss over the batch outputs `a` against targets `y`, and `∂L/∂A`
+/// (batch-averaged) written to `d`. For BCE-with-logits `d` is `∂L/∂Z`
+/// directly (the fused form): the output layer must be `Identity`, whose
+/// derivative of 1 leaves it untouched.
+fn output_grad(loss: Loss, a: &Matrix, y: &Matrix, d: &mut Matrix, n: f32) -> f32 {
+    assert_eq!(a.rows(), y.rows(), "x / y row mismatch");
+    d.resize(a.rows(), a.cols());
+    let d = d.as_mut_slice();
+    match loss {
+        Loss::Mse => {
+            assert_eq!(a.shape(), y.shape(), "output / target shape mismatch");
+            for ((d, &a), &t) in d.iter_mut().zip(a.as_slice()).zip(y.as_slice()) {
+                *d = a - t;
+            }
+            let loss = d.iter().map(|v| (v * v) as f64).sum::<f64>() as f32 / n;
+            let scale = 2.0 / n;
+            for v in d.iter_mut() {
+                *v *= scale;
+            }
+            loss
+        }
+        Loss::BceWithLogits => {
+            assert_eq!(a.cols(), 1, "BCE expects a single logit output");
+            let mut loss = 0.0f64;
+            for ((d, &z), &t) in d.iter_mut().zip(a.as_slice()).zip(y.as_slice()) {
+                // log(1 + e^z) - t*z, stable form.
+                let log1pe = if z > 0.0 { z + (-z).exp().ln_1p() } else { z.exp().ln_1p() };
+                loss += (log1pe - t * z) as f64;
+                *d = (sigmoid(z) - t) / n;
+            }
+            loss as f32 / n
+        }
+    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 # log, and the traced classify snapshot (windowed metrics + drift gauges)
 # must match results/OBS_baseline_decisions.json, or (j) any explicitly
 # requestable kernel backend this host supports (per `wym kernels`:
-# avx512, neon) produces a different score checksum than the scalar
+# avx2, avx512, neon) produces a different score checksum than the scalar
 # reference — unsupported backends are reported as "SKIP (unsupported)",
 # never failed — or (k) the criterion benches no longer compile
 # (`cargo bench --no-run`), or (l) the flight recorder (DESIGN.md §15)
@@ -115,8 +115,12 @@ if [ "${1:-}" = "--smoke" ]; then
   # bit-for-bit. Backends the host cannot run (e.g. neon on x86) are
   # skipped, not failed — the dispatch layer's scalar fallback covers them.
   SUPPORTED_KERNELS=$(./target/release/wym kernels 2>/dev/null)
-  for K in avx512 neon; do
-    if ! echo "$SUPPORTED_KERNELS" | grep -qx "$K"; then
+  for K in avx2 avx512 neon; do
+    # `wym kernels` and the dispatch counter use the implementation name,
+    # which for WYM_KERNEL=avx2 is avx2_fma.
+    KNAME=$K
+    [ "$K" = avx2 ] && KNAME=avx2_fma
+    if ! echo "$SUPPORTED_KERNELS" | grep -qx "$KNAME"; then
       echo "=== smoke: kernel matrix WYM_KERNEL=$K — SKIP (unsupported) ==="
       continue
     fi
@@ -129,8 +133,8 @@ if [ "${1:-}" = "--smoke" ]; then
       echo "SMOKE FAILED: no metrics snapshot at $OBS_K" >&2
       exit 1
     fi
-    if ! grep -q "\"kernel\.dispatch\.${K}\"" "$OBS_K"; then
-      echo "SMOKE FAILED: WYM_KERNEL=$K run did not dispatch to $K" >&2
+    if ! grep -q "\"kernel\.dispatch\.${KNAME}\"" "$OBS_K"; then
+      echo "SMOKE FAILED: WYM_KERNEL=$K run did not dispatch to $KNAME" >&2
       exit 1
     fi
     CK_K=$(grep -o '"scorer\.score_checksum": *[-0-9.eE+]*' "$OBS_K" | head -1 | sed 's/.*: *//')

@@ -113,3 +113,38 @@ proptest! {
         }
     }
 }
+
+/// Golden checksum of one relevance-scorer fit: S-FZ at cap 40 under the
+/// experiments' `--quick` recipe (32-d static embeddings, 8 epochs, batch
+/// 128). The constant is the FNV-1a over every trained weight and bias
+/// (layer order, `w` then `b`, little-endian f32 bits); any change to the
+/// per-element operation chain of the forward GEMM, the backward GEMMs, the
+/// loss or the Adam update moves it. The kernel layer is bit-identical
+/// across `WYM_KERNEL`, so the constant holds under every dispatch.
+#[test]
+fn scorer_fit_reproduces_golden_weights() {
+    use wym::core::pipeline::{WymConfig, WymModel};
+    use wym::data::magellan;
+    use wym::data::split::paper_split;
+    use wym::embed::EmbedderKind;
+
+    let dataset = magellan::generate_by_name("S-FZ", 7).unwrap().subsample(40, 7);
+    let split = paper_split(&dataset, 7);
+    let mut cfg = WymConfig::default().with_seed(7);
+    cfg.n_threads = 1;
+    cfg.embed_dim = 32;
+    cfg.embedder_kind = EmbedderKind::Static;
+    cfg.scorer.train =
+        TrainConfig { epochs: 8, batch_size: 128, lr: 2e-3, ..TrainConfig::default() };
+    cfg.matcher.kinds = vec![ClassifierKind::LogisticRegression];
+    let model = WymModel::fit(&dataset, &split, cfg);
+    let mlp = model.scorer().model().expect("the neural scorer trains on S-FZ");
+    let mut bytes = Vec::new();
+    for layer in mlp.layers() {
+        for v in layer.w.as_slice().iter().chain(&layer.b) {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+    let fnv = wym_obs::manifest::fnv1a(&bytes);
+    assert_eq!(fnv, 0x7ff9_0a4d_506b_85dc, "trained scorer weights changed: fnv {fnv:016x}");
+}

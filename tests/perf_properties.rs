@@ -308,36 +308,88 @@ proptest! {
         }
     }
 
-    /// The GEMM inner update under every supported implementation, same
-    /// contract.
+    /// The register-tiled GEMM kernels under every supported
+    /// implementation equal a chain-order reference bit for bit: `gemm`
+    /// (zero accumulator, aligned four-step `fma` groups skipped when all
+    /// four coefficients are zero, zero-skipped tail steps) and `gemm_nt`
+    /// (`dot`'s 8 lane chains and `reduce8` tree), on shapes straddling
+    /// the row tiles, column panels and lane blocks, with ReLU-style zero
+    /// groups and `-0.0` entries.
     #[test]
-    fn gemm_update4_bit_identical_across_dispatch(
-        rows in prop::collection::vec(
-            (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0),
-            0..65,
-        ),
-        coef in (-2.0f32..2.0, -2.0f32..2.0, -2.0f32..2.0, -2.0f32..2.0),
+    fn gemm_tiles_bit_identical_across_dispatch(
+        m in 1usize..19,
+        k in 0usize..40,
+        n in 1usize..40,
+        a_vals in prop::collection::vec(-1.0f32..1.0, 19 * 40),
+        b_vals in prop::collection::vec(-1.0f32..1.0, 40 * 40),
+        zero_groups in prop::collection::vec(any::<bool>(), 19 * 10),
         s in scale(),
     ) {
-        use wym::linalg::kernels::{available, gemm_update4_with, KernelImpl};
-        let col = |f: fn(&(f32, f32, f32, f32, f32)) -> f32| -> Vec<f32> {
-            rows.iter().map(|r| f(r) * s).collect()
-        };
-        let (b0, b1) = (col(|r| r.0), col(|r| r.1));
-        let (b2, b3) = (col(|r| r.2), col(|r| r.3));
-        let o0 = col(|r| r.4);
-        let coef = [coef.0, coef.1, coef.2, coef.3];
-        for imp in available() {
-            let mut o_imp = o0.clone();
-            let mut o_scalar = o0.clone();
-            gemm_update4_with(imp, coef, &b0, &b1, &b2, &b3, &mut o_imp);
-            gemm_update4_with(KernelImpl::Scalar, coef, &b0, &b1, &b2, &b3, &mut o_scalar);
-            for (i, (x, y)) in o_imp.iter().zip(&o_scalar).enumerate() {
-                prop_assert_eq!(
-                    x.to_bits(), y.to_bits(),
-                    "gemm_update4 diverged for {:?} at element {}", imp, i
-                );
+        use wym::linalg::kernels::{available, gemm_nt_with, gemm_with, StridedMat};
+        // ReLU-style operand: whole zero four-groups, plus `-0.0` where the
+        // draw lands near zero.
+        let a: Vec<f32> = (0..m * k)
+            .map(|idx| {
+                let (i, p) = (idx / k, idx % k);
+                let v = a_vals[i * 40 + p];
+                if zero_groups[i * 10 + p / 4] {
+                    0.0
+                } else if v.abs() < 0.05 {
+                    -0.0
+                } else {
+                    v * s
+                }
+            })
+            .collect();
+        let b: Vec<f32> =
+            b_vals[..k * n].iter().map(|&v| if v.abs() < 0.05 { -0.0 } else { v * s }).collect();
+        let mut want = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in (0..k / 4 * 4).step_by(4) {
+                    let c = &a[i * k + p..i * k + p + 4];
+                    if c.iter().any(|&v| v != 0.0) {
+                        for (q, &cq) in c.iter().enumerate() {
+                            acc = cq.mul_add(b[(p + q) * n + j], acc);
+                        }
+                    }
+                }
+                for p in k / 4 * 4..k {
+                    if a[i * k + p] != 0.0 {
+                        acc = a[i * k + p].mul_add(b[p * n + j], acc);
+                    }
+                }
+                want[i * n + j] = acc;
             }
+        }
+        // `gemm_nt` against `bᵀ` (n rows of length k): the dot recipe.
+        let bt: Vec<f32> = (0..n * k).map(|idx| b[(idx % k) * n + idx / k]).collect();
+        let mut want_nt = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut l = [0.0f32; 8];
+                for p in 0..k {
+                    l[p % 8] = a[i * k + p].mul_add(bt[j * k + p], l[p % 8]);
+                }
+                want_nt[i * n + j] =
+                    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let lhs = StridedMat { data: &a, rows: m, cols: k, row_stride: k, col_stride: 1 };
+        for imp in available() {
+            let mut c = vec![f32::NAN; m * n];
+            gemm_with(imp, lhs, &b, n, &mut c);
+            prop_assert_eq!(
+                bits(&c), bits(&want),
+                "gemm diverged for {:?} at {}x{}x{}", imp, m, k, n
+            );
+            gemm_nt_with(imp, &a, m, &bt, n, k, &mut c);
+            prop_assert_eq!(
+                bits(&c), bits(&want_nt),
+                "gemm_nt diverged for {:?} at {}x{}x{}", imp, m, k, n
+            );
         }
     }
 }
