@@ -305,7 +305,9 @@ impl Artifact {
                 SectionKind::F32 => 4,
                 SectionKind::I8 => 1,
             };
-            if s.rows * s.cols * elem != s.len {
+            // Checked: the TOC checksum is no defence against a crafted
+            // shape, and a wrapped product could match `len`.
+            if s.rows.checked_mul(s.cols).and_then(|n| n.checked_mul(elem)) != Some(s.len) {
                 return Err(corrupt(path, &format!("section `{}` claims shape {}×{} but holds {} bytes", s.name, s.rows, s.cols, s.len)));
             }
         }
@@ -524,6 +526,39 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = Artifact::open(&path, LoadMode::Read).err().expect("open must fail").to_string();
         assert!(err.contains("checksum mismatch"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A one-tensor artifact whose TOC claims `rows × cols` for a
+    /// `floats`-element f32 payload, with the TOC checksum recomputed so
+    /// only the shape check stands between the file and its readers.
+    fn crafted_shape(rows: u64, cols: u64, floats: usize) -> Vec<u8> {
+        let mut w = ArtifactWriter::new();
+        w.add_f32("tensor:t", 1, floats, &vec![0.5; floats]);
+        let mut bytes = w.finish();
+        let toc_offset = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        // count, name_len, name, kind, offset, len — then rows and cols.
+        let rows_at = toc_offset + 4 + 2 + "tensor:t".len() + 1 + 8 + 8;
+        bytes[rows_at..rows_at + 8].copy_from_slice(&rows.to_le_bytes());
+        bytes[rows_at + 8..rows_at + 16].copy_from_slice(&cols.to_le_bytes());
+        let fnv_at = bytes.len() - 8;
+        let toc_fnv = fnv1a(&bytes[toc_offset..fnv_at]);
+        bytes[fnv_at..].copy_from_slice(&toc_fnv.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn overflowing_tensor_shape_is_rejected() {
+        let path = tmp("shape");
+        // rows·cols overflows u64; rows·cols·4 wraps to exactly the 4-byte
+        // payload.
+        for (rows, cols, floats) in [(1u64 << 62, 4u64, 4usize), ((1 << 62) + 1, 1, 1)] {
+            std::fs::write(&path, crafted_shape(rows, cols, floats)).unwrap();
+            for mode in [LoadMode::Read, LoadMode::Mmap] {
+                let err = Artifact::open(&path, mode).err().expect("open must fail").to_string();
+                assert!(err.contains("claims shape"), "{rows}x{cols} {mode:?}: {err}");
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

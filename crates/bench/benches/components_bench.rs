@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
     }
 
     // Kernel-layer dispatch: every implementation the host supports —
-    // scalar always, plus AVX2+FMA / AVX-512 / NEON as the CPU exposes
+    // scalar always, plus AVX2+FMA / AVX-512 as the CPU exposes
     // them — on the same inputs, labeled by dispatch name. All variants
     // return bit-identical results; only the speed differs. The historical
     // acceptance target (best ≥2x scalar on dot/cosine at d=300) reads off
@@ -79,14 +79,11 @@ fn bench(c: &mut Criterion) {
                 });
             }
         }
-        // The quantized-pairing kernels: max-reduce + row quantization (the
-        // per-build cost of the i8 screen) and the batched row-block dot
-        // (its per-entry cost), one query against 64 contiguous rows.
-        use wym_linalg::kernels::{dot_i8_batch_with, max_abs_with, quantize_i8_with};
+        // The quantization kernels: max-reduce + row quantization, the
+        // per-row cost of building an int8 table.
+        use wym_linalg::kernels::{max_abs_with, quantize_i8_with};
         for &d in &[64usize, 300] {
             let v: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
-            let qa: Vec<i8> = (0..d).map(|i| ((i * 37) % 255) as i8).collect();
-            let block: Vec<i8> = (0..64 * d).map(|i| ((i * 53) % 255) as i8).collect();
             for imp in available() {
                 let n = imp.name();
                 g.bench_function(&format!("max_abs_{d}_{n}"), |bch| {
@@ -95,10 +92,6 @@ fn bench(c: &mut Criterion) {
                 let mut q = vec![0i8; d];
                 g.bench_function(&format!("quantize_i8_{d}_{n}"), |bch| {
                     bch.iter(|| quantize_i8_with(imp, &v, 127.0, &mut q))
-                });
-                let mut dots = vec![0i32; 64];
-                g.bench_function(&format!("dot_i8_batch64_{d}_{n}"), |bch| {
-                    bch.iter(|| dot_i8_batch_with(imp, &qa, &block, &mut dots))
                 });
             }
         }
@@ -158,77 +151,6 @@ fn bench(c: &mut Criterion) {
                         n
                     })
                     .sum::<usize>()
-            })
-        });
-        g.finish();
-    }
-
-    // Int8-screened pairing: the similarity-matrix fill with the i8
-    // screening pass (the production configuration under the default 0.6
-    // discovery floor) against the pure-f32 fill it is observationally
-    // identical to.
-    {
-        let dataset = bench_dataset_hard(10);
-        let tok = Tokenizer::default();
-        let emb = Embedder::new_static(64, 0);
-        let recs: Vec<TokenizedRecord> = dataset
-            .pairs
-            .iter()
-            .map(|p| TokenizedRecord::from_pair(p, &tok, &emb))
-            .collect();
-        let mut g = c.benchmark_group("simmatrix_i8");
-        g.bench_function("build_swa10_f32", |bch| {
-            bch.iter(|| {
-                recs.iter()
-                    .map(|r| {
-                        SimMatrix::build_tuned(r, PairingSim::Embedding, false, None, 1).entries()
-                    })
-                    .sum::<usize>()
-            })
-        });
-        g.bench_function("build_swa10_i8_screened", |bch| {
-            bch.iter(|| {
-                recs.iter()
-                    .map(|r| {
-                        SimMatrix::build_tuned(r, PairingSim::Embedding, false, Some(0.6), 1)
-                            .entries()
-                    })
-                    .sum::<usize>()
-            })
-        });
-        // The regime `worth_i8_screening` actually routes to the screen in
-        // production: one long-description record (256 tokens/side) at
-        // fastText dimensionality. The small-record entries above stay for
-        // the trajectory but production now fills those with pure f32.
-        let stress_side = |n: usize, dim: usize, seed: u64| {
-            let mut rng = Rng64::new(seed);
-            let rows: Vec<Vec<f32>> = (0..n)
-                .map(|_| {
-                    let mut v: Vec<f32> = (0..dim).map(|_| rng.normal() as f32).collect();
-                    wym_linalg::vector::normalize(&mut v);
-                    v
-                })
-                .collect();
-            wym_core::record::EntityView {
-                tokens: vec![(0..n).map(|i| format!("t{i}")).collect()],
-                embeds: wym_embed::EmbedMatrix::from_nested(&[rows], dim),
-            }
-        };
-        let stress = TokenizedRecord {
-            id: 0,
-            left: stress_side(256, 300, 1),
-            right: stress_side(256, 300, 2),
-            label: None,
-        };
-        g.bench_function("build_stress256_d300_f32", |bch| {
-            bch.iter(|| {
-                SimMatrix::build_tuned(&stress, PairingSim::Embedding, false, None, 1).entries()
-            })
-        });
-        g.bench_function("build_stress256_d300_i8_screened", |bch| {
-            bch.iter(|| {
-                SimMatrix::build_tuned(&stress, PairingSim::Embedding, false, Some(0.6), 1)
-                    .entries()
             })
         });
         g.finish();

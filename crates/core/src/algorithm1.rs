@@ -50,31 +50,14 @@ impl Default for DiscoveryConfig {
 /// Runs Algorithm 1 on a tokenized record, returning paired units followed
 /// by unpaired units.
 pub fn discover_units(record: &TokenizedRecord, config: &DiscoveryConfig) -> Vec<DecisionUnit> {
-    discover_units_with_threads(record, config, 1)
-}
-
-/// [`discover_units`] with an explicit worker-thread budget for the
-/// similarity-matrix fill. Long-description records (thousands of token
-/// pairs) shard the fill across workers; the resulting units are identical
-/// for any thread count (see [`SimMatrix::build_tuned`]).
-pub fn discover_units_with_threads(
-    record: &TokenizedRecord,
-    config: &DiscoveryConfig,
-    n_threads: usize,
-) -> Vec<DecisionUnit> {
     // All three phases (and their overlapping θ/η/ε probes) read from one
     // similarity matrix computed up front — see [`SimMatrix`]. The §5.1.1
     // code mask is only computed when this config will actually consult it.
-    // Every probe filters at θ, η, or ε, so their minimum is a sound
-    // similarity floor for the int8-screened fill — passed only when the
-    // record is big enough for the screen to pay for its quantization pass
-    // (`worth_i8_screening`); results are identical either way.
-    let floor = config.theta.min(config.eta).min(config.epsilon);
-    let entries = record.left.token_count() * record.right.token_count();
-    let floor = crate::pairing::worth_i8_screening(record.left.embeds.dim(), entries)
-        .then_some(floor);
-    let matrix =
-        SimMatrix::build_tuned(record, config.sim, config.code_heuristic, floor, n_threads);
+    let matrix = if config.code_heuristic {
+        SimMatrix::build(record, config.sim)
+    } else {
+        SimMatrix::build_unmasked(record, config.sim)
+    };
     let units = discover_units_cached(record, &matrix, config);
     // The matrix computed entries() similarities once; the θ/η/ε probes
     // asked for lookups() of them. Their ratio is the per-record reuse
@@ -88,6 +71,16 @@ pub fn discover_units_with_threads(
         wym_obs::counter_add("simmatrix.lookups", matrix.lookups());
     }
     units
+}
+
+/// [`discover_units`]; the thread count is ignored. Kept only for the
+/// `wymbench` benchmark, which still calls it.
+pub fn discover_units_with_threads(
+    record: &TokenizedRecord,
+    config: &DiscoveryConfig,
+    _n_threads: usize,
+) -> Vec<DecisionUnit> {
+    discover_units(record, config)
 }
 
 /// [`discover_units`] over a caller-supplied [`SimMatrix`] (which must have

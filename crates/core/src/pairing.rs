@@ -10,7 +10,6 @@
 
 use crate::record::{Side, TokenRef, TokenizedRecord};
 use serde::{Deserialize, Serialize};
-use wym_embed::QuantizedTable;
 use wym_linalg::kernels;
 use wym_linalg::vector::cosine;
 use wym_strsim::{jaro_winkler, looks_like_code};
@@ -62,16 +61,6 @@ pub type SmPair = (TokenRef, TokenRef, f32);
 /// just with the two norms precomputed per token instead of per pair.
 /// Embeddings are deliberately *not* pre-normalized into unit vectors —
 /// that would reorder the float ops and could flip threshold comparisons.
-///
-/// [`Self::build_tuned`] relaxes this to *observationally* identical: when a
-/// similarity `floor` is supplied (the minimum threshold any consumer will
-/// filter by), entries **provably below the floor** may hold a cheap
-/// int8-approximated cosine instead of the exact one — itself below the
-/// floor, hence invisible to every `s >= threshold` filter — while every
-/// entry at or above the floor is recomputed through the identical f32
-/// expression. See the private `I8Screen` type for the error bound that
-/// makes "provably" rigorous, and `WYM_PAIRING=f32` to force the pure-f32
-/// fill.
 pub struct SimMatrix {
     n_right: usize,
     left_offsets: Vec<usize>,
@@ -95,7 +84,7 @@ impl SimMatrix {
     /// including the §5.1.1 code-heuristic mask (valid for lookups with
     /// either `code_heuristic` setting).
     pub fn build(record: &TokenizedRecord, sim: PairingSim) -> SimMatrix {
-        Self::build_impl(record, sim, true, None, 1)
+        Self::build_impl(record, sim, true)
     }
 
     /// [`Self::build`] without the §5.1.1 mask. [`Self::sim`] on the result
@@ -103,32 +92,10 @@ impl SimMatrix {
     /// surface forms are never scanned. Discovery uses this when its config
     /// has the heuristic off (the default).
     pub fn build_unmasked(record: &TokenizedRecord, sim: PairingSim) -> SimMatrix {
-        Self::build_impl(record, sim, false, None, 1)
+        Self::build_impl(record, sim, false)
     }
 
-    /// [`Self::build`] with the perf knobs exposed: `floor` is the smallest
-    /// similarity any downstream consumer can observe (it enables the
-    /// int8-screened fill, see [`SimMatrix`] docs on exactness), `n_threads`
-    /// shards the row fill across workers for long-description records.
-    /// Accepted entries are bit-identical to [`Self::build`] for every
-    /// `(floor, n_threads)` combination.
-    pub fn build_tuned(
-        record: &TokenizedRecord,
-        sim: PairingSim,
-        masked: bool,
-        floor: Option<f32>,
-        n_threads: usize,
-    ) -> SimMatrix {
-        Self::build_impl(record, sim, masked, floor, n_threads)
-    }
-
-    fn build_impl(
-        record: &TokenizedRecord,
-        sim: PairingSim,
-        masked: bool,
-        floor: Option<f32>,
-        n_threads: usize,
-    ) -> SimMatrix {
+    fn build_impl(record: &TokenizedRecord, sim: PairingSim, masked: bool) -> SimMatrix {
         let left_offsets = Self::offsets(&record.left.tokens);
         let right_offsets = Self::offsets(&record.right.tokens);
         let n_left = record.left.token_count();
@@ -150,53 +117,18 @@ impl SimMatrix {
                     left_emb.iter().map(|e| kernels::dot(e, e).sqrt()).collect();
                 let right_norm: Vec<f32> =
                     right_emb.iter().map(|e| kernels::dot(e, e).sqrt()).collect();
-                let screen = floor
-                    .filter(|&f| i8_screening_enabled() && f >= I8_SCREEN_MIN_FLOOR)
-                    .map(|f| I8Screen::new(&left_emb, &right_emb, &left_norm, &right_norm, f));
-                let filler = EmbedFill {
-                    left_emb: &left_emb,
-                    right_emb: &right_emb,
-                    left_norm: &left_norm,
-                    right_norm: &right_norm,
-                    n_right,
-                    screen: screen.as_ref(),
-                };
-
-                let threads = wym_par::resolve_threads(n_threads);
-                let (screened, exact) = if threads > 1
-                    && n_left * n_right >= PAR_MIN_ENTRIES
-                    && n_left >= 2
-                {
-                    // Row-sharded parallel fill: every entry is computed by
-                    // exactly one worker with the same per-entry recipe as
-                    // the sequential loop, and shards come back in shard
-                    // order, so the matrix is identical for any thread
-                    // count. Oversharding (4 shards per worker) lets the
-                    // work-stealing scheduler absorb skewed rows.
-                    let shards = wym_par::map_ranges(
-                        n_left,
-                        threads.saturating_mul(4),
-                        threads,
-                        |_, range| {
-                            let mut chunk = vec![0.0f32; range.len() * n_right];
-                            let stats = filler.fill(range.start, range.end, &mut chunk);
-                            (range, chunk, stats)
-                        },
-                    );
-                    let mut totals = (0u64, 0u64);
-                    for (range, chunk, (s, e)) in shards {
-                        sims[range.start * n_right..range.end * n_right]
-                            .copy_from_slice(&chunk);
-                        totals.0 += s;
-                        totals.1 += e;
+                for i in 0..n_left {
+                    let (a, norm_a) = (left_emb[i], left_norm[i]);
+                    if norm_a <= f32::EPSILON {
+                        continue; // cosine defines zero-vector similarity as 0
                     }
-                    totals
-                } else {
-                    filler.fill(0, n_left, &mut sims)
-                };
-                if wym_obs::enabled() && screen.is_some() {
-                    wym_obs::counter_add("simmatrix.i8_screened", screened);
-                    wym_obs::counter_add("simmatrix.i8_exact", exact);
+                    let row = &mut sims[i * n_right..(i + 1) * n_right];
+                    for (j, slot) in row.iter_mut().enumerate() {
+                        if right_norm[j] > f32::EPSILON {
+                            let ab = kernels::dot(a, right_emb[j]);
+                            *slot = (ab / (norm_a * right_norm[j])).clamp(-1.0, 1.0);
+                        }
+                    }
                 }
             }
             PairingSim::JaroWinkler => {
@@ -296,316 +228,10 @@ impl SimMatrix {
     }
 }
 
-/// Entry-count gate for the row-sharded parallel fill: below this many
-/// similarities the per-shard buffers and thread handoff cost more than the
-/// dot products they spread out.
-const PAR_MIN_ENTRIES: usize = 8192;
-
-/// Smallest `floor` for which int8 screening engages. Below this the i8
-/// approximation error bound rejects too few entries to pay for the
-/// quantization pass.
-const I8_SCREEN_MIN_FLOOR: f32 = 0.2;
-
-/// Slack subtracted from the screening floor (in cosine units) to absorb
-/// the difference between the f64 error bound and the f32 kernel-summed dot
-/// products it guards: the kernel dot of unit-scale embeddings differs from
-/// the exact real dot by far less than this for any supported dimension.
-const I8_SCREEN_SLACK: f64 = 1e-4;
-
-/// Smallest embedding dimensionality for which [`worth_i8_screening`]
-/// engages the screen in auto mode. Below this the f32 dot is so short
-/// that it costs less than the per-entry bound check it would avoid — the
-/// screen trades O(d) float work per entry for O(1) overhead, so it needs
-/// d large enough (fastText-scale vectors, not the compact trained dims)
-/// for that trade to win. Measured break-even on x86 is ~100–128 dims.
-pub const I8_SCREEN_MIN_DIM: usize = 128;
-
-/// Smallest similarity-matrix entry count for which [`worth_i8_screening`]
-/// engages the screen in auto mode: quantizing both sides costs
-/// O((n_left + n_right)·d) up front, which only amortizes once
-/// `n_left·n_right` is a few thousand entries (long-description records).
-pub const I8_SCREEN_MIN_ENTRIES: usize = 4096;
-
-/// The process-wide pairing-fill policy, from `WYM_PAIRING`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PairingMode {
-    /// Engage the int8 screen when the cost model says it pays
-    /// ([`worth_i8_screening`]).
-    Auto,
-    /// Engage the screen regardless of size (A/B runs, benches).
-    ForceI8,
-    /// Pure-f32 fill everywhere.
-    ForceF32,
-}
-
-/// `WYM_PAIRING=f32` disables int8 screening (forces the pure-f32 fill),
-/// `WYM_PAIRING=i8` forces it on for any record size; unset/`auto` applies
-/// the [`worth_i8_screening`] cost model. Parsed once per process like
-/// `WYM_KERNEL`.
-fn pairing_mode() -> PairingMode {
-    static MODE: std::sync::OnceLock<PairingMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("WYM_PAIRING").as_deref() {
-        Ok("f32") => PairingMode::ForceF32,
-        Ok("i8") => PairingMode::ForceI8,
-        Ok("auto") | Err(_) => PairingMode::Auto,
-        Ok(other) => {
-            eprintln!("[wym-core] WYM_PAIRING={other:?} not recognized; using auto");
-            PairingMode::Auto
-        }
-    })
-}
-
-/// Whether any screen may engage at all (everything except `ForceF32`).
-fn i8_screening_enabled() -> bool {
-    pairing_mode() != PairingMode::ForceF32
-}
-
-/// Whether the int8-screened fill is expected to beat the pure-f32 fill
-/// for a `dim`-dimensional embedding matrix with `entries` = n_left ×
-/// n_right similarity entries. This is the *production* gate — callers
-/// that know the record shape (unit discovery) consult it before passing
-/// a `floor` to [`SimMatrix::build_tuned`]; explicit `build_tuned` callers
-/// (tests, benches) opt in directly and bypass it.
-///
-/// The cost model: the screen pays O((n_left+n_right)·d) once to quantize
-/// both sides plus O(1) per entry for the bound check, and saves the O(d)
-/// f32 dot on every *screened* entry. That wins only when d is large
-/// ([`I8_SCREEN_MIN_DIM`]) and the matrix has enough entries to amortize
-/// the quantization ([`I8_SCREEN_MIN_ENTRIES`]). `WYM_PAIRING=i8`/`f32`
-/// force the decision either way for A/B runs.
-pub fn worth_i8_screening(dim: usize, entries: usize) -> bool {
-    match pairing_mode() {
-        PairingMode::ForceF32 => false,
-        PairingMode::ForceI8 => true,
-        PairingMode::Auto => dim >= I8_SCREEN_MIN_DIM && entries >= I8_SCREEN_MIN_ENTRIES,
-    }
-}
-
-/// Per-row quantization metadata of one side, in f64: an upper bound on
-/// the dequantization residual `‖a − ã‖₂` (where `ã_i = q_i · scale`), an
-/// upper bound on `‖ã‖₂`, the row's norm `‖a‖₂`, and the reciprocals of
-/// the norm and the quantization scale (so the fill's per-row threshold
-/// precompute multiplies instead of dividing). The reciprocals are never
-/// read for a zero-norm row — the fill skips those before touching the
-/// metadata — and a non-zero norm implies a non-zero scale.
-struct RowMeta {
-    err: f64,
-    qnorm: f64,
-    norm: f64,
-    inv: f64,
-    inv_scale: f64,
-}
-
-/// Derives [`RowMeta`] analytically in O(rows) — no second pass over the
-/// elements. Rounding to nearest means every component of `a − ã` is
-/// within `±scale/2`, so `‖a − ã‖₂ ≤ scale·√d/2`, and by the triangle
-/// inequality `‖ã‖₂ ≤ ‖a‖₂ + err`. The bound is ~3.5× looser than the
-/// measured residual (uniform rounding error would give `scale·√(d/12)`),
-/// which only costs a few extra exact-path recomputes near the floor —
-/// far cheaper than an O(rows·d) f64 sweep per build. `norms` are the
-/// hoisted f32 norms; their ~1e-7·d relative rounding is absorbed by
-/// [`I8_SCREEN_SLACK`] (1e-4 of cosine, three orders larger).
-fn row_meta(norms: &[f32], table: &QuantizedTable) -> Vec<RowMeta> {
-    let half_sqrt_d = 0.5 * (table.dim() as f64).sqrt();
-    norms
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| {
-            let scale = table.scale(i) as f64;
-            let err = scale * half_sqrt_d;
-            let norm = n as f64;
-            RowMeta { err, qnorm: norm + err, norm, inv: 1.0 / norm, inv_scale: 1.0 / scale }
-        })
-        .collect()
-}
-
-/// Int8 screening state for the embedding fill: symmetric-quantized copies
-/// of both embedding sides plus the per-row error terms of the rigorous
-/// dot-product bound
-///
-/// ```text
-/// |a·b − ã·b̃| ≤ ‖a − ã‖·‖b‖ + ‖ã‖·‖b − b̃‖
-/// ```
-///
-/// An entry is screened out (kept at its i8 approximation) only when even
-/// `ã·b̃` plus that bound stays below `(floor − slack) · ‖a‖‖b‖` — i.e. when
-/// the exact cosine is provably below every downstream threshold, so the
-/// stored value can never be observed. All bound arithmetic runs in f64.
-struct I8Screen {
-    left: QuantizedTable,
-    right: QuantizedTable,
-    left_meta: Vec<RowMeta>,
-    floor: f64,
-    /// Per-right-row weights of the threshold/store expressions, hoisted
-    /// out of the fill so the hot loop is three multiplies per entry (see
-    /// the derivation in [`EmbedFill::fill`]): `‖b‖/s_b`, `err_b/s_b`, and
-    /// `s_b/‖b‖`. Zero-norm rows hold 0 and are never read — the fill
-    /// skips them before touching the weights.
-    r_nw: Vec<f64>,
-    r_ew: Vec<f64>,
-    r_vs: Vec<f64>,
-}
-
-impl I8Screen {
-    fn new(
-        left_emb: &[&[f32]],
-        right_emb: &[&[f32]],
-        left_norm: &[f32],
-        right_norm: &[f32],
-        floor: f32,
-    ) -> I8Screen {
-        let dim = left_emb
-            .iter()
-            .chain(right_emb.iter())
-            .map(|r| r.len())
-            .next()
-            .unwrap_or(0);
-        let left = QuantizedTable::from_rows(left_emb, dim);
-        let right = QuantizedTable::from_rows(right_emb, dim);
-        let left_meta = row_meta(left_norm, &left);
-        let right_meta = row_meta(right_norm, &right);
-        let mut r_nw = Vec::with_capacity(right_meta.len());
-        let mut r_ew = Vec::with_capacity(right_meta.len());
-        let mut r_vs = Vec::with_capacity(right_meta.len());
-        for (j, rb) in right_meta.iter().enumerate() {
-            if rb.norm > 0.0 {
-                r_nw.push(rb.norm * rb.inv_scale);
-                r_ew.push(rb.err * rb.inv_scale);
-                r_vs.push(right.scale(j) as f64 * rb.inv);
-            } else {
-                r_nw.push(0.0);
-                r_ew.push(0.0);
-                r_vs.push(0.0);
-            }
-        }
-        I8Screen { left, right, left_meta, floor: floor as f64, r_nw, r_ew, r_vs }
-    }
-}
-
-/// The embedding fill of one [`SimMatrix`] row range — shared by the
-/// sequential and row-sharded parallel builds so both produce the same
-/// entries by construction.
-struct EmbedFill<'a> {
-    left_emb: &'a [&'a [f32]],
-    right_emb: &'a [&'a [f32]],
-    left_norm: &'a [f32],
-    right_norm: &'a [f32],
-    n_right: usize,
-    screen: Option<&'a I8Screen>,
-}
-
-impl EmbedFill<'_> {
-    /// Fills rows `r0..r1` into `out` (which holds exactly those rows,
-    /// starting at row `r0`). Returns `(screened, exact)` entry counts of
-    /// the i8 path (both 0 on the pure-f32 path).
-    fn fill(&self, r0: usize, r1: usize, out: &mut [f32]) -> (u64, u64) {
-        debug_assert_eq!(out.len(), (r1 - r0) * self.n_right);
-        let mut screened = 0u64;
-        let mut exact = 0u64;
-        // Per-row scratch (batched integer dots + needs-exact flags) — one
-        // allocation per fill (shard), not per row, and nothing on the
-        // pure-f32 path.
-        let scratch = if self.screen.is_some() { self.n_right } else { 0 };
-        let mut dots: Vec<i32> = vec![0i32; scratch];
-        let mut needs: Vec<u8> = vec![0u8; scratch];
-        // Non-zero right rows, for the screened-entry count: the counters
-        // only track entries the cosine convention doesn't fix at 0.
-        let nz_right = self
-            .right_norm
-            .iter()
-            .take(scratch)
-            .filter(|&&n| n > f32::EPSILON)
-            .count() as u64;
-        for i in r0..r1 {
-            let row = &mut out[(i - r0) * self.n_right..(i - r0 + 1) * self.n_right];
-            if self.left_norm[i] <= f32::EPSILON {
-                continue; // cosine defines zero-vector similarity as 0
-            }
-            let a = self.left_emb[i];
-            match self.screen {
-                None => {
-                    for (j, slot) in row.iter_mut().enumerate() {
-                        if self.right_norm[j] > f32::EPSILON {
-                            let ab = kernels::dot(a, self.right_emb[j]);
-                            *slot =
-                                (ab / (self.left_norm[i] * self.right_norm[j])).clamp(-1.0, 1.0);
-                        }
-                    }
-                }
-                Some(screen) => {
-                    // Batch the whole row of integer dots first (the right
-                    // table is contiguous row-major storage), then run the
-                    // f64 bound checks over the results: one kernel dispatch
-                    // per row and the widened query row is reused across
-                    // consecutive table rows inside the kernel.
-                    let qa = screen.left.row(i);
-                    let (_, rcodes, _) = screen.right.raw_parts();
-                    kernels::dot_i8_batch(qa, rcodes, &mut dots);
-                    let sa = screen.left.scale(i) as f64;
-                    let la = &screen.left_meta[i];
-                    // Rearranged screen condition, solved for the raw
-                    // integer dot:
-                    //
-                    //   dot·sa·sb + err_a·‖b‖ + qnorm_a·err_b ≥ cutoff·‖a‖‖b‖
-                    //   ⟺ dot ≥ (cutoff·‖a‖ − err_a)/sa · ‖b‖/sb
-                    //           − qnorm_a/sa · err_b/sb
-                    //
-                    // The per-`b` factors (`‖b‖/sb`, `err_b/sb`, `sb/‖b‖`)
-                    // are hoisted into the screen at build time, so the hot
-                    // loop is two multiplies, a subtract, and a compare per
-                    // entry. Comparing against `thr − 1` in f64 keeps the
-                    // screen conservative: the integer dot is exact in f64
-                    // and the whole margin absorbs the ulp-level rounding of
-                    // the threshold expression, so rounding can only send
-                    // borderline entries to the exact path — never hide one
-                    // from it. Reciprocal multiplies in the stored sub-floor
-                    // approximation differ from true divides by ulps,
-                    // nowhere near the 1e-4 slack the sub-floor proof sets
-                    // aside.
-                    let c_norm =
-                        ((screen.floor - I8_SCREEN_SLACK) * la.norm - la.err) * la.inv_scale;
-                    let c_err = la.qnorm * la.inv_scale;
-                    let val_a = sa * la.inv;
-                    // Branchless value pass: every slot gets the sub-floor
-                    // i8 approximation and a needs-exact flag. Zero-norm
-                    // right rows hold zero weights, so they store +0.0 (the
-                    // cosine convention) and their flag is ignored below.
-                    // With no branches and no per-iteration dependencies the
-                    // compiler turns this into packed f64 arithmetic (the
-                    // slices are pinned to one length up front so bounds
-                    // checks hoist out of the loop).
-                    let n = self.n_right;
-                    let (r_nw, r_ew, r_vs) =
-                        (&screen.r_nw[..n], &screen.r_ew[..n], &screen.r_vs[..n]);
-                    let (dq, nq, vals) = (&dots[..n], &mut needs[..n], &mut row[..n]);
-                    for j in 0..n {
-                        let thr = c_norm * r_nw[j] - c_err * r_ew[j] - 1.0;
-                        let dot = dq[j] as f64;
-                        vals[j] = ((dot * (val_a * r_vs[j])) as f32).clamp(-1.0, 1.0);
-                        nq[j] = (dot >= thr) as u8;
-                    }
-                    // Sparse exact pass: overwrite the (few) flagged entries
-                    // whose exact cosine may reach the floor, with the
-                    // identical f32 expression as the pure path, so accepted
-                    // entries are bit-identical. Everything left screened is
-                    // provably below the floor — itself sub-floor, so no
-                    // threshold ≥ floor can ever select it.
-                    let mut exact_row = 0u64;
-                    for (j, slot) in row.iter_mut().enumerate() {
-                        if needs[j] != 0 && self.right_norm[j] > f32::EPSILON {
-                            let ab = kernels::dot(a, self.right_emb[j]);
-                            *slot =
-                                (ab / (self.left_norm[i] * self.right_norm[j])).clamp(-1.0, 1.0);
-                            exact_row += 1;
-                        }
-                    }
-                    exact += exact_row;
-                    screened += nz_right - exact_row;
-                }
-            }
-        }
-        (screened, exact)
-    }
+/// Always `false`: no similarity fill is int8-screened. Kept only for the
+/// `wymbench` benchmark, whose `pair.screen_floor_share` metric calls it.
+pub fn worth_i8_screening(_dim: usize, _entries: usize) -> bool {
+    false
 }
 
 /// Stable marriage between two token sets: pairs with similarity ≥
@@ -999,88 +625,6 @@ mod tests {
             .is_empty());
         assert!(get_sm_pairs(&rec, &rec.left.all_refs(), &[], 0.1, PairingSim::Embedding, false)
             .is_empty());
-    }
-
-    /// A record with enough tokens per side to cross [`PAR_MIN_ENTRIES`]
-    /// (so the parallel fill actually shards) and similarities straddling
-    /// the discovery floor.
-    fn long_record(n: usize) -> TokenizedRecord {
-        let words = [
-            "camera", "camcorder", "lens", "kit", "sony", "panasonic", "digital", "bundle",
-            "zoom", "optical", "sensor", "battery",
-        ];
-        let mk = |salt: usize| {
-            (0..n)
-                .map(|i| {
-                    let w = words[(i * 7 + salt) % words.len()];
-                    if (i + salt) % 3 == 0 { format!("{w}{i}") } else { w.to_string() }
-                })
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        record(&mk(0), &mk(5))
-    }
-
-    #[test]
-    fn i8_screened_build_matches_f32_at_and_above_floor() {
-        let rec = long_record(40);
-        let plain = SimMatrix::build_unmasked(&rec, PairingSim::Embedding);
-        let floor = 0.6f32;
-        let tuned = SimMatrix::build_tuned(&rec, PairingSim::Embedding, false, Some(floor), 1);
-        let left = rec.left.all_refs();
-        let right = rec.right.all_refs();
-        let (mut seen_exact, mut seen_screened) = (false, false);
-        for &l in &left {
-            for &r in &right {
-                let (a, b) = (plain.sim(l, r, false), tuned.sim(l, r, false));
-                if a >= floor || b >= floor {
-                    assert_eq!(a.to_bits(), b.to_bits(), "entry at/above floor must be exact");
-                    seen_exact = true;
-                } else if a.to_bits() != b.to_bits() {
-                    seen_screened = true; // approximated, but still below floor
-                }
-            }
-        }
-        assert!(seen_exact, "record must produce above-floor similarities");
-        assert!(seen_screened, "screening must actually engage on this record");
-        // Downstream pair sets agree exactly at every discovery threshold.
-        for threshold in [0.6f32, 0.65, 0.7, 0.9] {
-            assert_eq!(
-                get_sm_pairs_cached(&plain, &left, &right, threshold, false),
-                get_sm_pairs_cached(&tuned, &left, &right, threshold, false),
-                "threshold {threshold}"
-            );
-        }
-    }
-
-    #[test]
-    fn tuned_build_is_identical_for_any_thread_count() {
-        let rec = long_record(96); // 96×96 > PAR_MIN_ENTRIES: the fill shards
-        for floor in [None, Some(0.6f32)] {
-            let base = SimMatrix::build_tuned(&rec, PairingSim::Embedding, false, floor, 1);
-            for threads in [2usize, 3, 4] {
-                let par = SimMatrix::build_tuned(&rec, PairingSim::Embedding, false, floor, threads);
-                assert_eq!(
-                    base.sims.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                    par.sims.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                    "floor {floor:?}, {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sub_floor_screened_entries_stay_below_floor() {
-        let rec = long_record(40);
-        let floor = 0.6f32;
-        let tuned = SimMatrix::build_tuned(&rec, PairingSim::Embedding, false, Some(floor), 1);
-        let plain = SimMatrix::build_unmasked(&rec, PairingSim::Embedding);
-        for (&approx, &exact) in tuned.sims.iter().zip(&plain.sims) {
-            if approx.to_bits() != exact.to_bits() {
-                assert!(approx < floor, "screened value {approx} must stay below the floor");
-                assert!(exact < floor, "screened entry's exact value {exact} was observable");
-            }
-        }
     }
 
     #[test]

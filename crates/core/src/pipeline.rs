@@ -1,6 +1,6 @@
 //! End-to-end WYM pipeline: fit on a dataset split, predict, explain.
 
-use crate::algorithm1::{discover_units, discover_units_with_threads, DiscoveryConfig};
+use crate::algorithm1::{discover_units, DiscoveryConfig};
 use crate::explanation::Explanation;
 use crate::matcher::{ExplainableMatcher, MatcherConfig, SavedMatcher};
 use crate::record::TokenizedRecord;
@@ -401,18 +401,13 @@ impl WymModel {
         &self.attr_names
     }
 
-    /// Tokenize → embed → discover → score one record pair.
-    ///
-    /// Single-record serving is the one path where intra-record parallelism
-    /// pays: `config.n_threads` shards the similarity-matrix fill of long
-    /// descriptions across workers (the batch paths below already spend
-    /// their threads on record-level parallelism). Output is identical for
-    /// any thread count.
+    /// Tokenize → embed → discover → score one record pair, on the calling
+    /// thread: as in the batch paths below, unit discovery is sequential
+    /// within a record.
     pub fn process(&self, pair: &RecordPair) -> ProcessedRecord {
         let _span = wym_obs::span("process");
         let record = TokenizedRecord::from_pair(pair, &self.tokenizer, &self.embedder);
-        let units =
-            discover_units_with_threads(&record, &self.config.discovery, self.config.n_threads);
+        let units = discover_units(&record, &self.config.discovery);
         let raw = self.scorer.score_units(&record, &units);
         let relevances = apply_rules(&self.config.rules, &record, &units, &raw);
         ProcessedRecord { record, units, relevances }

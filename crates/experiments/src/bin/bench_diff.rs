@@ -46,8 +46,6 @@ const STAGE_KEYS: &[&str] = &[
     "score_batch_s",
     "predict_s",
     "impact_s",
-    "simmatrix_f32_s",
-    "simmatrix_i8_s",
 ];
 
 /// How many trailing history entries per dataset feed the learned

@@ -8,7 +8,6 @@
 
 use serde::Serialize;
 use std::time::Instant;
-use wym_core::pairing::SimMatrix;
 use wym_core::{discover_units, TokenizedRecord};
 use wym_experiments::{fit_wym, print_table, save_json, HarnessOpts};
 use wym_obs::{Json, Manifest, Snapshot};
@@ -67,16 +66,6 @@ struct BenchRow {
     predict_s: f64,
     /// Per-record impact computation over the test slice.
     impact_s: f64,
-    /// One long-record stress SimMatrix build (the explained records'
-    /// token vectors merged into a single record pair — the Customer-360
-    /// long-description regime the screen targets), pure-f32 fill, best of
-    /// the interleaved repetitions.
-    simmatrix_f32_s: f64,
-    /// The same stress build with the int8-screened fill: the ratio
-    /// against `simmatrix_f32_s` is this PR's pairing-speedup evidence.
-    /// In production the screen only engages in this regime
-    /// (`worth_i8_screening`); small records keep the pure-f32 fill.
-    simmatrix_i8_s: f64,
     /// Bytes allocated embedding the sample through the nested reference
     /// path (`embed_entity`), from the tracking allocator.
     embed_alloc_ref_bytes: u64,
@@ -122,8 +111,6 @@ impl BenchRow {
             ("score_batch_s", Json::Num(self.score_batch_s)),
             ("predict_s", Json::Num(self.predict_s)),
             ("impact_s", Json::Num(self.impact_s)),
-            ("simmatrix_f32_s", Json::Num(self.simmatrix_f32_s)),
-            ("simmatrix_i8_s", Json::Num(self.simmatrix_i8_s)),
             ("embed_alloc_ref_bytes", Json::UInt(self.embed_alloc_ref_bytes)),
             ("embed_alloc_fused_bytes", Json::UInt(self.embed_alloc_fused_bytes)),
             ("spans", spans),
@@ -216,52 +203,6 @@ fn main() {
         let _ = run.model.scorer().score_batch(&batch);
         let t_score_batch = s.elapsed().as_secs_f64();
 
-        // Pairing-speedup evidence: one long-record stress pair built by
-        // merging the explained records' token vectors (the Customer-360
-        // long-description regime `worth_i8_screening` targets), timed with
-        // the pure-f32 fill (`WYM_PAIRING=f32` behaviour) against the
-        // int8-screened fill. The two variants are interleaved and the
-        // minimum over the repetitions is reported so shared-host noise
-        // cancels out of the ratio.
-        let disc = &run.model.config().discovery;
-        let floor = disc.theta.min(disc.eta).min(disc.epsilon);
-        const SIM_STRESS_TOKENS: usize = 512;
-        let stress_side = |pick: fn(&TokenizedRecord) -> &wym_core::record::EntityView| {
-            let dim = processed
-                .first()
-                .map_or(0, |(rec, _)| pick(rec).embeds.dim());
-            let mut rows: Vec<Vec<f32>> = Vec::with_capacity(SIM_STRESS_TOKENS);
-            'fill: for (rec, _) in &processed {
-                for row in pick(rec).embeds.rows() {
-                    if rows.len() == SIM_STRESS_TOKENS {
-                        break 'fill;
-                    }
-                    rows.push(row.to_vec());
-                }
-            }
-            let tokens: Vec<String> = (0..rows.len()).map(|i| format!("t{i}")).collect();
-            wym_core::record::EntityView {
-                tokens: vec![tokens],
-                embeds: wym_embed::EmbedMatrix::from_nested(&[rows], dim),
-            }
-        };
-        let stress = TokenizedRecord {
-            id: u32::MAX,
-            left: stress_side(|rec| &rec.left),
-            right: stress_side(|rec| &rec.right),
-            label: None,
-        };
-        const SIM_REPS: usize = 11;
-        let (mut t_sim_f32, mut t_sim_i8) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..SIM_REPS {
-            let s = Instant::now();
-            let _ = SimMatrix::build_tuned(&stress, disc.sim, false, None, 1);
-            t_sim_f32 = t_sim_f32.min(s.elapsed().as_secs_f64());
-            let s = Instant::now();
-            let _ = SimMatrix::build_tuned(&stress, disc.sim, false, Some(floor), 1);
-            t_sim_i8 = t_sim_i8.min(s.elapsed().as_secs_f64());
-        }
-
         // Allocation-churn evidence: embed the sample's token lists through
         // the nested reference path and through the fused arena path (with
         // matrix recycling, i.e. steady-state serving), with the tracking
@@ -326,8 +267,6 @@ fn main() {
             score_batch_s: t_score_batch,
             predict_s: t_predict,
             impact_s: t_impact,
-            simmatrix_f32_s: t_sim_f32,
-            simmatrix_i8_s: t_sim_i8,
             embed_alloc_ref_bytes,
             embed_alloc_fused_bytes,
         };

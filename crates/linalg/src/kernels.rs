@@ -18,10 +18,10 @@
 //! operation chain of every output element (see their docs), so the tile
 //! shape and vector width are unobservable. Because the recipe — not the
 //! instruction set — defines the result, the portable scalar path and
-//! every SIMD path (AVX2+FMA, AVX-512, NEON) return **bit-identical f32
-//! for every input length** (including the 1..=15 remainders that
-//! straddle one or two vector registers). That is the determinism contract the similarity
-//! cache and the smoke gate rely on: `WYM_KERNEL=scalar` and
+//! both SIMD paths (AVX2+FMA, AVX-512) return **bit-identical f32 for
+//! every input length** (including the 1..=15 remainders that straddle
+//! one or two vector registers). That is the determinism contract the
+//! similarity cache and the smoke gate rely on: `WYM_KERNEL=scalar` and
 //! `WYM_KERNEL=auto` runs of the full pipeline must emit identical scores.
 //!
 //! How each ISA keeps the recipe:
@@ -36,18 +36,15 @@
 //!   registers, enough for whole 4 × 4 tiles). Only [`axpy`] and the
 //!   [`gemm`] tile, where each output element is one independent fused
 //!   chain, and the exact-integer int8 kernels widen to full `zmm`
-//!   registers — that is where the pairing pass and the scorer's training
-//!   spend their bandwidth.
-//! * **NEON** (aarch64) splits the same eight lanes across two
-//!   `float32x4_t` accumulators — lanes 0..4 and 4..8 — with `vfmaq_f32`
-//!   providing the single-rounding fused update, then stores both halves
-//!   into the lane array and runs the identical (private) `reduce8` tree.
-//!   The GEMMs have no NEON body: [`gemm`] runs its scalar tile there and
-//!   [`gemm_nt`] calls the NEON [`dot`] per output element.
+//!   registers — that is where the scorer's training and the blocking
+//!   pass spend their bandwidth.
+//!
+//! Other architectures (aarch64 included) run the scalar path, which is
+//! the reference every SIMD body must match bit for bit.
 //!
 //! Dispatch is resolved once per process ([`active`]) from CPU feature
 //! detection plus the `WYM_KERNEL` environment variable
-//! (`scalar|avx2|avx512|neon|auto`; unset = `auto` picks the best
+//! (`scalar|avx2|avx512|auto`; unset = `auto` picks the best
 //! supported one, and a named ISA the host lacks falls back to `scalar`
 //! with a warning — selection must never change results, so it is a
 //! performance concern, not a correctness one). The pipeline records the
@@ -69,15 +66,12 @@ pub enum KernelImpl {
     /// recipe is fixed), `zmm`-wide element-wise f32 and int8 kernels
     /// (x86_64 only).
     Avx512,
-    /// NEON path: two `float32x4_t` accumulators forming the same eight
-    /// lanes (aarch64 only).
-    Neon,
 }
 
 /// Every implementation the dispatch layer knows about, in preference
 /// order (best first). Hosts support a subset — see [`supported`].
-pub const ALL_IMPLS: [KernelImpl; 4] =
-    [KernelImpl::Avx512, KernelImpl::Avx2Fma, KernelImpl::Neon, KernelImpl::Scalar];
+pub const ALL_IMPLS: [KernelImpl; 3] =
+    [KernelImpl::Avx512, KernelImpl::Avx2Fma, KernelImpl::Scalar];
 
 impl KernelImpl {
     /// Stable short name, used for the `kernel.dispatch.*` obs counter and
@@ -87,7 +81,6 @@ impl KernelImpl {
             KernelImpl::Scalar => "scalar",
             KernelImpl::Avx2Fma => "avx2_fma",
             KernelImpl::Avx512 => "avx512",
-            KernelImpl::Neon => "neon",
         }
     }
 }
@@ -109,8 +102,6 @@ pub fn supported(imp: KernelImpl) -> bool {
                 && std::arch::is_x86_feature_detected!("avx512bw")
                 && std::arch::is_x86_feature_detected!("avx512vl")
         }
-        #[cfg(target_arch = "aarch64")]
-        KernelImpl::Neon => std::arch::is_aarch64_feature_detected!("neon"),
         #[allow(unreachable_patterns)]
         _ => false,
     }
@@ -132,7 +123,7 @@ pub fn detect_best() -> KernelImpl {
 /// per process from `WYM_KERNEL`:
 ///
 /// * `scalar` — force the portable path;
-/// * `avx2` (alias `avx2_fma`), `avx512`, `neon` — request that ISA, with
+/// * `avx2` (alias `avx2_fma`), `avx512` — request that ISA, with
 ///   a once-per-process warning and a **clean scalar fallback** when the
 ///   host does not support it;
 /// * unset / empty / `auto` — [`detect_best`];
@@ -159,7 +150,6 @@ pub fn active() -> KernelImpl {
         Some("scalar") => KernelImpl::Scalar,
         Some("avx2" | "avx2_fma") => request(KernelImpl::Avx2Fma),
         Some("avx512") => request(KernelImpl::Avx512),
-        Some("neon") => request(KernelImpl::Neon),
         None | Some("") | Some("auto") => detect_best(),
         Some(other) => {
             eprintln!("warning: unknown WYM_KERNEL value {other:?}; using auto dispatch");
@@ -169,7 +159,7 @@ pub fn active() -> KernelImpl {
 }
 
 /// Short name of the active implementation
-/// (`scalar` / `avx2_fma` / `avx512` / `neon`).
+/// (`scalar` / `avx2_fma` / `avx512`).
 pub fn active_name() -> &'static str {
     active().name()
 }
@@ -281,20 +271,6 @@ pub fn dist_sq_i8(a: &[i8], b: &[i8]) -> i32 {
     dist_sq_i8_with(active(), a, b)
 }
 
-/// One int8 query row against a contiguous row-major block: `out[j] =
-/// dot_i8(a, rows[j*d..][..d])` with `d = a.len()`. This is the int8
-/// SimMatrix fill's inner loop — batching moves the dispatch out of the
-/// per-entry path and lets the SIMD bodies reuse the widened query row
-/// across consecutive table rows. Exact integer arithmetic throughout, so
-/// every implementation returns identical values (see [`dot_i8`]).
-///
-/// # Panics
-/// Panics in debug builds when `rows.len() != a.len() * out.len()`.
-#[inline]
-pub fn dot_i8_batch(a: &[i8], rows: &[i8], out: &mut [i32]) {
-    dot_i8_batch_with(active(), a, rows, out);
-}
-
 /// Fused int8 cosine: the exact integer dot scaled back to f32 by the two
 /// per-vector quantization scales (`value ≈ q · scale`). Because the dot is
 /// an exact integer and the two multiplies happen in one fixed order, the
@@ -347,8 +323,6 @@ pub fn dot_i8_with(imp: KernelImpl, a: &[i8], b: &[i8]) -> i32 {
         KernelImpl::Avx2Fma => unsafe { avx2::dot_i8(a, b) },
         #[cfg(target_arch = "x86_64")]
         KernelImpl::Avx512 => unsafe { avx512::dot_i8(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        KernelImpl::Neon => unsafe { neon::dot_i8(a, b) },
         #[allow(unreachable_patterns)]
         _ => scalar::dot_i8(a, b),
     }
@@ -369,8 +343,6 @@ pub fn max_abs_with(imp: KernelImpl, v: &[f32]) -> f32 {
         KernelImpl::Avx2Fma => unsafe { avx2::max_abs(v) },
         #[cfg(target_arch = "x86_64")]
         KernelImpl::Avx512 => unsafe { avx512::max_abs(v) },
-        #[cfg(target_arch = "aarch64")]
-        KernelImpl::Neon => unsafe { neon::max_abs(v) },
         #[allow(unreachable_patterns)]
         _ => scalar::max_abs(v),
     }
@@ -386,27 +358,8 @@ pub fn quantize_i8_with(imp: KernelImpl, src: &[f32], inv: f32, out: &mut [i8]) 
         KernelImpl::Avx2Fma => unsafe { avx2::quantize_i8(src, inv, out) },
         #[cfg(target_arch = "x86_64")]
         KernelImpl::Avx512 => unsafe { avx512::quantize_i8(src, inv, out) },
-        #[cfg(target_arch = "aarch64")]
-        KernelImpl::Neon => unsafe { neon::quantize_i8(src, inv, out) },
         #[allow(unreachable_patterns)]
         _ => scalar::quantize_i8(src, inv, out),
-    }
-}
-
-/// [`dot_i8_batch`] under an explicitly chosen implementation.
-#[inline]
-pub fn dot_i8_batch_with(imp: KernelImpl, a: &[i8], rows: &[i8], out: &mut [i32]) {
-    debug_assert_eq!(rows.len(), a.len() * out.len());
-    match imp {
-        KernelImpl::Scalar => scalar::dot_i8_batch(a, rows, out),
-        #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx2Fma => unsafe { avx2::dot_i8_batch(a, rows, out) },
-        #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx512 => unsafe { avx512::dot_i8_batch(a, rows, out) },
-        #[cfg(target_arch = "aarch64")]
-        KernelImpl::Neon => unsafe { neon::dot_i8_batch(a, rows, out) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::dot_i8_batch(a, rows, out),
     }
 }
 
@@ -420,8 +373,6 @@ pub fn dist_sq_i8_with(imp: KernelImpl, a: &[i8], b: &[i8]) -> i32 {
         KernelImpl::Avx2Fma => unsafe { avx2::dist_sq_i8(a, b) },
         #[cfg(target_arch = "x86_64")]
         KernelImpl::Avx512 => unsafe { avx512::dist_sq_i8(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        KernelImpl::Neon => unsafe { neon::dist_sq_i8(a, b) },
         #[allow(unreachable_patterns)]
         _ => scalar::dist_sq_i8(a, b),
     }
@@ -437,8 +388,6 @@ pub fn dot_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
         // would change the accumulator chains and break bit-identity.
         #[cfg(target_arch = "x86_64")]
         KernelImpl::Avx2Fma | KernelImpl::Avx512 => unsafe { avx2::dot(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        KernelImpl::Neon => unsafe { neon::dot(a, b) },
         #[allow(unreachable_patterns)]
         _ => scalar::dot(a, b),
     }
@@ -454,8 +403,6 @@ pub fn axpy_with(imp: KernelImpl, alpha: f32, x: &[f32], y: &mut [f32]) {
         KernelImpl::Avx2Fma => unsafe { avx2::axpy(alpha, x, y) },
         #[cfg(target_arch = "x86_64")]
         KernelImpl::Avx512 => unsafe { avx512::axpy(alpha, x, y) },
-        #[cfg(target_arch = "aarch64")]
-        KernelImpl::Neon => unsafe { neon::axpy(alpha, x, y) },
         #[allow(unreachable_patterns)]
         _ => scalar::axpy(alpha, x, y),
     }
@@ -470,8 +417,6 @@ pub fn dist_sq_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
         // See `dot_with`: AVX-512 keeps the 8-lane AVX2 reduction body.
         #[cfg(target_arch = "x86_64")]
         KernelImpl::Avx2Fma | KernelImpl::Avx512 => unsafe { avx2::dist_sq(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        KernelImpl::Neon => unsafe { neon::dist_sq(a, b) },
         #[allow(unreachable_patterns)]
         _ => scalar::dist_sq(a, b),
     }
@@ -486,8 +431,6 @@ pub fn cosine_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
         // See `dot_with`: AVX-512 keeps the 8-lane AVX2 reduction body.
         #[cfg(target_arch = "x86_64")]
         KernelImpl::Avx2Fma | KernelImpl::Avx512 => unsafe { avx2::dot3(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        KernelImpl::Neon => unsafe { neon::dot3(a, b) },
         #[allow(unreachable_patterns)]
         _ => scalar::dot3(a, b),
     };
@@ -848,18 +791,6 @@ pub mod scalar {
         acc
     }
 
-    /// One query row against a contiguous row block (exact; see
-    /// [`super::dot_i8_batch`]).
-    pub fn dot_i8_batch(a: &[i8], rows: &[i8], out: &mut [i32]) {
-        if a.is_empty() {
-            out.fill(0);
-            return;
-        }
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(a.len())) {
-            *o = dot_i8(a, row);
-        }
-    }
-
     /// Integer int8 squared distance (exact; see [`super::dist_sq_i8`]).
     pub fn dist_sq_i8(a: &[i8], b: &[i8]) -> i32 {
         let mut acc = 0i32;
@@ -1086,25 +1017,6 @@ pub mod avx2 {
         total
     }
 
-    /// One query row against a contiguous row block: the per-row loop runs
-    /// inside one `target_feature` scope, so [`dot_i8`] inlines and the
-    /// dispatch cost is paid once per batch instead of once per entry.
-    /// Exact integer (see [`super::dot_i8_batch`]).
-    ///
-    /// # Safety
-    /// The caller must have verified AVX2+FMA support (via
-    /// [`super::detect_best`]) before calling.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_i8_batch(a: &[i8], rows: &[i8], out: &mut [i32]) {
-        if a.is_empty() {
-            out.fill(0);
-            return;
-        }
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(a.len())) {
-            *o = dot_i8(a, row);
-        }
-    }
-
     /// Integer int8 squared distance: differences in i16 (range ±254, no
     /// overflow), squared and pair-summed by `vpmaddwd`. Exact integer.
     ///
@@ -1278,19 +1190,16 @@ pub mod avx2 {
 pub mod avx512 {
     use super::{Tile, GEMM_MR, LANES};
     use std::arch::x86_64::{
-        _mm256_blendv_ps, _mm256_castps256_ps128, _mm256_castsi256_ps, _mm256_cmpgt_epi32,
-        _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_hadd_ps, _mm256_loadu_ps,
-        _mm256_maskload_ps, _mm256_set1_epi32, _mm256_setr_epi32, _mm256_setzero_ps,
-        _mm_add_ps, _mm_storeu_ps,
-        __m512i, __mmask16, _mm256_loadu_si256, _mm512_abs_ps, _mm512_add_epi32,
-        _mm512_castsi512_si256, _mm512_cvtepi32_epi8, _mm512_cvtepi8_epi16, _mm512_cvtps_epi32,
-        _mm512_extracti64x4_epi64, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_loadu_si512,
-        _mm512_madd_epi16, _mm512_mask3_fmadd_ps, _mm512_mask_blend_ps, _mm512_mask_storeu_ps,
-        _mm512_maskz_loadu_epi8,
-        _mm512_maskz_loadu_ps, _mm512_max_epi32, _mm512_max_ps, _mm512_min_epi32, _mm512_mul_ps,
-        _mm512_reduce_add_epi32, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_setzero_si512, _mm512_storeu_ps, _mm512_storeu_si512, _mm512_sub_epi16,
-        _mm_storeu_si128,
+        __mmask16, _mm256_blendv_ps, _mm256_castps256_ps128, _mm256_castsi256_ps,
+        _mm256_cmpgt_epi32, _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_hadd_ps,
+        _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps, _mm256_set1_epi32,
+        _mm256_setr_epi32, _mm256_setzero_ps, _mm512_abs_ps, _mm512_add_epi32,
+        _mm512_cvtepi32_epi8, _mm512_cvtepi8_epi16, _mm512_cvtps_epi32, _mm512_fmadd_ps,
+        _mm512_loadu_ps, _mm512_madd_epi16, _mm512_mask3_fmadd_ps, _mm512_mask_blend_ps,
+        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_epi32, _mm512_max_ps,
+        _mm512_min_epi32, _mm512_mul_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_setzero_si512, _mm512_storeu_ps, _mm512_storeu_si512, _mm512_sub_epi16, _mm_add_ps,
+        _mm_storeu_ps, _mm_storeu_si128,
     };
 
     /// f32 elements per `zmm` register.
@@ -1468,7 +1377,7 @@ pub mod avx512 {
     /// i16 (`vpmovsxbw`), multiply-accumulate pairwise into 16 i32 lanes
     /// (`vpmaddwd`), lanes sum at the end. Exact integer arithmetic, so the
     /// result equals the scalar loop for any input — this is the kernel the
-    /// int8 SimMatrix pairing pass rides.
+    /// int8 ANN blocking pass rides.
     ///
     /// # Safety
     /// The caller must have verified AVX-512 F+BW support (via
@@ -1508,83 +1417,6 @@ pub mod avx512 {
         total
     }
 
-    /// Sign-extends the two 32-byte halves of one 64-byte `zmm` of i8 into
-    /// two `zmm`s of i16 (`vpmovsxbw`).
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn widen_i8x64(v: __m512i) -> (__m512i, __m512i) {
-        (
-            _mm512_cvtepi8_epi16(_mm512_castsi512_si256(v)),
-            _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64::<1>(v)),
-        )
-    }
-
-    /// One query row against a contiguous row block, two table rows per
-    /// pass over full 64-byte chunks with a masked final chunk:
-    ///
-    /// * the widened query chunk is loaded once and madd-ed against both
-    ///   rows, halving the query-side converts versus independent
-    ///   [`dot_i8`] calls;
-    /// * the tail (`d % 64` elements) runs through `vmovdqu8` with a zero
-    ///   mask-fill instead of a scalar remainder loop — masked-out lanes
-    ///   contribute an exact integer 0;
-    /// * each accumulator collapses with `_mm512_reduce_add_epi32` rather
-    ///   than a 16-lane scalar sum.
-    ///
-    /// All arithmetic is exact integer and addition is associative, so none
-    /// of this changes any result (see [`super::dot_i8_batch`]).
-    ///
-    /// # Safety
-    /// The caller must have verified AVX-512 F+BW support (via
-    /// [`super::supported`]) before calling.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn dot_i8_batch(a: &[i8], rows: &[i8], out: &mut [i32]) {
-        if a.is_empty() {
-            out.fill(0);
-            return;
-        }
-        let d = a.len();
-        const CHUNK: usize = 64;
-        let full = d / CHUNK * CHUNK;
-        let tail = d - full;
-        let tmask: u64 = if tail == 0 { 0 } else { u64::MAX >> (CHUNK - tail) };
-        let mut j = 0;
-        while j + 2 <= out.len() {
-            let r0 = rows.as_ptr().add(j * d);
-            let r1 = rows.as_ptr().add((j + 1) * d);
-            let mut acc0 = _mm512_setzero_si512();
-            let mut acc1 = _mm512_setzero_si512();
-            let mut i = 0;
-            while i < full {
-                let (qa_lo, qa_hi) =
-                    widen_i8x64(_mm512_loadu_si512(a.as_ptr().add(i).cast()));
-                let (v0_lo, v0_hi) = widen_i8x64(_mm512_loadu_si512(r0.add(i).cast()));
-                let (v1_lo, v1_hi) = widen_i8x64(_mm512_loadu_si512(r1.add(i).cast()));
-                acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(qa_lo, v0_lo));
-                acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(qa_hi, v0_hi));
-                acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(qa_lo, v1_lo));
-                acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(qa_hi, v1_hi));
-                i += CHUNK;
-            }
-            if tail != 0 {
-                let (qa_lo, qa_hi) =
-                    widen_i8x64(_mm512_maskz_loadu_epi8(tmask, a.as_ptr().add(full)));
-                let (v0_lo, v0_hi) = widen_i8x64(_mm512_maskz_loadu_epi8(tmask, r0.add(full)));
-                let (v1_lo, v1_hi) = widen_i8x64(_mm512_maskz_loadu_epi8(tmask, r1.add(full)));
-                acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(qa_lo, v0_lo));
-                acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(qa_hi, v0_hi));
-                acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(qa_lo, v1_lo));
-                acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(qa_hi, v1_hi));
-            }
-            out[j] = _mm512_reduce_add_epi32(acc0);
-            out[j + 1] = _mm512_reduce_add_epi32(acc1);
-            j += 2;
-        }
-        if j < out.len() {
-            out[j] = dot_i8(a, &rows[j * d..(j + 1) * d]);
-        }
-    }
-
     /// Integer int8 squared distance: differences in i16 (range ±254, no
     /// overflow), squared and pair-summed by `vpmaddwd`. Exact integer.
     ///
@@ -1614,279 +1446,6 @@ pub mod avx512 {
     }
 }
 
-// --- NEON implementation ----------------------------------------------------
-
-/// NEON implementation for aarch64. The eight accumulator lanes of the
-/// recipe split across two `float32x4_t` registers — `acc_lo` holds lanes
-/// 0..4, `acc_hi` lanes 4..8 — and `vfmaq_f32` performs the same
-/// single-rounding fused update per lane as `f32::mul_add`. Both halves
-/// store into one `[f32; 8]` and collapse through the shared [`reduce8`]
-/// tree, so the result is bit-identical to the scalar path. Tails run
-/// scalar `mul_add` into lanes `0..len % 8`, exactly like the other ISAs.
-#[cfg(target_arch = "aarch64")]
-pub mod neon {
-    use super::{reduce8, LANES};
-    use std::arch::aarch64::{
-        vabsq_f32, vaddq_s32, vaddvq_s32, vcombine_s16, vcvtnq_s32_f32, vdupq_n_f32, vdupq_n_s32,
-        vfmaq_f32, vget_high_s16, vget_low_s16, vld1_s8, vld1q_f32, vmaxq_f32, vmaxq_s32,
-        vmaxvq_f32, vminq_s32, vmull_s16, vmull_s8, vmulq_f32, vpadalq_s16, vqmovn_s16,
-        vqmovn_s32, vst1_s8, vst1q_f32, vsubl_s8, vsubq_f32,
-    };
-
-    /// int8 elements per NEON block (one `int8x8_t` widened product).
-    const I8_BLOCK: usize = 8;
-
-    /// 8-lane dot product (two `float32x4_t` accumulators).
-    ///
-    /// # Safety
-    /// The caller must have verified NEON support (via [`super::supported`])
-    /// before calling.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let blocks = a.len() / LANES * LANES;
-        let mut acc_lo = vdupq_n_f32(0.0);
-        let mut acc_hi = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i < blocks {
-            acc_lo = vfmaq_f32(acc_lo, vld1q_f32(a.as_ptr().add(i)), vld1q_f32(b.as_ptr().add(i)));
-            acc_hi = vfmaq_f32(
-                acc_hi,
-                vld1q_f32(a.as_ptr().add(i + 4)),
-                vld1q_f32(b.as_ptr().add(i + 4)),
-            );
-            i += LANES;
-        }
-        let mut lanes = [0.0f32; LANES];
-        vst1q_f32(lanes.as_mut_ptr(), acc_lo);
-        vst1q_f32(lanes.as_mut_ptr().add(4), acc_hi);
-        for l in 0..a.len() - blocks {
-            lanes[l] = a[blocks + l].mul_add(b[blocks + l], lanes[l]);
-        }
-        reduce8(lanes)
-    }
-
-    /// Fused `a·b`, `a·a`, `b·b` in one pass; each follows the dot recipe.
-    ///
-    /// # Safety
-    /// The caller must have verified NEON support (via [`super::supported`])
-    /// before calling.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn dot3(a: &[f32], b: &[f32]) -> [f32; 3] {
-        let blocks = a.len() / LANES * LANES;
-        let mut ab_lo = vdupq_n_f32(0.0);
-        let mut ab_hi = vdupq_n_f32(0.0);
-        let mut aa_lo = vdupq_n_f32(0.0);
-        let mut aa_hi = vdupq_n_f32(0.0);
-        let mut bb_lo = vdupq_n_f32(0.0);
-        let mut bb_hi = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i < blocks {
-            let va_lo = vld1q_f32(a.as_ptr().add(i));
-            let va_hi = vld1q_f32(a.as_ptr().add(i + 4));
-            let vb_lo = vld1q_f32(b.as_ptr().add(i));
-            let vb_hi = vld1q_f32(b.as_ptr().add(i + 4));
-            ab_lo = vfmaq_f32(ab_lo, va_lo, vb_lo);
-            ab_hi = vfmaq_f32(ab_hi, va_hi, vb_hi);
-            aa_lo = vfmaq_f32(aa_lo, va_lo, va_lo);
-            aa_hi = vfmaq_f32(aa_hi, va_hi, va_hi);
-            bb_lo = vfmaq_f32(bb_lo, vb_lo, vb_lo);
-            bb_hi = vfmaq_f32(bb_hi, vb_hi, vb_hi);
-            i += LANES;
-        }
-        let mut lab = [0.0f32; LANES];
-        let mut laa = [0.0f32; LANES];
-        let mut lbb = [0.0f32; LANES];
-        vst1q_f32(lab.as_mut_ptr(), ab_lo);
-        vst1q_f32(lab.as_mut_ptr().add(4), ab_hi);
-        vst1q_f32(laa.as_mut_ptr(), aa_lo);
-        vst1q_f32(laa.as_mut_ptr().add(4), aa_hi);
-        vst1q_f32(lbb.as_mut_ptr(), bb_lo);
-        vst1q_f32(lbb.as_mut_ptr().add(4), bb_hi);
-        for l in 0..a.len() - blocks {
-            let (x, y) = (a[blocks + l], b[blocks + l]);
-            lab[l] = x.mul_add(y, lab[l]);
-            laa[l] = x.mul_add(x, laa[l]);
-            lbb[l] = y.mul_add(y, lbb[l]);
-        }
-        [reduce8(lab), reduce8(laa), reduce8(lbb)]
-    }
-
-    /// 8-lane squared distance: `d = a - b` rounds once (`vsubq_f32`), then
-    /// the fused `d * d + acc` per lane.
-    ///
-    /// # Safety
-    /// The caller must have verified NEON support (via [`super::supported`])
-    /// before calling.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
-        let blocks = a.len() / LANES * LANES;
-        let mut acc_lo = vdupq_n_f32(0.0);
-        let mut acc_hi = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i < blocks {
-            let d_lo = vsubq_f32(vld1q_f32(a.as_ptr().add(i)), vld1q_f32(b.as_ptr().add(i)));
-            let d_hi =
-                vsubq_f32(vld1q_f32(a.as_ptr().add(i + 4)), vld1q_f32(b.as_ptr().add(i + 4)));
-            acc_lo = vfmaq_f32(acc_lo, d_lo, d_lo);
-            acc_hi = vfmaq_f32(acc_hi, d_hi, d_hi);
-            i += LANES;
-        }
-        let mut lanes = [0.0f32; LANES];
-        vst1q_f32(lanes.as_mut_ptr(), acc_lo);
-        vst1q_f32(lanes.as_mut_ptr().add(4), acc_hi);
-        for l in 0..a.len() - blocks {
-            let d = a[blocks + l] - b[blocks + l];
-            lanes[l] = d.mul_add(d, lanes[l]);
-        }
-        reduce8(lanes)
-    }
-
-    /// Element-wise fused `y[i] = fma(alpha, x[i], y[i])`, four per block.
-    ///
-    /// # Safety
-    /// The caller must have verified NEON support (via [`super::supported`])
-    /// before calling.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        const W: usize = 4;
-        let blocks = x.len() / W * W;
-        let va = vdupq_n_f32(alpha);
-        let mut i = 0;
-        while i < blocks {
-            let vy = vfmaq_f32(vld1q_f32(y.as_ptr().add(i)), va, vld1q_f32(x.as_ptr().add(i)));
-            vst1q_f32(y.as_mut_ptr().add(i), vy);
-            i += W;
-        }
-        for l in blocks..x.len() {
-            y[l] = alpha.mul_add(x[l], y[l]);
-        }
-    }
-
-    /// Largest absolute value: two 4-lane `vmaxq_f32` accumulators over
-    /// `vabsq_f32`-stripped lanes, collapsed by `vmaxvq_f32`. Exactly
-    /// associative, bit-identical to the scalar fold for finite inputs.
-    ///
-    /// # Safety
-    /// The caller must have verified NEON support (via [`super::supported`])
-    /// before calling.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn max_abs(v: &[f32]) -> f32 {
-        let blocks = v.len() / LANES * LANES;
-        let mut acc_lo = vdupq_n_f32(0.0);
-        let mut acc_hi = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i < blocks {
-            acc_lo = vmaxq_f32(acc_lo, vabsq_f32(vld1q_f32(v.as_ptr().add(i))));
-            acc_hi = vmaxq_f32(acc_hi, vabsq_f32(vld1q_f32(v.as_ptr().add(i + 4))));
-            i += LANES;
-        }
-        let mut m = vmaxvq_f32(vmaxq_f32(acc_lo, acc_hi));
-        for &x in &v[blocks..] {
-            m = m.max(x.abs());
-        }
-        m
-    }
-
-    /// Element-wise symmetric int8 quantization, 8 elements per block:
-    /// `vmulq_f32` → `vcvtnq_s32_f32` (round-to-nearest-even, same as the
-    /// scalar `round_ties_even`) → i32 clamp to ±127 → saturating narrows
-    /// to i8. Element-independent, so bit-identical to the scalar path for
-    /// finite inputs.
-    ///
-    /// # Safety
-    /// The caller must have verified NEON support (via [`super::supported`])
-    /// before calling.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn quantize_i8(src: &[f32], inv: f32, out: &mut [i8]) {
-        let blocks = src.len() / LANES * LANES;
-        let vinv = vdupq_n_f32(inv);
-        let vmin = vdupq_n_s32(-127);
-        let vmax = vdupq_n_s32(127);
-        let mut i = 0;
-        while i < blocks {
-            let r0 = vcvtnq_s32_f32(vmulq_f32(vld1q_f32(src.as_ptr().add(i)), vinv));
-            let r1 = vcvtnq_s32_f32(vmulq_f32(vld1q_f32(src.as_ptr().add(i + 4)), vinv));
-            let c0 = vminq_s32(vmaxq_s32(r0, vmin), vmax);
-            let c1 = vminq_s32(vmaxq_s32(r1, vmin), vmax);
-            let w = vcombine_s16(vqmovn_s32(c0), vqmovn_s32(c1));
-            vst1_s8(out.as_mut_ptr().add(i), vqmovn_s16(w));
-            i += LANES;
-        }
-        for l in blocks..src.len() {
-            out[l] = (src[l] * inv).round_ties_even().clamp(-127.0, 127.0) as i8;
-        }
-    }
-
-    /// Integer int8 dot product: full i16 products via `vmull_s8`, pairwise
-    /// add-accumulated into four i32 lanes (`vpadalq_s16`). Exact integer.
-    ///
-    /// # Safety
-    /// The caller must have verified NEON support (via [`super::supported`])
-    /// before calling.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        let blocks = a.len() / I8_BLOCK * I8_BLOCK;
-        let mut acc = vdupq_n_s32(0);
-        let mut i = 0;
-        while i < blocks {
-            let va = vld1_s8(a.as_ptr().add(i));
-            let vb = vld1_s8(b.as_ptr().add(i));
-            acc = vpadalq_s16(acc, vmull_s8(va, vb));
-            i += I8_BLOCK;
-        }
-        let mut total = vaddvq_s32(acc);
-        for l in blocks..a.len() {
-            total += a[l] as i32 * b[l] as i32;
-        }
-        total
-    }
-
-    /// Integer int8 squared distance: widened differences (`vsubl_s8`,
-    /// range ±254), squared into i32 via `vmull_s16` on each half. Exact.
-    ///
-    /// # Safety
-    /// The caller must have verified NEON support (via [`super::supported`])
-    /// before calling.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn dist_sq_i8(a: &[i8], b: &[i8]) -> i32 {
-        let blocks = a.len() / I8_BLOCK * I8_BLOCK;
-        let mut acc = vdupq_n_s32(0);
-        let mut i = 0;
-        while i < blocks {
-            let d = vsubl_s8(vld1_s8(a.as_ptr().add(i)), vld1_s8(b.as_ptr().add(i)));
-            let (lo, hi) = (vget_low_s16(d), vget_high_s16(d));
-            acc = vaddq_s32(acc, vmull_s16(lo, lo));
-            acc = vaddq_s32(acc, vmull_s16(hi, hi));
-            i += I8_BLOCK;
-        }
-        let mut total = vaddvq_s32(acc);
-        for l in blocks..a.len() {
-            let d = a[l] as i32 - b[l] as i32;
-            total += d * d;
-        }
-        total
-    }
-
-    /// One query row against a contiguous row block: the per-row loop runs
-    /// inside one `target_feature` scope, so [`dot_i8`] inlines and the
-    /// dispatch cost is paid once per batch instead of once per entry.
-    /// Exact integer (see [`super::dot_i8_batch`]).
-    ///
-    /// # Safety
-    /// The caller must have verified NEON support (via [`super::supported`])
-    /// before calling.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn dot_i8_batch(a: &[i8], rows: &[i8], out: &mut [i32]) {
-        if a.is_empty() {
-            out.fill(0);
-            return;
-        }
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(a.len())) {
-            *o = dot_i8(a, row);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1900,8 +1459,8 @@ mod tests {
         (a, b)
     }
 
-    /// Every kernel, every *available* implementation (AVX-512 and NEON
-    /// included where the host supports them), every length 0..=40
+    /// Every kernel, every *available* implementation (AVX-512 included
+    /// where the host supports it), every length 0..=40
     /// (covering all 8-lane remainders), all three magnitudes: each SIMD
     /// path must equal the scalar path bit for bit.
     #[test]
@@ -2058,9 +1617,8 @@ mod tests {
 
     /// The int8 kernels are exact integer arithmetic: every available path
     /// must equal the scalar path (and an i64 reference) on every length —
-    /// 0..=70 covers remainders of the 16-wide AVX2 block, the 32-wide
-    /// AVX-512 block, and the 8-wide NEON block — including the extreme
-    /// ±127 corners.
+    /// 0..=70 covers remainders of the 16-wide AVX2 block and the 32-wide
+    /// AVX-512 block — including the extreme ±127 corners.
     #[test]
     fn i8_kernels_exact_across_impls() {
         for imp in available() {
@@ -2145,9 +1703,8 @@ mod tests {
         assert_eq!(KernelImpl::Scalar.name(), "scalar");
         assert_eq!(KernelImpl::Avx2Fma.name(), "avx2_fma");
         assert_eq!(KernelImpl::Avx512.name(), "avx512");
-        assert_eq!(KernelImpl::Neon.name(), "neon");
         // active() must resolve to one of the known names.
-        assert!(["scalar", "avx2_fma", "avx512", "neon"].contains(&active_name()));
+        assert!(["scalar", "avx2_fma", "avx512"].contains(&active_name()));
     }
 
     /// The dispatch support probes are consistent: scalar is always

@@ -147,7 +147,7 @@ impl fmt::Display for Json {
 /// [`Json::Int`]; everything else numeric is [`Json::Num`]. Duplicate
 /// object keys are kept in order (last one wins for typical readers).
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -157,9 +157,16 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so unbounded nesting in a hostile file would overflow
+/// the stack; the deepest document this workspace writes has 7 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -201,11 +208,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("JSON nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -414,6 +432,15 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "truish", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn parse_refuses_deep_nesting() {
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
     }
 
     #[test]

@@ -8,13 +8,15 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use wym::core::algorithm1::{
-    discover_units, discover_units_cached, discover_units_reference, DiscoveryConfig,
+    discover_units, discover_units_cached, discover_units_reference, discover_units_with_threads,
+    DiscoveryConfig,
 };
 use wym::core::pairing::{
     get_sm_pairs, get_sm_pairs_cached, is_stable, is_stable_cached, PairingSim, SimMatrix,
 };
 use wym::core::pipeline::{WymConfig, WymModel};
-use wym::core::record::TokenizedRecord;
+use wym::core::record::{Side, TokenizedRecord};
+use wym::core::DecisionUnit;
 use wym::data::split::paper_split;
 use wym::data::{magellan, Entity, RecordPair};
 use wym::embed::{Embedder, EmbedderKind};
@@ -174,8 +176,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The determinism contract of the kernel layer: **every** supported
-    /// implementation on this host (AVX-512, AVX2+FMA, NEON — whatever the
-    /// CPU exposes) returns **bit-identical** f32 to the portable scalar
+    /// implementation on this host (AVX-512, AVX2+FMA — whatever the CPU
+    /// exposes) returns **bit-identical** f32 to the portable scalar
     /// path, for every kernel, across lengths 0..=64 (every 8- and 16-lane
     /// remainder) and magnitudes from 1e-6 to 1e6. `available()` ignores
     /// `WYM_KERNEL`, so this pins each genuinely distinct code path the
@@ -276,38 +278,6 @@ proptest! {
         }
     }
 
-    /// The batched int8 row-block dot under every supported implementation
-    /// equals per-row scalar `dot_i8` exactly — integer arithmetic is
-    /// associative, so blocking, masked tails, and the odd-row fallback may
-    /// not change a single result. Row counts straddle the 2-row blocking
-    /// and dims straddle the 64-byte chunking.
-    #[test]
-    fn dot_i8_batch_exact_across_dispatch(
-        a in prop::collection::vec(any::<i8>(), 1..70),
-        rows_data in prop::collection::vec(any::<i8>(), 0..700),
-    ) {
-        use wym::linalg::kernels::{available, dot_i8_batch_with, dot_i8_with, KernelImpl};
-        let d = a.len();
-        let n = rows_data.len() / d;
-        let rows = &rows_data[..n * d];
-        let expected: Vec<i32> = rows
-            .chunks_exact(d)
-            .map(|row| dot_i8_with(KernelImpl::Scalar, &a, row))
-            .collect();
-        for imp in available() {
-            let mut out = vec![0i32; n];
-            dot_i8_batch_with(imp, &a, rows, &mut out);
-            prop_assert_eq!(
-                &out, &expected,
-                "dot_i8_batch diverged for {:?} at d {} n {}", imp, d, n
-            );
-            // Empty-query degenerate case: every dot is an empty sum.
-            let mut zout = vec![1i32; n];
-            dot_i8_batch_with(imp, &[], &[], &mut zout);
-            prop_assert!(zout.iter().all(|&z| z == 0), "empty-a fill for {:?}", imp);
-        }
-    }
-
     /// The register-tiled GEMM kernels under every supported
     /// implementation equal a chain-order reference bit for bit: `gemm`
     /// (zero accumulator, aligned four-step `fma` groups skipped when all
@@ -394,46 +364,79 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The int8-screened similarity matrix ([`SimMatrix::build_tuned`] with
-    /// a floor) accepts **exactly** the same stable-marriage pair set as the
-    /// pure-f32 build at every threshold at or above the floor — same
-    /// pairs, bit-identical similarities — on random records whose token
-    /// similarities straddle the floor. Also pins the fused tokenize→embed
-    /// path transitively: both matrices come from `from_pair`, which embeds
-    /// through the arena.
-    #[test]
-    fn i8_screened_pairing_accepts_same_pair_set(
-        pair in record_pair(),
-        floor in 0.2f32..0.8,
-        bump in 0.0f32..0.19,
-    ) {
-        let rec = tokenized(&pair);
-        let left = rec.left.all_refs();
-        let right = rec.right.all_refs();
-        let plain = SimMatrix::build(&rec, PairingSim::Embedding);
-        let tuned =
-            SimMatrix::build_tuned(&rec, PairingSim::Embedding, true, Some(floor), 1);
-        let threshold = floor + bump;
-        for code_heuristic in [false, true] {
-            let expected =
-                get_sm_pairs_cached(&plain, &left, &right, threshold, code_heuristic);
-            let got = get_sm_pairs_cached(&tuned, &left, &right, threshold, code_heuristic);
-            prop_assert_eq!(
-                &expected, &got,
-                "pair sets diverged at floor {} threshold {}", floor, threshold
-            );
+/// Appends one record's decision units to `bytes`: unit count, then per
+/// unit its variant, token refs, side and similarity bits (little-endian).
+fn push_units(bytes: &mut Vec<u8>, units: &[DecisionUnit]) {
+    bytes.extend_from_slice(&(units.len() as u64).to_le_bytes());
+    for u in units {
+        match u {
+            DecisionUnit::Paired { left, right, similarity } => {
+                bytes.push(0);
+                for t in [left, right] {
+                    bytes.extend_from_slice(&t.attr.to_le_bytes());
+                    bytes.extend_from_slice(&t.pos.to_le_bytes());
+                }
+                bytes.extend_from_slice(&similarity.to_bits().to_le_bytes());
+            }
+            DecisionUnit::Unpaired { token, side } => {
+                bytes.push(1);
+                bytes.extend_from_slice(&token.attr.to_le_bytes());
+                bytes.extend_from_slice(&token.pos.to_le_bytes());
+                bytes.push(matches!(side, Side::Right) as u8);
+            }
         }
-        // Stability verdicts agree too (is_stable reads every entry but
-        // filters below the threshold, so screened entries are invisible).
-        let pairs_ref = get_sm_pairs_cached(&plain, &left, &right, threshold, false);
-        prop_assert_eq!(
-            is_stable_cached(&plain, &left, &right, &pairs_ref, threshold),
-            is_stable_cached(&tuned, &left, &right, &pairs_ref, threshold)
-        );
     }
+}
+
+/// Golden Algorithm-1 output: the FNV-1a over every discovered unit of
+/// (a) the first 40 pairs of each of the 12 synthetic datasets (seed 7,
+/// 64-d static embeddings) and (b) one long-description pair built by
+/// joining the first 12 T-AB pairs' values into one attribute per side
+/// (198 × 200 tokens at 300-d, run at 1 and 4 threads). Input (b) is far
+/// past the 400-entry similarity matrices of the datasets themselves. The
+/// kernel layer is bit-identical across `WYM_KERNEL`, so both constants
+/// hold under every dispatch.
+#[test]
+fn discovery_reproduces_golden_units() {
+    let tok = wym::tokenize::Tokenizer::default();
+    let config = DiscoveryConfig::default();
+
+    let emb = Embedder::new_static(64, 0);
+    let mut bytes = Vec::new();
+    for cfg in magellan::all_configs() {
+        let dataset = magellan::generate_by_name(cfg.name, 7).unwrap();
+        for pair in dataset.pairs.iter().take(40) {
+            let rec = TokenizedRecord::from_pair(pair, &tok, &emb);
+            push_units(&mut bytes, &discover_units(&rec, &config));
+        }
+    }
+    let fnv = wym_obs::manifest::fnv1a(&bytes);
+    assert_eq!(
+        fnv, 0x4d0c_8ef2_58a3_87f4,
+        "Algorithm 1 units changed on the datasets: fnv {fnv:016x}"
+    );
+
+    let tab = magellan::generate_by_name("T-AB", 7).unwrap();
+    let join = |side: fn(&RecordPair) -> &Entity| {
+        let values: Vec<&str> = tab.pairs[..12]
+            .iter()
+            .flat_map(|p| side(p).values.iter().map(String::as_str))
+            .collect();
+        Entity::new(vec![values.join(" ")])
+    };
+    let long =
+        RecordPair { id: 0, label: true, left: join(|p| &p.left), right: join(|p| &p.right) };
+    let rec = TokenizedRecord::from_pair(&long, &tok, &Embedder::new_static(300, 0));
+    assert_eq!((rec.left.token_count(), rec.right.token_count()), (198, 200));
+    let mut bytes = Vec::new();
+    for threads in [1, 4] {
+        push_units(&mut bytes, &discover_units_with_threads(&rec, &config, threads));
+    }
+    let fnv = wym_obs::manifest::fnv1a(&bytes);
+    assert_eq!(
+        fnv, 0x1528_02cb_5e00_6c19,
+        "Algorithm 1 units changed on the long pair: fnv {fnv:016x}"
+    );
 }
 
 /// One shared fitted model for the parallel-equivalence property — fitting
