@@ -42,7 +42,7 @@ pub use blob::{Blob, LoadMode};
 pub use format::{Artifact, ArtifactWriter, Section, SectionKind, ARTIFACT_SCHEMA_VERSION};
 pub use inspect::{content_fnv, diff, inspect, ArtifactInfo};
 pub use model::{
-    add_quantized, load_model, load_state, read_quantized, read_sketch, save_model,
+    add_manifest, add_quantized, load_model, load_state, read_quantized, read_sketch, save_model,
     save_model_with_sketch, save_state, save_state_with_sketch, LoadedModel,
 };
 pub use registry::ModelRegistry;

@@ -22,7 +22,8 @@ use wym_core::pipeline::WymModel;
 use wym_core::state::{NamedTensor, WymModelHead, WymModelState};
 use wym_embed::QuantizedTable;
 use wym_linalg::Matrix;
-use wym_obs::{Json, Manifest, ModelSketch};
+use serde::{Serialize, Value};
+use wym_obs::{pretty_json, Manifest, ModelSketch};
 
 /// Section name of the provenance manifest.
 pub const SECTION_MANIFEST: &str = "manifest";
@@ -89,13 +90,12 @@ pub fn save_state_with_sketch(
 ) -> Result<u64, ArtifactError> {
     let _span = wym_obs::span("artifact_save");
     let mut w = ArtifactWriter::new();
-    let manifest_json = Json::obj(vec![("manifest", manifest.to_json())]).pretty();
-    w.add_json(SECTION_MANIFEST, manifest_json.as_bytes());
+    add_manifest(&mut w, manifest);
     let head = serde_json::to_vec(&state.head)
         .map_err(|e| ArtifactError::format(format!("serializing model head: {e}")))?;
     w.add_json(SECTION_HEAD, &head);
     if let Some(sk) = sketch {
-        w.add_json(SECTION_SKETCH, sk.to_json().pretty().as_bytes());
+        w.add_json(SECTION_SKETCH, pretty_json(&sk.to_json()).as_bytes());
     }
     for t in &state.tensors {
         w.add_f32(
@@ -111,30 +111,36 @@ pub fn save_state_with_sketch(
     Ok(bytes)
 }
 
+/// Appends the `manifest` section: `{"manifest": <manifest>}`, laid out
+/// like the `OBS_*.json` files that carry the same header.
+pub fn add_manifest(w: &mut ArtifactWriter, manifest: &Manifest) {
+    let section = Value::object([("manifest", manifest.to_value())]);
+    w.add_json(SECTION_MANIFEST, pretty_json(&section).as_bytes());
+}
+
+/// Parses JSON section `name` of an opened artifact into a bare tree.
+fn json_section(artifact: &Artifact, name: &str) -> Result<Value, ArtifactError> {
+    let bytes = artifact.json_payload(name)?;
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| ArtifactError::format(format!("{name} section is not UTF-8")))?;
+    serde_json::from_str(text)
+        .map_err(|e| ArtifactError::format(format!("{name} section does not parse: {e}")))
+}
+
 /// Reads the drift baseline sketch out of an opened artifact, `None` when
 /// the artifact predates (or was saved without) one.
 pub fn read_sketch(artifact: &Artifact) -> Result<Option<ModelSketch>, ArtifactError> {
     if !artifact.sections().iter().any(|s| s.name == SECTION_SKETCH) {
         return Ok(None);
     }
-    let bytes = artifact.json_payload(SECTION_SKETCH)?;
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| ArtifactError::format("sketch section is not UTF-8".to_string()))?;
-    let json = wym_obs::json::parse(text)
-        .map_err(|e| ArtifactError::format(format!("sketch section does not parse: {e}")))?;
-    ModelSketch::from_json(&json)
+    ModelSketch::from_json(&json_section(artifact, SECTION_SKETCH)?)
         .map(Some)
         .map_err(|e| ArtifactError::format(format!("sketch section is malformed: {e}")))
 }
 
 /// Reads the provenance manifest out of an opened artifact.
 pub fn read_manifest(artifact: &Artifact) -> Result<Manifest, ArtifactError> {
-    let bytes = artifact.json_payload(SECTION_MANIFEST)?;
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| ArtifactError::format("manifest section is not UTF-8".to_string()))?;
-    let json = wym_obs::json::parse(text)
-        .map_err(|e| ArtifactError::format(format!("manifest section does not parse: {e}")))?;
-    Manifest::from_file_json(&json).ok_or_else(|| {
+    Manifest::from_file_json(&json_section(artifact, SECTION_MANIFEST)?).ok_or_else(|| {
         ArtifactError::format("manifest section has no `manifest` object".to_string())
     })
 }

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use wym_artifact::{
-    add_quantized, content_fnv, inspect, load_model, read_quantized, save_model,
-    save_model_with_sketch, save_state, Artifact, ArtifactWriter, LoadMode,
+    add_manifest, add_quantized, content_fnv, inspect, load_model, read_quantized, read_sketch,
+    save_model, save_model_with_sketch, save_state, Artifact, ArtifactWriter, LoadMode,
 };
 use wym_core::state::WymModelState;
 use wym_core::{WymConfig, WymModel};
@@ -190,6 +190,25 @@ fn future_schema_version_is_refused_with_upgrade_hint() {
         .to_string();
     assert!(err.contains("schema version 99"), "{err}");
     assert!(err.contains("upgrade the tools"), "{err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn hostile_sketch_bounds_are_an_error_not_a_panic() {
+    // The writer computes every checksum, so the container verifies and
+    // only the sketch's content is hostile: its score bounds decrease.
+    let mut w = ArtifactWriter::new();
+    add_manifest(&mut w, &manifest());
+    w.add_json(
+        wym_artifact::model::SECTION_SKETCH,
+        br#"{"n": 1, "scores": {"bounds": [0.9, 0.1], "counts": [0, 1, 0]},
+            "pair_rate": {"bounds": [0.5], "counts": [1, 0]}}"#,
+    );
+    let path = scratch("hostile_sketch.wyma");
+    w.write_to(&path).expect("write");
+    let artifact = Artifact::open(&path, LoadMode::Read).expect("checksums are valid");
+    let err = read_sketch(&artifact).expect_err("decreasing bounds must be refused").to_string();
+    assert!(err.contains("strictly increasing"), "{err}");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -24,13 +24,13 @@
 //! artifact size, and the mmap-vs-read comparison, under the standard
 //! provenance manifest.
 
+use serde::{Serialize, Value};
 use std::path::Path;
 use std::time::Instant;
 use wym_artifact::{self as artifact, LoadMode};
 use wym_core::WymModel;
 use wym_data::RecordPair;
 use wym_experiments::{fit_wym, print_table, HarnessOpts};
-use wym_obs::Json;
 
 wym_obs::install_tracking_alloc!();
 
@@ -153,22 +153,22 @@ fn main() {
         ]],
     );
 
-    let bench = Json::obj(vec![
-        ("manifest", manifest.to_json()),
-        ("dataset", Json::str(&dataset.name)),
-        ("kernel", Json::str(wym_linalg::kernels::active_name())),
-        ("n_pairs", Json::UInt(sample.len() as u64)),
-        ("artifact_bytes", Json::UInt(artifact_bytes)),
-        ("save_s", Json::Num(save_s)),
-        ("load_read_s", Json::Num(load_s[0])),
-        ("load_mmap_s", Json::Num(load_s[1])),
-        ("mmap_was_mapped", Json::Bool(mapped[1])),
-        ("score_checksum", Json::Num(base_checksum)),
-        ("model_fnv", Json::str(format!("{fold:016x}"))),
-        ("mismatches", Json::UInt(failures as u64)),
+    let bench = Value::object([
+        ("manifest", manifest.to_value()),
+        ("dataset", dataset.name.to_value()),
+        ("kernel", wym_linalg::kernels::active_name().to_value()),
+        ("n_pairs", sample.len().to_value()),
+        ("artifact_bytes", artifact_bytes.to_value()),
+        ("save_s", save_s.to_value()),
+        ("load_read_s", load_s[0].to_value()),
+        ("load_mmap_s", load_s[1].to_value()),
+        ("mmap_was_mapped", mapped[1].to_value()),
+        ("score_checksum", base_checksum.to_value()),
+        ("model_fnv", format!("{fold:016x}").to_value()),
+        ("mismatches", failures.to_value()),
     ]);
     let bench_path = "results/BENCH_artifact.json";
-    match std::fs::write(bench_path, bench.pretty()) {
+    match std::fs::write(bench_path, wym_obs::pretty_json(&bench)) {
         Ok(()) => println!("\n→ results saved to {bench_path}"),
         Err(e) => eprintln!("warning: could not write {bench_path}: {e}"),
     }

@@ -27,8 +27,8 @@
 //! Missing history is reported and exits 0 — the first run of a fresh
 //! checkout has nothing to compare against.
 
+use serde::Value;
 use std::process::ExitCode;
-use wym_obs::json::{self, Json};
 
 /// Per-record pipeline stages compared between runs, in display order.
 /// Keys absent from either row (older history entries predate newer
@@ -57,37 +57,12 @@ fn usage() -> &'static str {
      [--mode report|warn|gate]"
 }
 
-/// Looks up `key` in an object, returning `None` for non-objects.
-fn field<'a>(obj: &'a Json, key: &str) -> Option<&'a Json> {
-    match obj {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// Numeric field as f64; `Int`/`UInt`/`Num` all qualify.
-fn num_field(obj: &Json, key: &str) -> Option<f64> {
-    match field(obj, key)? {
-        Json::Num(f) => Some(*f),
-        Json::Int(i) => Some(*i as f64),
-        Json::UInt(u) => Some(*u as f64),
-        _ => None,
-    }
-}
-
-fn str_field<'a>(obj: &'a Json, key: &str) -> Option<&'a str> {
-    match field(obj, key)? {
-        Json::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
 /// Loads the current timing report: a JSON array of per-dataset rows.
-fn load_current(path: &str) -> Result<Vec<Json>, String> {
+fn load_current(path: &str) -> Result<Vec<Value>, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    match json::parse(&text).map_err(|e| format!("{path}: {e}"))? {
-        Json::Arr(rows) => Ok(rows),
+    match serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))? {
+        Value::Array(rows) => Ok(rows),
         _ => Err(format!("{path}: expected a JSON array of timing rows")),
     }
 }
@@ -96,7 +71,7 @@ fn load_current(path: &str) -> Result<Vec<Json>, String> {
 /// parse are skipped with a warning rather than aborting: the log is
 /// append-only across versions and a single bad line should not disable
 /// the sentinel.
-fn load_history(path: &str, source: &str) -> Result<Vec<Json>, String> {
+fn load_history(path: &str, source: &str) -> Result<Vec<Value>, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut rows = Vec::new();
@@ -104,17 +79,17 @@ fn load_history(path: &str, source: &str) -> Result<Vec<Json>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let entry = match json::parse(line) {
+        let entry: Value = match serde_json::from_str(line) {
             Ok(j) => j,
             Err(e) => {
                 eprintln!("warning: {path}:{}: skipping unparsable line: {e}", idx + 1);
                 continue;
             }
         };
-        if str_field(&entry, "source") != Some(source) {
+        if entry.get("source").and_then(Value::as_str) != Some(source) {
             continue;
         }
-        if let Some(row) = field(&entry, "row") {
+        if let Some(row) = entry.get("row") {
             rows.push(row.clone());
         }
     }
@@ -216,7 +191,13 @@ struct Regression {
 /// Compares one current row against its previous history entry, learning
 /// per-stage thresholds from `prior` (the dataset's history, oldest first,
 /// *excluding* the entry for the current run). Flags into `out`.
-fn diff_row(dataset: &str, current: &Json, prior: &[&Json], floor: f64, out: &mut Vec<Regression>) {
+fn diff_row(
+    dataset: &str,
+    current: &Value,
+    prior: &[&Value],
+    floor: f64,
+    out: &mut Vec<Regression>,
+) {
     let previous = prior.last().expect("caller guarantees prior history");
     let window_start = prior.len().saturating_sub(THRESHOLD_WINDOW);
     println!("dataset {dataset}:");
@@ -225,12 +206,15 @@ fn diff_row(dataset: &str, current: &Json, prior: &[&Json], floor: f64, out: &mu
         "stage", "previous_s", "current_s", "change", "threshold"
     );
     for key in STAGE_KEYS {
-        let (Some(prev), Some(cur)) = (num_field(previous, key), num_field(current, key))
+        let (Some(prev), Some(cur)) = (
+            previous.get(key).and_then(Value::as_f64),
+            current.get(key).and_then(Value::as_f64),
+        )
         else {
             continue;
         };
         let series: Vec<f64> =
-            prior[window_start..].iter().filter_map(|h| num_field(h, key)).collect();
+            prior[window_start..].iter().filter_map(|h| h.get(key)?.as_f64()).collect();
         let threshold = ledger_threshold(&series, floor);
         // Sub-microsecond stages are noise-dominated; compare but never flag.
         let negligible = prev < 1e-6 && cur < 1e-6;
@@ -266,13 +250,13 @@ fn run() -> Result<bool, String> {
     let mut regressions: Vec<Regression> = Vec::new();
     let mut compared = 0;
     for row in &current {
-        let dataset = str_field(row, "dataset").unwrap_or("?");
+        let dataset = row.get("dataset").and_then(Value::as_str).unwrap_or("?");
         // The timing binary appends its own run to the history log before
         // we get here, so the current run is the last matching entry and
         // "previous" is the one before it.
-        let matches: Vec<&Json> = history
+        let matches: Vec<&Value> = history
             .iter()
-            .filter(|h| str_field(h, "dataset") == Some(dataset))
+            .filter(|h| h.get("dataset").and_then(Value::as_str) == Some(dataset))
             .collect();
         if matches.len() < 2 {
             println!("dataset {dataset}: no prior history entry; nothing to compare");

@@ -16,9 +16,10 @@
 //!                [--metrics-out FILE]
 //! ```
 
+use serde::{Serialize, Value};
 use std::time::Instant;
 use wym_block::{BlockConfig, SynthConfig, BLOCK_STAGES};
-use wym_obs::{Json, Manifest, Sink, Snapshot};
+use wym_obs::{JsonFileSink, Manifest, Sink, Snapshot};
 
 wym_obs::install_tracking_alloc!();
 
@@ -107,8 +108,7 @@ impl Opts {
 /// a WYMA artifact.
 fn save_ann_table(path: &str, table: &wym_embed::QuantizedTable, manifest: &Manifest) {
     let mut w = wym_artifact::ArtifactWriter::new();
-    let manifest_json = Json::obj(vec![("manifest", manifest.to_json())]).pretty();
-    w.add_json("manifest", manifest_json.as_bytes());
+    wym_artifact::add_manifest(&mut w, manifest);
     wym_artifact::add_quantized(&mut w, "ann", table);
     if let Err(e) = w.write_to(std::path::Path::new(path)) {
         eprintln!("[blocking_scale] FAILED: cannot write {path}: {e}");
@@ -167,33 +167,22 @@ fn bench_row(
     synth_s: f64,
     block_s: f64,
     snap: &Snapshot,
-) -> Json {
-    let snap_json = snap.to_json();
-    let mut spans = Json::Arr(Vec::new());
-    let mut metrics = Vec::new();
-    if let Json::Obj(sections) = snap_json {
-        for (key, value) in sections {
-            if key == "spans" {
-                spans = value;
-            } else {
-                metrics.push((key, value));
-            }
-        }
-    }
-    Json::obj(vec![
-        ("manifest", opts.manifest().to_json()),
-        ("kernel", Json::str(wym_linalg::kernels::active_name())),
-        ("n_records", Json::UInt(opts.records as u64)),
-        ("n_candidate_pairs", Json::UInt(n_pairs as u64)),
-        ("recall_subsample", Json::Num(recall)),
-        ("subsample_size", Json::UInt(sampled as u64)),
-        ("synth_s", Json::Num(synth_s)),
-        ("block_s", Json::Num(block_s)),
-        ("candidates_per_s", Json::Num(n_pairs as f64 / block_s.max(1e-9))),
-        ("records_per_s", Json::Num(opts.records as f64 / block_s.max(1e-9))),
-        ("peak_alloc_bytes", Json::Int(wym_obs::prof::peak_live_bytes())),
+) -> Value {
+    let (spans, metrics) = wym_experiments::bench_sections(snap);
+    Value::object([
+        ("manifest", opts.manifest().to_value()),
+        ("kernel", wym_linalg::kernels::active_name().to_value()),
+        ("n_records", opts.records.to_value()),
+        ("n_candidate_pairs", n_pairs.to_value()),
+        ("recall_subsample", recall.to_value()),
+        ("subsample_size", sampled.to_value()),
+        ("synth_s", synth_s.to_value()),
+        ("block_s", block_s.to_value()),
+        ("candidates_per_s", (n_pairs as f64 / block_s.max(1e-9)).to_value()),
+        ("records_per_s", (opts.records as f64 / block_s.max(1e-9)).to_value()),
+        ("peak_alloc_bytes", wym_obs::prof::peak_live_bytes().to_value()),
         ("spans", spans),
-        ("metrics", Json::Obj(metrics)),
+        ("metrics", metrics),
     ])
 }
 
@@ -270,7 +259,7 @@ fn main() {
     } else {
         "results/BENCH_blocking.json"
     };
-    match std::fs::write(bench_path, Json::Arr(vec![row.clone()]).pretty()) {
+    match std::fs::write(bench_path, wym_obs::pretty_json(&Value::Array(vec![row.clone()]))) {
         Ok(()) => println!("\n→ results saved to {bench_path}"),
         Err(e) => eprintln!("warning: could not write {bench_path}: {e}"),
     }
@@ -280,7 +269,7 @@ fn main() {
         let _ = wym_obs::StderrSink.emit(&snap);
     }
     if let Some(path) = &opts.metrics_out {
-        let mut sink = wym_obs::JsonFileSink::new(path).with_manifest(opts.manifest());
+        let mut sink = JsonFileSink::new(path).with_manifest(opts.manifest());
         match sink.emit(&snap) {
             Ok(()) => eprintln!("→ metrics saved to {path}"),
             Err(e) => eprintln!("warning: cannot write metrics to {path}: {e}"),

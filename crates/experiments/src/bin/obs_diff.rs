@@ -42,7 +42,7 @@ struct Loaded {
 fn load(path: &str) -> Result<Loaded, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let json = wym_obs::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let json: serde::Value = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
     let version = Manifest::file_schema_version(&json);
     if version > SCHEMA_VERSION {
         return Err(format!(

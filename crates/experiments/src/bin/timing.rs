@@ -6,11 +6,11 @@
 //! explanations. Absolute numbers differ on CPU with our substrate; the
 //! breakdown shape is the reproducible claim.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::time::Instant;
 use wym_core::{discover_units, TokenizedRecord};
 use wym_experiments::{fit_wym, print_table, save_json, HarnessOpts};
-use wym_obs::{Json, Manifest, Snapshot};
+use wym_obs::{Manifest, Snapshot};
 use wym_tokenize::Tokenizer;
 
 wym_obs::install_tracking_alloc!();
@@ -33,9 +33,9 @@ struct Row {
 /// stages come from [`wym_core::pipeline::FitTimings`]; inference-side
 /// stages are absolute seconds over the explained test slice.
 ///
-/// The file is emitted through the `wym-obs` JSON sink: each row keeps all
-/// of the keys below (old consumers keep working) and additionally carries
-/// that dataset's recorded `spans` array and `metrics` object.
+/// Each row keeps all of the keys below (old consumers keep working) and
+/// additionally carries that dataset's recorded `spans` array and
+/// `metrics` object, laid out like the `OBS_*.json` exports.
 struct BenchRow {
     dataset: String,
     n_train: usize,
@@ -80,41 +80,30 @@ impl BenchRow {
     /// The row as JSON: the run's provenance `manifest` first, then the
     /// backward-compatible flat keys, then the dataset's observability
     /// snapshot as `spans` / `metrics` sections.
-    fn to_json(&self, manifest: &Manifest, snap: &Snapshot) -> Json {
-        let snap_json = snap.to_json();
-        let mut spans = Json::Arr(Vec::new());
-        let mut metrics = Vec::new();
-        if let Json::Obj(sections) = snap_json {
-            for (key, value) in sections {
-                if key == "spans" {
-                    spans = value;
-                } else {
-                    metrics.push((key, value));
-                }
-            }
-        }
-        Json::obj(vec![
-            ("manifest", manifest.to_json()),
-            ("dataset", Json::str(&self.dataset)),
-            ("kernel", Json::str(wym_linalg::kernels::active_name())),
-            ("n_train", Json::UInt(self.n_train as u64)),
-            ("n_explained", Json::UInt(self.n_explained as u64)),
-            ("fit_s", Json::Num(self.fit_s)),
-            ("embed_fit_s", Json::Num(self.embed_fit_s)),
-            ("discover_fit_s", Json::Num(self.discover_fit_s)),
-            ("score_train_s", Json::Num(self.score_train_s)),
-            ("pool_fit_s", Json::Num(self.pool_fit_s)),
-            ("tokenize_s", Json::Num(self.tokenize_s)),
-            ("embed_s", Json::Num(self.embed_s)),
-            ("discover_s", Json::Num(self.discover_s)),
-            ("score_s", Json::Num(self.score_s)),
-            ("score_batch_s", Json::Num(self.score_batch_s)),
-            ("predict_s", Json::Num(self.predict_s)),
-            ("impact_s", Json::Num(self.impact_s)),
-            ("embed_alloc_ref_bytes", Json::UInt(self.embed_alloc_ref_bytes)),
-            ("embed_alloc_fused_bytes", Json::UInt(self.embed_alloc_fused_bytes)),
+    fn to_json(&self, manifest: &Manifest, snap: &Snapshot) -> Value {
+        let (spans, metrics) = wym_experiments::bench_sections(snap);
+        Value::object([
+            ("manifest", manifest.to_value()),
+            ("dataset", self.dataset.to_value()),
+            ("kernel", wym_linalg::kernels::active_name().to_value()),
+            ("n_train", self.n_train.to_value()),
+            ("n_explained", self.n_explained.to_value()),
+            ("fit_s", self.fit_s.to_value()),
+            ("embed_fit_s", self.embed_fit_s.to_value()),
+            ("discover_fit_s", self.discover_fit_s.to_value()),
+            ("score_train_s", self.score_train_s.to_value()),
+            ("pool_fit_s", self.pool_fit_s.to_value()),
+            ("tokenize_s", self.tokenize_s.to_value()),
+            ("embed_s", self.embed_s.to_value()),
+            ("discover_s", self.discover_s.to_value()),
+            ("score_s", self.score_s.to_value()),
+            ("score_batch_s", self.score_batch_s.to_value()),
+            ("predict_s", self.predict_s.to_value()),
+            ("impact_s", self.impact_s.to_value()),
+            ("embed_alloc_ref_bytes", self.embed_alloc_ref_bytes.to_value()),
+            ("embed_alloc_fused_bytes", self.embed_alloc_fused_bytes.to_value()),
             ("spans", spans),
-            ("metrics", Json::Obj(metrics)),
+            ("metrics", metrics),
         ])
     }
 }
@@ -127,7 +116,7 @@ fn main() {
     wym_obs::set_enabled(true);
     let tokenizer = Tokenizer::default();
     let mut rows_json = Vec::new();
-    let mut bench_json: Vec<Json> = Vec::new();
+    let mut bench_json: Vec<Value> = Vec::new();
     let mut rows = Vec::new();
     for dataset in opts.datasets() {
         eprintln!("[timing] {}", dataset.name);
@@ -311,11 +300,11 @@ fn main() {
         &rows,
     );
     save_json("timing", &rows_json);
-    // BENCH_timing.json goes through the obs JSON writer so the per-dataset
-    // spans/metrics sections share one serializer with OBS_*.json exports.
+    // BENCH_timing.json uses the OBS_*.json file layout (pretty, with a
+    // trailing newline), unlike the plain results files save_json writes.
     let _ = std::fs::create_dir_all("results");
     let bench_path = "results/BENCH_timing.json";
-    match std::fs::write(bench_path, Json::Arr(bench_json.clone()).pretty()) {
+    match std::fs::write(bench_path, wym_obs::pretty_json(&Value::Array(bench_json.clone()))) {
         Ok(()) => println!("\n→ results saved to {bench_path}"),
         Err(e) => eprintln!("warning: could not write {bench_path}: {e}"),
     }

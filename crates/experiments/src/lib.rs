@@ -11,7 +11,7 @@
 //! cap and restores the paper's 40 epochs; `--quick` shrinks everything for
 //! smoke runs.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::path::PathBuf;
 use std::time::Instant;
 use wym_core::{WymConfig, WymModel};
@@ -219,7 +219,7 @@ impl HarnessOpts {
     /// and folded-stack flamegraphs under `--flame`. Call once at the end
     /// of an experiment binary; a no-op when no obs flag was given.
     pub fn flush_obs(&self, name: &str) {
-        use wym_obs::Sink;
+        use wym_obs::{JsonFileSink, Sink};
         // The chrome-trace export reads the flight recorder, not the
         // metrics recorder, so it works even for fully untraced runs.
         if let Some(path) = &self.chrome_trace {
@@ -239,7 +239,7 @@ impl HarnessOpts {
             .metrics_out
             .clone()
             .unwrap_or_else(|| format!("results/OBS_{name}.json"));
-        let mut sink = wym_obs::JsonFileSink::new(&path).with_manifest(self.manifest(name));
+        let mut sink = JsonFileSink::new(&path).with_manifest(self.manifest(name));
         match sink.emit(&snap) {
             Ok(()) => eprintln!("→ metrics saved to {path}"),
             Err(e) => eprintln!("warning: cannot write metrics to {path}: {e}"),
@@ -381,6 +381,23 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// A snapshot as the two sections a BENCH row embeds: the `spans` array,
+/// and a `metrics` object holding every other snapshot section in order.
+pub fn bench_sections(snap: &wym_obs::Snapshot) -> (Value, Value) {
+    let mut spans = Value::Array(Vec::new());
+    let mut metrics = Vec::new();
+    if let Value::Object(sections) = snap.to_json() {
+        for (key, value) in sections {
+            if key == "spans" {
+                spans = value;
+            } else {
+                metrics.push((key, value));
+            }
+        }
+    }
+    (spans, Value::Object(metrics))
+}
+
 /// Rotation bounds for `results/BENCH_history.jsonl`: when the ledger
 /// exceeds [`HISTORY_MAX_LINES`] lines or [`HISTORY_MAX_BYTES`] bytes
 /// after an append, it is rewritten keeping the newest
@@ -402,7 +419,7 @@ pub const HISTORY_MAX_BYTES: u64 = 8 * 1024 * 1024;
 /// history is telemetry, not a gate. Runs with a flight fault injection
 /// armed are skipped entirely — an injected stall would poison the timing
 /// ledger `bench_diff` reads its thresholds from.
-pub fn append_bench_history(source: &str, rows: &[wym_obs::Json]) {
+pub fn append_bench_history(source: &str, rows: &[Value]) {
     use std::io::Write;
     if wym_obs::ring::injection_armed() {
         eprintln!("→ fault injection armed; BENCH history append skipped");
@@ -413,11 +430,8 @@ pub fn append_bench_history(source: &str, rows: &[wym_obs::Json]) {
     let path = dir.join("BENCH_history.jsonl");
     let mut out = String::new();
     for row in rows {
-        let line = wym_obs::Json::obj(vec![
-            ("source", wym_obs::Json::str(source)),
-            ("row", row.clone()),
-        ]);
-        out.push_str(&line.render());
+        let line = Value::object([("source", source.to_value()), ("row", row.clone())]);
+        out.push_str(&serde_json::to_string(&line).expect("a Value tree always prints"));
         out.push('\n');
     }
     let appended = std::fs::OpenOptions::new()

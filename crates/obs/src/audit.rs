@@ -27,8 +27,8 @@
 //! a [`suppress`] scope so a decision never double-logs. The surviving
 //! record is the richer one (kind `explain`, with impacts).
 
-use crate::json::Json;
 use crate::manifest::fnv1a;
+use serde::{Serialize, Value};
 use std::cell::{Cell, RefCell};
 use std::io::Write;
 use std::path::Path;
@@ -90,43 +90,33 @@ impl DecisionRecord {
     /// The record as one JSONL object. `f32` fields widen to `f64`
     /// (exactly) and render shortest-exact, so serialization is
     /// bit-faithful and deterministic.
-    pub fn to_json(&self) -> Json {
+    pub fn to_json(&self) -> Value {
+        let impacts = self.top_impacts.iter().map(|(attr, impact)| {
+            Value::object([("attribute", attr.to_value()), ("impact", impact.to_value())])
+        });
         let mut fields = vec![
-            ("seq", Json::UInt(self.seq)),
-            ("trace", Json::str(format!("{:016x}", self.trace))),
-            ("record_id", Json::UInt(self.record_id)),
-            ("kind", Json::str(&self.kind)),
-            ("verdict", Json::Bool(self.verdict)),
-            ("score", Json::Num(self.score as f64)),
-            ("margin", Json::Num(self.margin as f64)),
-            ("units", Json::UInt(self.units as u64)),
-            ("paired_units", Json::UInt(self.paired_units as u64)),
-            (
-                "top_impacts",
-                Json::Arr(
-                    self.top_impacts
-                        .iter()
-                        .map(|(attr, impact)| {
-                            Json::obj(vec![
-                                ("attribute", Json::str(attr)),
-                                ("impact", Json::Num(*impact as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("model_fnv", Json::str(format!("{:016x}", self.model_fnv))),
+            ("seq", self.seq.to_value()),
+            ("trace", format!("{:016x}", self.trace).to_value()),
+            ("record_id", self.record_id.to_value()),
+            ("kind", self.kind.to_value()),
+            ("verdict", self.verdict.to_value()),
+            ("score", self.score.to_value()),
+            ("margin", self.margin.to_value()),
+            ("units", self.units.to_value()),
+            ("paired_units", self.paired_units.to_value()),
+            ("top_impacts", Value::Array(impacts.collect())),
+            ("model_fnv", format!("{:016x}", self.model_fnv).to_value()),
         ];
         if let Some(cost) = &self.cost {
             fields.push((
                 "cost",
-                Json::obj(vec![
-                    ("wall_ns", Json::UInt(cost.wall_ns)),
-                    ("alloc_bytes", Json::UInt(cost.alloc_bytes)),
+                Value::object([
+                    ("wall_ns", cost.wall_ns.to_value()),
+                    ("alloc_bytes", cost.alloc_bytes.to_value()),
                 ]),
             ));
         }
-        Json::obj(fields)
+        Value::object(fields)
     }
 }
 
@@ -285,7 +275,8 @@ impl AuditLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for record in self.sorted() {
-            out.push_str(&record.to_json().render());
+            let line = serde_json::to_string(&record.to_json());
+            out.push_str(&line.expect("a Value tree always prints"));
             out.push('\n');
         }
         out
@@ -465,7 +456,7 @@ mod tests {
         assert_eq!(rec.margin, 0.75f32 - 0.5f32);
         assert_eq!(rec.trace, trace_id(0xabcd, 7, 42));
         assert_eq!(rec.model_fnv, 0xabcd);
-        let line = rec.to_json().render();
+        let line = serde_json::to_string(&rec.to_json()).unwrap();
         for needle in ["\"seq\":7", "\"kind\":\"explain\"", "\"attribute\":\"title\""] {
             assert!(line.contains(needle), "missing {needle} in {line}");
         }

@@ -13,8 +13,8 @@
 //!   evicted) rides in the top-level `metadata` object.
 //!
 //! [`summarize`] is the reader side: `wym obs flight <dump>` parses a
-//! written trace back with [`crate::json::parse`] and prints the tail
-//! summary, so a dump is useful even without a trace viewer at hand.
+//! written trace back with `serde_json` and prints the tail summary, so a
+//! dump is useful even without a trace viewer at hand.
 //!
 //! Dumps carry wall-clock timestamps and are inherently nondeterministic —
 //! they are never written into `obs_diff`-checked snapshots, and
@@ -22,8 +22,8 @@
 //!
 //! [Trace Event spec]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::json::{self, Json};
 use crate::ring::{EventKind, FlightDump};
+use serde::{Serialize, Value};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -41,82 +41,72 @@ fn phase(kind: EventKind) -> &'static str {
     }
 }
 
+/// Microseconds since the flight epoch, the trace-event time unit.
+fn ts_us(ts_ns: u64) -> Value {
+    (ts_ns as f64 / 1000.0).to_value()
+}
+
 /// The dump as a Chrome trace-event JSON object
 /// (`{"traceEvents": [...], "metadata": {...}}`).
-pub fn to_chrome_json(dump: &FlightDump) -> Json {
+pub fn to_chrome_json(dump: &FlightDump) -> Value {
     let mut events = Vec::new();
     let mut thread_meta = Vec::new();
     for t in &dump.threads {
-        events.push(Json::obj(vec![
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::UInt(1)),
-            ("tid", Json::UInt(t.tid)),
-            ("args", Json::obj(vec![(
-                "name",
-                Json::str(format!("lane {} [{}]", t.tid, t.label)),
-            )])),
+        events.push(Value::object([
+            ("name", "thread_name".to_value()),
+            ("ph", "M".to_value()),
+            ("pid", 1u64.to_value()),
+            ("tid", t.tid.to_value()),
+            ("args", Value::object([("name", format!("lane {} [{}]", t.tid, t.label).to_value())])),
         ]));
         for e in &t.events {
             let mut fields = vec![
-                ("name", Json::str(&e.name)),
-                ("ph", Json::str(phase(e.kind))),
-                ("pid", Json::UInt(1)),
-                ("tid", Json::UInt(t.tid)),
-                ("ts", Json::Num(e.ts_ns as f64 / 1000.0)),
+                ("name", e.name.to_value()),
+                ("ph", phase(e.kind).to_value()),
+                ("pid", 1u64.to_value()),
+                ("tid", t.tid.to_value()),
+                ("ts", ts_us(e.ts_ns)),
             ];
+            let arg = |key: &str| Value::object([(key, e.value.to_value())]);
             match e.kind {
                 EventKind::Enter => {}
-                EventKind::Exit => {
-                    fields.push(("args", Json::obj(vec![("dur_ns", Json::Num(e.value))])));
-                }
-                EventKind::Counter => {
-                    fields.push(("args", Json::obj(vec![("value", Json::Num(e.value))])));
-                }
+                EventKind::Exit => fields.push(("args", arg("dur_ns"))),
+                EventKind::Counter => fields.push(("args", arg("value"))),
                 EventKind::Decision => {
-                    fields.push(("s", Json::str("t")));
-                    fields.push(("args", Json::obj(vec![("score", Json::Num(e.value))])));
+                    fields.push(("s", "t".to_value()));
+                    fields.push(("args", arg("score")));
                 }
-                EventKind::Mark => {
-                    fields.push(("s", Json::str("t")));
-                }
+                EventKind::Mark => fields.push(("s", "t".to_value())),
             }
-            events.push(Json::obj(fields));
+            events.push(Value::object(fields));
         }
-        thread_meta.push(Json::obj(vec![
-            ("tid", Json::UInt(t.tid)),
-            ("label", Json::str(&t.label)),
-            ("events", Json::UInt(t.events.len() as u64)),
-            ("dropped", Json::UInt(t.dropped)),
-            (
-                "open",
-                Json::Arr(
-                    t.open
-                        .iter()
-                        .map(|o| {
-                            Json::obj(vec![
-                                ("name", Json::str(&o.name)),
-                                ("ts", Json::Num(o.ts_ns as f64 / 1000.0)),
-                                ("open_ms", Json::UInt(o.open_ms)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+        let open = t.open.iter().map(|o| {
+            Value::object([
+                ("name", o.name.to_value()),
+                ("ts", ts_us(o.ts_ns)),
+                ("open_ms", o.open_ms.to_value()),
+            ])
+        });
+        thread_meta.push(Value::object([
+            ("tid", t.tid.to_value()),
+            ("label", t.label.to_value()),
+            ("events", t.events.len().to_value()),
+            ("dropped", t.dropped.to_value()),
+            ("open", Value::Array(open.collect())),
         ]));
     }
-    Json::obj(vec![
-        ("displayTimeUnit", Json::str("ms")),
-        ("traceEvents", Json::Arr(events)),
+    Value::object([
+        ("displayTimeUnit", "ms".to_value()),
+        ("traceEvents", Value::Array(events)),
         (
             "metadata",
-            Json::obj(vec![
-                ("tool", Json::str("wym-obs flight recorder")),
-                ("reason", Json::str(&dump.reason)),
-                ("captured_unix_ms", Json::UInt(dump.captured_unix_ms)),
-                ("captured_ts_us", Json::Num(dump.captured_ts_ns as f64 / 1000.0)),
-                ("ring_capacity", Json::UInt(dump.capacity as u64)),
-                ("threads", Json::Arr(thread_meta)),
+            Value::object([
+                ("tool", "wym-obs flight recorder".to_value()),
+                ("reason", dump.reason.to_value()),
+                ("captured_unix_ms", dump.captured_unix_ms.to_value()),
+                ("captured_ts_us", ts_us(dump.captured_ts_ns)),
+                ("ring_capacity", dump.capacity.to_value()),
+                ("threads", Value::Array(thread_meta)),
             ]),
         ),
     ])
@@ -221,14 +211,8 @@ pub fn write_dump_files(
 /// number of trace events written (including lane-name metadata events).
 pub fn write_chrome_file(path: &Path, dump: &FlightDump) -> std::io::Result<usize> {
     let trace = to_chrome_json(dump);
-    let n = match &trace {
-        Json::Obj(fields) => fields
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .map_or(0, |(_, v)| match v {
-                Json::Arr(events) => events.len(),
-                _ => 0,
-            }),
+    let n = match trace.get("traceEvents") {
+        Some(Value::Array(events)) => events.len(),
         _ => 0,
     };
     if let Some(parent) = path.parent() {
@@ -236,73 +220,41 @@ pub fn write_chrome_file(path: &Path, dump: &FlightDump) -> std::io::Result<usiz
             std::fs::create_dir_all(parent)?;
         }
     }
-    std::fs::File::create(path)?.write_all(trace.pretty().as_bytes())?;
+    std::fs::File::create(path)?.write_all(crate::pretty_json(&trace).as_bytes())?;
     Ok(n)
 }
 
 // ── Summarization (the `wym obs flight` reader) ─────────────────────────
 
-fn obj_get<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
-    match v {
-        Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn as_str(v: &Json) -> Option<&str> {
-    match v {
-        Json::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &Json) -> Option<f64> {
-    match v {
-        Json::Num(n) => Some(*n),
-        Json::Int(n) => Some(*n as f64),
-        Json::UInt(n) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-fn as_u64(v: &Json) -> Option<u64> {
-    match v {
-        Json::UInt(n) => Some(*n),
-        Json::Int(n) => u64::try_from(*n).ok(),
-        Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
 /// Summarizes a parsed Chrome trace written by this module: dump
 /// provenance, last events per lane, spans open at capture, and the
 /// decision tail. Errors describe what made the input unreadable.
-pub fn summarize(trace: &Json) -> Result<String, String> {
-    let events = match obj_get(trace, "traceEvents") {
-        Some(Json::Arr(events)) => events,
+pub fn summarize(trace: &Value) -> Result<String, String> {
+    let events = match trace.get("traceEvents") {
+        Some(Value::Array(events)) => events,
         _ => return Err("no traceEvents array — not a Chrome trace-event file".to_string()),
     };
-    let meta = obj_get(trace, "metadata");
+    let meta = trace.get("metadata");
     let mut out = String::new();
     out.push_str("── flight dump summary ───────────────────────────────\n");
     if let Some(meta) = meta {
-        if let Some(reason) = obj_get(meta, "reason").and_then(as_str) {
+        if let Some(reason) = meta.get("reason").and_then(Value::as_str) {
             out.push_str(&format!("reason:    {reason}\n"));
         }
-        if let Some(ms) = obj_get(meta, "captured_unix_ms").and_then(as_u64) {
+        if let Some(ms) = meta.get("captured_unix_ms").and_then(Value::as_u64) {
             out.push_str(&format!("captured:  unix {ms} ms\n"));
         }
-        if let Some(cap) = obj_get(meta, "ring_capacity").and_then(as_u64) {
+        if let Some(cap) = meta.get("ring_capacity").and_then(Value::as_u64) {
             out.push_str(&format!("capacity:  {cap} events per lane\n"));
         }
     }
     out.push_str(&format!("trace:     {} events\n", events.len()));
 
     // Lane labels from M metadata events; real events grouped per lane.
-    let mut lanes: Vec<(u64, String, Vec<&Json>)> = Vec::new();
+    let mut lanes: Vec<(u64, String, Vec<&Value>)> = Vec::new();
     for e in events {
-        let tid = obj_get(e, "tid").and_then(as_u64).unwrap_or(0);
-        let ph = obj_get(e, "ph").and_then(as_str).unwrap_or("");
+        let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
+        let ph = e.get("ph").and_then(Value::as_str).unwrap_or("");
         let lane = match lanes.iter_mut().find(|(t, _, _)| *t == tid) {
             Some(lane) => lane,
             None => {
@@ -312,7 +264,7 @@ pub fn summarize(trace: &Json) -> Result<String, String> {
         };
         if ph == "M" {
             if let Some(name) =
-                obj_get(e, "args").and_then(|a| obj_get(a, "name")).and_then(as_str)
+                e.get("args").and_then(|a| a.get("name")).and_then(Value::as_str)
             {
                 lane.1 = name.to_string();
             }
@@ -325,24 +277,24 @@ pub fn summarize(trace: &Json) -> Result<String, String> {
     for (tid, label, lane_events) in &lanes {
         out.push_str(&format!("\n{label} — {} events\n", lane_events.len()));
         if let Some(meta) = meta {
-            let lane_meta = match obj_get(meta, "threads") {
-                Some(Json::Arr(threads)) => threads
+            let lane_meta = match meta.get("threads") {
+                Some(Value::Array(threads)) => threads
                     .iter()
-                    .find(|t| obj_get(t, "tid").and_then(as_u64) == Some(*tid)),
+                    .find(|t| t.get("tid").and_then(Value::as_u64) == Some(*tid)),
                 _ => None,
             };
             if let Some(lm) = lane_meta {
-                if let Some(dropped) = obj_get(lm, "dropped").and_then(as_u64) {
+                if let Some(dropped) = lm.get("dropped").and_then(Value::as_u64) {
                     if dropped > 0 {
                         out.push_str(&format!("  dropped:  {dropped} evicted events\n"));
                     }
                 }
-                if let Some(Json::Arr(open)) = obj_get(lm, "open") {
+                if let Some(Value::Array(open)) = lm.get("open") {
                     if !open.is_empty() {
                         out.push_str("  open at capture:\n");
                         for o in open {
-                            let name = obj_get(o, "name").and_then(as_str).unwrap_or("?");
-                            let open_ms = obj_get(o, "open_ms").and_then(as_u64).unwrap_or(0);
+                            let name = o.get("name").and_then(Value::as_str).unwrap_or("?");
+                            let open_ms = o.get("open_ms").and_then(Value::as_u64).unwrap_or(0);
                             out.push_str(&format!("    {name}  open {open_ms} ms\n"));
                         }
                     }
@@ -352,9 +304,9 @@ pub fn summarize(trace: &Json) -> Result<String, String> {
         let tail = lane_events.len().saturating_sub(TAIL_EVENTS);
         out.push_str(&format!("  last {} events:\n", lane_events.len() - tail));
         for e in &lane_events[tail..] {
-            let name = obj_get(e, "name").and_then(as_str).unwrap_or("?");
-            let ph = obj_get(e, "ph").and_then(as_str).unwrap_or("?");
-            let ts = obj_get(e, "ts").and_then(as_f64).unwrap_or(0.0);
+            let name = e.get("name").and_then(Value::as_str).unwrap_or("?");
+            let ph = e.get("ph").and_then(Value::as_str).unwrap_or("?");
+            let ts = e.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
             out.push_str(&format!("    {:>12.3}ms {ph} {name}\n", ts / 1000.0));
         }
     }
@@ -363,14 +315,14 @@ pub fn summarize(trace: &Json) -> Result<String, String> {
         .iter()
         .flat_map(|(_, _, lane_events)| lane_events.iter())
         .filter_map(|e| {
-            let name = obj_get(e, "name").and_then(as_str)?;
+            let name = e.get("name").and_then(Value::as_str)?;
             if !name.starts_with("decision.") {
                 return None;
             }
-            let ts = obj_get(e, "ts").and_then(as_f64).unwrap_or(0.0);
-            let score = obj_get(e, "args")
-                .and_then(|a| obj_get(a, "score"))
-                .and_then(as_f64)
+            let ts = e.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
+            let score = e.get("args")
+                .and_then(|a| a.get("score"))
+                .and_then(Value::as_f64)
                 .unwrap_or(f64::NAN);
             Some((ts, format!("{:>12.3}ms {name}  score={score:.4}", ts / 1000.0)))
         })
@@ -390,7 +342,8 @@ pub fn summarize(trace: &Json) -> Result<String, String> {
 pub fn summarize_file(path: &Path) -> Result<String, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let trace = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let trace: Value =
+        serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     summarize(&trace)
 }
 
@@ -418,19 +371,18 @@ mod tests {
     fn chrome_json_has_phases_and_metadata() {
         let dump = sample_dump();
         let trace = to_chrome_json(&dump);
-        let text = trace.pretty();
-        let parsed = json::parse(&text).expect("written trace must parse");
-        let events = match obj_get(&parsed, "traceEvents") {
-            Some(Json::Arr(events)) => events,
-            _ => panic!("missing traceEvents"),
+        let text = crate::pretty_json(&trace);
+        let parsed: Value = serde_json::from_str(&text).expect("written trace must parse");
+        let Some(Value::Array(events)) = parsed.get("traceEvents") else {
+            panic!("missing traceEvents");
         };
         let phases: Vec<&str> =
-            events.iter().filter_map(|e| obj_get(e, "ph").and_then(as_str)).collect();
+            events.iter().filter_map(|e| e.get("ph").and_then(Value::as_str)).collect();
         for needed in ["M", "B", "E", "C", "i"] {
             assert!(phases.contains(&needed), "missing phase {needed} in {phases:?}");
         }
-        let meta = obj_get(&parsed, "metadata").expect("metadata");
-        assert_eq!(obj_get(meta, "reason").and_then(as_str), Some("test: sample"));
+        let meta = parsed.get("metadata").expect("metadata");
+        assert_eq!(meta.get("reason").and_then(Value::as_str), Some("test: sample"));
         assert!(text.contains("chrome_inner") && text.contains("thread_name"));
     }
 
@@ -446,7 +398,7 @@ mod tests {
 
     #[test]
     fn summarize_rejects_non_trace_json() {
-        let err = summarize(&Json::obj(vec![("spans", Json::Arr(Vec::new()))]))
+        let err = summarize(&Value::object([("spans", Value::Array(Vec::new()))]))
             .expect_err("not a trace");
         assert!(err.contains("traceEvents"));
     }

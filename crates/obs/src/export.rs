@@ -103,8 +103,8 @@ fn escape_label(v: &str) -> String {
 }
 
 /// Prometheus accepts the usual float spellings; reuse the workspace's
-/// shortest-exact rendering via Json for consistency, special-casing the
-/// infinities it cannot carry.
+/// shortest-exact JSON rendering for consistency, special-casing the
+/// infinities and NaN it cannot carry.
 fn fmt_f64(v: f64) -> String {
     if v == f64::INFINITY {
         "+Inf".to_string()
@@ -113,7 +113,7 @@ fn fmt_f64(v: f64) -> String {
     } else if v.is_nan() {
         "NaN".to_string()
     } else {
-        crate::json::Json::Num(v).render()
+        serde_json::to_string(&v).expect("a finite float always prints")
     }
 }
 

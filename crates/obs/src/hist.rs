@@ -11,6 +11,15 @@
 //!
 //! A value exactly on a boundary therefore always lands in the bucket
 //! *above* it.
+//!
+//! This module also holds the one JSON codec for histograms: the
+//! five-key form window frames and drift sketches store
+//! ([`Histogram::to_json`]), the seven-key form snapshots store
+//! ([`Histogram::to_json_with_stats`]), and one reader for both
+//! ([`Histogram::from_json`]) that rejects hostile parts instead of
+//! panicking.
+
+use serde::{Serialize, Value};
 
 /// The default bucket boundaries: a log-ish ladder wide enough for the
 /// quantities WYM records (ratios, counts per record, losses, seconds).
@@ -42,11 +51,9 @@ impl Histogram {
     /// # Panics
     /// Panics when `bounds` is empty or not strictly increasing.
     pub fn new(bounds: &[f64]) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one boundary");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram boundaries must be strictly increasing: {bounds:?}"
-        );
+        if let Err(e) = check_bounds(bounds) {
+            panic!("{e}");
+        }
         Histogram {
             bounds: bounds.to_vec(),
             counts: vec![0; bounds.len() + 1],
@@ -76,13 +83,16 @@ impl Histogram {
         }
     }
 
-    /// Rebuilds a histogram from exported parts (the `obs_diff` read path).
-    /// The total count is derived from the bucket counts, so a rebuilt
-    /// histogram always satisfies the per-bucket/total consistency
+    /// Rebuilds a histogram from exported parts (the [`Histogram::from_json`]
+    /// read path). The total count is derived from the bucket counts, so a
+    /// rebuilt histogram always satisfies the per-bucket/total consistency
     /// invariant. `min`/`max` use the empty sentinels (+∞/−∞) when absent.
     ///
     /// # Errors
-    /// Rejects a `counts` slice whose length is not `bounds.len() + 1`.
+    /// The parts come from files, so everything [`Histogram::new`] would
+    /// panic on is an error here: empty or non-increasing `bounds`. Also
+    /// rejects a `counts` slice whose length is not `bounds.len() + 1` and
+    /// bucket counts whose total overflows `u64`.
     pub fn from_parts(
         bounds: &[f64],
         counts: &[u64],
@@ -90,6 +100,7 @@ impl Histogram {
         min: f64,
         max: f64,
     ) -> Result<Histogram, String> {
+        check_bounds(bounds)?;
         if counts.len() != bounds.len() + 1 {
             return Err(format!(
                 "histogram needs {} bucket counts for {} bounds, got {}",
@@ -98,13 +109,70 @@ impl Histogram {
                 counts.len()
             ));
         }
-        let mut h = Histogram::new(bounds);
-        h.counts = counts.to_vec();
-        h.count = counts.iter().sum();
-        h.sum = sum;
-        h.min = min;
-        h.max = max;
-        Ok(h)
+        let count = counts
+            .iter()
+            .try_fold(0u64, |total, &c| total.checked_add(c))
+            .ok_or("histogram bucket counts overflow u64")?;
+        Ok(Histogram { bounds: bounds.to_vec(), counts: counts.to_vec(), count, sum, min, max })
+    }
+
+    /// The histogram as the five-key JSON object window frames and drift
+    /// sketches store: `bounds`, `counts`, `sum`, `min`, `max`. The
+    /// extrema are `null` while the histogram is empty.
+    pub fn to_json(&self) -> Value {
+        self.json(false)
+    }
+
+    /// The seven-key JSON object snapshots (`OBS_*.json`) store:
+    /// [`Histogram::to_json`] plus the derived `count` (after `counts`)
+    /// and `mean` (after `sum`).
+    pub fn to_json_with_stats(&self) -> Value {
+        self.json(true)
+    }
+
+    fn json(&self, stats: bool) -> Value {
+        let extremum = |v: f64| if self.count == 0 { Value::Null } else { v.to_value() };
+        let mut fields =
+            vec![("bounds", self.bounds.to_value()), ("counts", self.counts.to_value())];
+        if stats {
+            fields.push(("count", self.count.to_value()));
+        }
+        fields.push(("sum", self.sum.to_value()));
+        if stats {
+            fields.push(("mean", self.mean().to_value()));
+        }
+        fields.push(("min", extremum(self.min)));
+        fields.push(("max", extremum(self.max)));
+        Value::object(fields)
+    }
+
+    /// Parses either JSON form back. The derived `count` and `mean` are
+    /// ignored; a missing or `null` extremum reads as its empty sentinel.
+    ///
+    /// # Errors
+    /// Rejects missing or non-numeric `bounds` / `counts`, and everything
+    /// [`Histogram::from_parts`] rejects.
+    pub fn from_json(v: &Value) -> Result<Histogram, String> {
+        let Some(Value::Array(bounds)) = v.get("bounds") else {
+            return Err("histogram missing bounds".to_string());
+        };
+        let Some(Value::Array(counts)) = v.get("counts") else {
+            return Err("histogram missing counts".to_string());
+        };
+        let bounds: Vec<f64> =
+            bounds.iter().map(|b| b.as_f64().ok_or("bad bound")).collect::<Result<_, _>>()?;
+        let counts: Vec<u64> = counts
+            .iter()
+            .map(|c| c.as_u64().ok_or("bad bucket count"))
+            .collect::<Result<_, _>>()?;
+        let stat = |key: &str, empty: f64| v.get(key).and_then(Value::as_f64).unwrap_or(empty);
+        Histogram::from_parts(
+            &bounds,
+            &counts,
+            stat("sum", 0.0),
+            stat("min", f64::INFINITY),
+            stat("max", f64::NEG_INFINITY),
+        )
     }
 
     /// Folds `other` into `self`: per-bucket counts, total count, and sum
@@ -213,6 +281,18 @@ impl Histogram {
         // toward hand-built parts instead of panicking.
         Some(self.max)
     }
+}
+
+/// Checks the boundary contract: at least one boundary, strictly
+/// increasing (which also rules out NaN).
+fn check_bounds(bounds: &[f64]) -> Result<(), String> {
+    if bounds.is_empty() {
+        return Err("histogram needs at least one boundary".to_string());
+    }
+    if !bounds.windows(2).all(|w| w[0] < w[1]) {
+        return Err(format!("histogram boundaries must be strictly increasing: {bounds:?}"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -359,5 +439,53 @@ mod tests {
             Histogram::from_parts(h.bounds(), h.counts(), h.sum(), h.min(), h.max()).unwrap();
         assert_eq!(back, h);
         assert!(Histogram::from_parts(&[1.0, 2.0], &[1, 2], 0.0, 0.0, 0.0).is_err());
+    }
+
+    #[test]
+    fn json_forms_round_trip_and_keep_their_key_order() {
+        let mut h = Histogram::new(&[1.0, 2.0]);
+        h.observe(0.5);
+        h.observe(1.5);
+        let keys = |v: &Value| match v {
+            Value::Object(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            _ => panic!("not an object"),
+        };
+        assert_eq!(keys(&h.to_json()), ["bounds", "counts", "sum", "min", "max"]);
+        assert_eq!(
+            keys(&h.to_json_with_stats()),
+            ["bounds", "counts", "count", "sum", "mean", "min", "max"]
+        );
+        for json in [h.to_json(), h.to_json_with_stats()] {
+            let text = serde_json::to_string(&json).unwrap();
+            let back = Histogram::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
+            assert_eq!(back, h);
+        }
+        // An empty histogram writes null extrema and reads back ±∞.
+        let empty = Histogram::new(&[1.0]);
+        let text = serde_json::to_string(&empty.to_json()).unwrap();
+        assert!(text.contains("\"min\":null"), "{text}");
+        let back = Histogram::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
+        assert_eq!((back.min(), back.max()), (f64::INFINITY, f64::NEG_INFINITY));
+    }
+
+    #[test]
+    fn from_json_rejects_hostile_parts_without_panicking() {
+        let read = |text: &str| Histogram::from_json(&serde_json::from_str(text).unwrap());
+        let err = read(r#"{"bounds": [], "counts": [1]}"#).unwrap_err();
+        assert!(err.contains("at least one boundary"), "{err}");
+        let err = read(r#"{"bounds": [0.9, 0.1], "counts": [0, 0, 0]}"#).unwrap_err();
+        assert!(err.contains("strictly increasing"), "{err}");
+        let err = read(r#"{"bounds": [0.5], "counts": [18446744073709551615, 1]}"#).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+        for bad in [
+            r#"[]"#,
+            r#"{"counts": [0, 0]}"#,
+            r#"{"bounds": [0.5]}"#,
+            r#"{"bounds": [0.5, null], "counts": [0, 0, 0]}"#,
+            r#"{"bounds": [0.5], "counts": [0, -1]}"#,
+            r#"{"bounds": [0.5], "counts": [0]}"#,
+        ] {
+            assert!(read(bad).is_err(), "{bad} should fail");
+        }
     }
 }

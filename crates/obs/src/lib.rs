@@ -2,7 +2,7 @@
 //!
 //! The paper's claim is interpretability of *decisions*; this crate is the
 //! operational counterpart — interpretability of the *system*. It provides
-//! three primitives, all dependency-free:
+//! three primitives:
 //!
 //! 1. **Spans** ([`span`]) — hierarchical wall-clock regions with
 //!    nanosecond timing. A span's path is its name prefixed by the names of
@@ -26,6 +26,12 @@
 //! global. Aggregation is deterministic in totals — span counts, counter
 //! values, and histogram bucket counts are identical for any thread count —
 //! while nanosecond totals naturally vary run to run.
+//!
+//! Every JSON document the crate writes or reads — snapshots, manifests,
+//! drift sketches, audit records, Chrome traces — is a vendored
+//! [`serde::Value`] tree printed and parsed by the vendored `serde_json`,
+//! the same codec the rest of the workspace uses. The crate depends on
+//! nothing else.
 
 pub mod audit;
 pub mod chrome;
@@ -33,7 +39,6 @@ pub mod diff;
 pub mod export;
 pub mod flame;
 pub mod hist;
-pub mod json;
 pub mod manifest;
 pub mod prof;
 pub mod recorder;
@@ -45,12 +50,11 @@ pub mod window;
 pub use audit::{AuditLog, AuditOptions, DecisionCost, DecisionRecord};
 pub use export::prometheus_text;
 pub use hist::Histogram;
-pub use json::Json;
 pub use manifest::Manifest;
 pub use prof::{MemStat, TrackingAlloc};
 pub use recorder::{MemorySection, Recorder, Snapshot, SpanStat};
 pub use ring::{Flight, FlightDump};
-pub use sink::{JsonFileSink, NoopSink, Sink, StderrSink};
+pub use sink::{pretty_json, JsonFileSink, NoopSink, Sink, StderrSink};
 pub use sketch::{DriftReport, ModelSketch, DRIFT_TRIP_PSI};
 pub use window::{WindowFrame, Windowed};
 

@@ -11,7 +11,7 @@
 //! old files — a version-1 `OBS_*.json` simply has no manifest, and every
 //! reader treats its provenance fields as unknown.
 
-use crate::json::Json;
+use serde::{Serialize, Value};
 
 /// The schema version this crate writes. History:
 /// 1 — bare snapshot (spans/counters/gauges/histograms/stages), no header;
@@ -21,8 +21,10 @@ pub const SCHEMA_VERSION: u32 = 2;
 /// Placeholder for provenance fields the producing binary did not know.
 pub const UNKNOWN: &str = "unknown";
 
-/// Provenance header of one exported run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Provenance header of one exported run. Its [`Serialize`] form is the
+/// JSON object stored under the `manifest` key: every field, in
+/// declaration order.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Manifest {
     /// Export schema version (see [`SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -93,38 +95,17 @@ impl Manifest {
         self
     }
 
-    /// The manifest as the JSON object stored under the `manifest` key.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::UInt(self.schema_version as u64)),
-            ("tool", Json::str(&self.tool)),
-            ("git_sha", Json::str(&self.git_sha)),
-            ("kernel", Json::str(&self.kernel)),
-            ("threads", Json::UInt(self.threads)),
-            ("seed", Json::UInt(self.seed)),
-            ("config_hash", Json::str(&self.config_hash)),
-            ("dataset_fingerprint", Json::str(&self.dataset_fingerprint)),
-        ])
-    }
-
     /// Reads the manifest out of a whole exported file. Returns `None` for
     /// version-1 files (no `manifest` key) — the caller decides whether
     /// that is acceptable. Unknown fields are ignored; missing fields fall
     /// back to `unknown`/zero so partially written headers still load.
-    pub fn from_file_json(file: &Json) -> Option<Manifest> {
-        let Json::Obj(sections) = file else { return None };
-        let (_, m) = sections.iter().find(|(k, _)| k == "manifest")?;
-        let Json::Obj(fields) = m else { return None };
-        let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let s = |name: &str| match get(name) {
-            Some(Json::Str(s)) => s.clone(),
-            _ => UNKNOWN.to_string(),
-        };
-        let u = |name: &str| match get(name) {
-            Some(Json::UInt(n)) => *n,
-            Some(Json::Int(n)) if *n >= 0 => *n as u64,
-            _ => 0,
-        };
+    pub fn from_file_json(file: &Value) -> Option<Manifest> {
+        let m = file.get("manifest")?;
+        if !matches!(m, Value::Object(_)) {
+            return None;
+        }
+        let s = |name: &str| m.get(name).and_then(Value::as_str).unwrap_or(UNKNOWN).to_string();
+        let u = |name: &str| m.get(name).and_then(Value::as_u64).unwrap_or(0);
         Some(Manifest {
             schema_version: u("schema_version") as u32,
             tool: s("tool"),
@@ -139,7 +120,7 @@ impl Manifest {
 
     /// The schema version of a whole exported file: the manifest's value,
     /// or 1 for pre-manifest files.
-    pub fn file_schema_version(file: &Json) -> u32 {
+    pub fn file_schema_version(file: &Value) -> u32 {
         Manifest::from_file_json(file).map_or(1, |m| m.schema_version)
     }
 }
@@ -188,7 +169,6 @@ pub fn detect_git_sha() -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
     fn round_trips_through_file_json() {
@@ -198,17 +178,33 @@ mod tests {
             .with_seed(7)
             .with_config_bytes(b"cfg")
             .with_dataset_bytes(b"S-FZ:40");
-        let file = Json::obj(vec![("manifest", m.to_json()), ("spans", Json::Arr(vec![]))]);
-        let text = file.pretty();
-        let parsed = json::parse(&text).unwrap();
+        let file = Value::object([("manifest", m.to_value()), ("spans", Value::Array(vec![]))]);
+        let text = serde_json::to_string_pretty(&file).unwrap();
+        let parsed: Value = serde_json::from_str(&text).unwrap();
         let back = Manifest::from_file_json(&parsed).expect("manifest present");
         assert_eq!(back, m);
         assert_eq!(Manifest::file_schema_version(&parsed), SCHEMA_VERSION);
+        // The derived form is the header layout: every field, in order.
+        let Value::Object(fields) = m.to_value() else { panic!("not an object") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "schema_version",
+                "tool",
+                "git_sha",
+                "kernel",
+                "threads",
+                "seed",
+                "config_hash",
+                "dataset_fingerprint"
+            ]
+        );
     }
 
     #[test]
     fn version1_files_have_no_manifest() {
-        let v1 = json::parse(r#"{"spans": [], "counters": {}}"#).unwrap();
+        let v1: Value = serde_json::from_str(r#"{"spans": [], "counters": {}}"#).unwrap();
         assert!(Manifest::from_file_json(&v1).is_none());
         assert_eq!(Manifest::file_schema_version(&v1), 1);
     }

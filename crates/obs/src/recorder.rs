@@ -9,9 +9,9 @@
 //! locally and report once.
 
 use crate::hist::{default_bounds, Histogram};
-use crate::json::Json;
 use crate::prof::MemStat;
 use crate::window::Windowed;
+use serde::{Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -303,65 +303,43 @@ impl Snapshot {
     /// all of this with a `manifest` header (see [`crate::Manifest`]);
     /// version-1 files have neither manifest nor memory keys, and
     /// [`Snapshot::from_json`] accepts both.
-    pub fn to_json(&self) -> Json {
-        let spans = Json::Arr(
+    pub fn to_json(&self) -> Value {
+        let spans = Value::Array(
             self.spans
                 .iter()
                 .map(|s| {
                     let mut fields = vec![
-                        ("path", Json::str(&s.path)),
-                        ("count", Json::UInt(s.count)),
-                        ("total_ns", Json::UInt(s.total_ns)),
-                        ("mean_ns", Json::UInt(s.mean_ns())),
-                        ("min_ns", Json::UInt(s.min_ns)),
-                        ("max_ns", Json::UInt(s.max_ns)),
+                        ("path", s.path.to_value()),
+                        ("count", s.count.to_value()),
+                        ("total_ns", s.total_ns.to_value()),
+                        ("mean_ns", s.mean_ns().to_value()),
+                        ("min_ns", s.min_ns.to_value()),
+                        ("max_ns", s.max_ns.to_value()),
                     ];
                     if let Some(m) = &s.mem {
                         fields.push(("mem", mem_to_json(m)));
                     }
-                    Json::obj(fields)
+                    Value::object(fields)
                 })
                 .collect(),
         );
-        let counters =
-            Json::Obj(self.counters.iter().map(|(k, v)| (k.clone(), Json::UInt(*v))).collect());
-        let gauges =
-            Json::Obj(self.gauges.iter().map(|(k, v)| (k.clone(), Json::Num(*v))).collect());
-        let histograms = Json::Obj(
-            self.histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        Json::obj(vec![
-                            ("bounds", Json::Arr(h.bounds().iter().map(|&b| Json::Num(b)).collect())),
-                            ("counts", Json::Arr(h.counts().iter().map(|&c| Json::UInt(c)).collect())),
-                            ("count", Json::UInt(h.count())),
-                            ("sum", Json::Num(h.sum())),
-                            ("mean", Json::Num(h.mean())),
-                            ("min", if h.count() == 0 { Json::Null } else { Json::Num(h.min()) }),
-                            ("max", if h.count() == 0 { Json::Null } else { Json::Num(h.max()) }),
-                        ]),
-                    )
-                })
-                .collect(),
+        let histograms = Value::Object(
+            self.histograms.iter().map(|(k, h)| (k.clone(), h.to_json_with_stats())).collect(),
         );
-        let stages =
-            Json::Obj(self.stages.iter().map(|(k, v)| (k.clone(), Json::UInt(*v))).collect());
         let mut sections = vec![
             ("spans", spans),
-            ("counters", counters),
-            ("gauges", gauges),
+            ("counters", named(&self.counters)),
+            ("gauges", named(&self.gauges)),
             ("histograms", histograms),
-            ("stages", stages),
+            ("stages", named(&self.stages)),
         ];
         if let Some(mem) = &self.memory {
             sections.push((
                 "memory",
-                Json::obj(vec![
+                Value::object([
                     ("unattributed", mem_to_json(&mem.unattributed)),
-                    ("live_bytes", Json::Int(mem.live_bytes)),
-                    ("peak_live_bytes", Json::Int(mem.peak_live_bytes)),
+                    ("live_bytes", mem.live_bytes.to_value()),
+                    ("peak_live_bytes", mem.peak_live_bytes.to_value()),
                 ]),
             ));
         }
@@ -372,56 +350,56 @@ impl Snapshot {
             // unknown sections).
             sections.push(("windows", w.to_json()));
         }
-        Json::obj(sections)
+        Value::object(sections)
     }
 
     /// Parses a snapshot back out of its [`Snapshot::to_json`] form (the
     /// body of an `OBS_*.json` file, with or without a `manifest` header).
     /// Tolerant of version-1 files: missing `memory` keys and span `mem`
     /// objects simply come back as `None`, and unknown keys are ignored.
-    pub fn from_json(v: &Json) -> Result<Snapshot, String> {
-        let Json::Obj(sections) = v else {
+    pub fn from_json(v: &Value) -> Result<Snapshot, String> {
+        if !matches!(v, Value::Object(_)) {
             return Err("snapshot JSON must be an object".to_string());
-        };
-        let get = |name: &str| sections.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        }
         let mut snap = Snapshot::default();
-        if let Some(Json::Arr(spans)) = get("spans") {
+        if let Some(Value::Array(spans)) = v.get("spans") {
             for s in spans {
                 snap.spans.push(span_from_json(s)?);
             }
         }
-        if let Some(Json::Obj(counters)) = get("counters") {
+        if let Some(Value::Object(counters)) = v.get("counters") {
             for (k, v) in counters {
-                snap.counters.push((k.clone(), as_u64(v).ok_or("bad counter value")?));
+                snap.counters.push((k.clone(), v.as_u64().ok_or("bad counter value")?));
             }
         }
-        if let Some(Json::Obj(gauges)) = get("gauges") {
+        if let Some(Value::Object(gauges)) = v.get("gauges") {
             for (k, v) in gauges {
-                snap.gauges.push((k.clone(), as_f64(v).ok_or("bad gauge value")?));
+                snap.gauges.push((k.clone(), v.as_f64().ok_or("bad gauge value")?));
             }
         }
-        if let Some(Json::Obj(hists)) = get("histograms") {
+        if let Some(Value::Object(hists)) = v.get("histograms") {
             for (k, v) in hists {
-                snap.histograms.push((k.clone(), hist_from_json(v)?));
+                snap.histograms.push((k.clone(), Histogram::from_json(v)?));
             }
         }
-        if let Some(Json::Obj(stages)) = get("stages") {
+        if let Some(Value::Object(stages)) = v.get("stages") {
             for (k, v) in stages {
-                snap.stages.push((k.clone(), as_u64(v).ok_or("bad stage count")?));
+                snap.stages.push((k.clone(), v.as_u64().ok_or("bad stage count")?));
             }
         }
-        if let Some(Json::Obj(mem)) = get("memory") {
-            let field = |name: &str| mem.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        if let Some(mem @ Value::Object(_)) = v.get("memory") {
+            let int = |name: &str| mem.get(name).and_then(Value::as_i64).unwrap_or(0);
             snap.memory = Some(MemorySection {
-                unattributed: field("unattributed")
+                unattributed: mem
+                    .get("unattributed")
                     .map(mem_from_json)
                     .transpose()?
                     .unwrap_or_default(),
-                live_bytes: field("live_bytes").and_then(as_i64).unwrap_or(0),
-                peak_live_bytes: field("peak_live_bytes").and_then(as_i64).unwrap_or(0),
+                live_bytes: int("live_bytes"),
+                peak_live_bytes: int("peak_live_bytes"),
             });
         }
-        if let Some(w) = get("windows") {
+        if let Some(w) = v.get("windows") {
             snap.windows = Some(Windowed::from_json(w)?);
         }
         Ok(snap)
@@ -502,98 +480,49 @@ impl Snapshot {
     }
 }
 
+/// Name-sorted `(name, value)` pairs as a JSON object.
+fn named<T: Serialize>(pairs: &[(String, T)]) -> Value {
+    Value::Object(pairs.iter().map(|(k, v)| (k.clone(), v.to_value())).collect())
+}
+
 /// A [`MemStat`] as the JSON object stored under a span's `mem` key.
-fn mem_to_json(m: &MemStat) -> Json {
-    Json::obj(vec![
-        ("allocs", Json::UInt(m.allocs)),
-        ("frees", Json::UInt(m.frees)),
-        ("alloc_bytes", Json::UInt(m.alloc_bytes)),
-        ("free_bytes", Json::UInt(m.free_bytes)),
-        ("peak_net_bytes", Json::Int(m.peak_net_bytes)),
+fn mem_to_json(m: &MemStat) -> Value {
+    Value::object([
+        ("allocs", m.allocs.to_value()),
+        ("frees", m.frees.to_value()),
+        ("alloc_bytes", m.alloc_bytes.to_value()),
+        ("free_bytes", m.free_bytes.to_value()),
+        ("peak_net_bytes", m.peak_net_bytes.to_value()),
     ])
 }
 
-fn mem_from_json(v: &Json) -> Result<MemStat, String> {
-    let Json::Obj(fields) = v else {
+fn mem_from_json(v: &Value) -> Result<MemStat, String> {
+    if !matches!(v, Value::Object(_)) {
         return Err("mem must be an object".to_string());
-    };
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    }
+    let uint = |name: &str| v.get(name).and_then(Value::as_u64).unwrap_or(0);
     Ok(MemStat {
-        allocs: get("allocs").and_then(as_u64).unwrap_or(0),
-        frees: get("frees").and_then(as_u64).unwrap_or(0),
-        alloc_bytes: get("alloc_bytes").and_then(as_u64).unwrap_or(0),
-        free_bytes: get("free_bytes").and_then(as_u64).unwrap_or(0),
-        peak_net_bytes: get("peak_net_bytes").and_then(as_i64).unwrap_or(0),
+        allocs: uint("allocs"),
+        frees: uint("frees"),
+        alloc_bytes: uint("alloc_bytes"),
+        free_bytes: uint("free_bytes"),
+        peak_net_bytes: v.get("peak_net_bytes").and_then(Value::as_i64).unwrap_or(0),
     })
 }
 
-fn span_from_json(v: &Json) -> Result<SpanStat, String> {
-    let Json::Obj(fields) = v else {
-        return Err("span must be an object".to_string());
-    };
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let Some(Json::Str(path)) = get("path") else {
+fn span_from_json(v: &Value) -> Result<SpanStat, String> {
+    let Some(path) = v.get("path").and_then(Value::as_str) else {
         return Err("span is missing its path".to_string());
     };
+    let uint = |name: &str| v.get(name).and_then(Value::as_u64);
     Ok(SpanStat {
-        path: path.clone(),
-        count: get("count").and_then(as_u64).ok_or("span missing count")?,
-        total_ns: get("total_ns").and_then(as_u64).unwrap_or(0),
-        min_ns: get("min_ns").and_then(as_u64).unwrap_or(0),
-        max_ns: get("max_ns").and_then(as_u64).unwrap_or(0),
-        mem: get("mem").map(mem_from_json).transpose()?,
+        path: path.to_string(),
+        count: uint("count").ok_or("span missing count")?,
+        total_ns: uint("total_ns").unwrap_or(0),
+        min_ns: uint("min_ns").unwrap_or(0),
+        max_ns: uint("max_ns").unwrap_or(0),
+        mem: v.get("mem").map(mem_from_json).transpose()?,
     })
-}
-
-fn hist_from_json(v: &Json) -> Result<Histogram, String> {
-    let Json::Obj(fields) = v else {
-        return Err("histogram must be an object".to_string());
-    };
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let Some(Json::Arr(bounds)) = get("bounds") else {
-        return Err("histogram missing bounds".to_string());
-    };
-    let Some(Json::Arr(counts)) = get("counts") else {
-        return Err("histogram missing counts".to_string());
-    };
-    let bounds: Vec<f64> =
-        bounds.iter().map(|b| as_f64(b).ok_or("bad bound")).collect::<Result<_, _>>()?;
-    let counts: Vec<u64> =
-        counts.iter().map(|c| as_u64(c).ok_or("bad bucket count")).collect::<Result<_, _>>()?;
-    // Exported min/max are null for empty histograms; fall back to the
-    // empty sentinels so the round trip is faithful.
-    Histogram::from_parts(
-        &bounds,
-        &counts,
-        get("sum").and_then(as_f64).unwrap_or(0.0),
-        get("min").and_then(as_f64).unwrap_or(f64::INFINITY),
-        get("max").and_then(as_f64).unwrap_or(f64::NEG_INFINITY),
-    )
-}
-
-pub(crate) fn as_u64(v: &Json) -> Option<u64> {
-    match v {
-        Json::UInt(n) => Some(*n),
-        Json::Int(n) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-pub(crate) fn as_i64(v: &Json) -> Option<i64> {
-    match v {
-        Json::Int(n) => Some(*n),
-        Json::UInt(n) if *n <= i64::MAX as u64 => Some(*n as i64),
-        _ => None,
-    }
-}
-
-pub(crate) fn as_f64(v: &Json) -> Option<f64> {
-    match v {
-        Json::Num(n) => Some(*n),
-        Json::Int(n) => Some(*n as f64),
-        Json::UInt(n) => Some(*n as f64),
-        _ => None,
-    }
 }
 
 /// Pretty-prints nanoseconds at a human scale.
@@ -659,7 +588,7 @@ mod tests {
         r.counter_add("c", 1);
         r.gauge_set("g", 0.5);
         r.hist_observe("h", None, 1.0);
-        let json = r.snapshot().to_json().pretty();
+        let json = serde_json::to_string_pretty(&r.snapshot().to_json()).unwrap();
         for key in ["\"spans\"", "\"counters\"", "\"gauges\"", "\"histograms\"", "\"stages\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -2,8 +2,19 @@
 
 use crate::manifest::Manifest;
 use crate::recorder::Snapshot;
+use serde::{Serialize, Value};
 use std::io::{self, Write};
 use std::path::PathBuf;
+
+/// `v` as the text of a JSON file: pretty-printed (2-space indent) and
+/// newline-terminated. This is the layout of every `OBS_*.json`,
+/// `BENCH_*.json` and flight trace, and of the WYMA `manifest` and
+/// `sketch` sections.
+pub fn pretty_json(v: &Value) -> String {
+    let mut text = serde_json::to_string_pretty(v).expect("a Value tree always prints");
+    text.push('\n');
+    text
+}
 
 /// A destination for a finished [`Snapshot`].
 pub trait Sink {
@@ -59,16 +70,11 @@ impl Sink for JsonFileSink {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let body = snap.to_json();
-        let out = match &self.manifest {
-            Some(m) => {
-                let crate::json::Json::Obj(mut sections) = body else { unreachable!() };
-                sections.insert(0, ("manifest".to_string(), m.to_json()));
-                crate::json::Json::Obj(sections)
-            }
-            None => body,
-        };
-        std::fs::write(&self.path, out.pretty())
+        let mut out = snap.to_json();
+        if let (Some(m), Value::Object(sections)) = (&self.manifest, &mut out) {
+            sections.insert(0, ("manifest".to_string(), m.to_value()));
+        }
+        std::fs::write(&self.path, pretty_json(&out))
     }
 }
 
@@ -113,14 +119,14 @@ mod tests {
         let m = Manifest::new("sink-test").with_seed(9);
         JsonFileSink::new(&path).with_manifest(m.clone()).emit(&rec.snapshot()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let parsed = crate::json::parse(&text).unwrap();
+        let parsed: Value = serde_json::from_str(&text).unwrap();
         assert_eq!(Manifest::from_file_json(&parsed), Some(m));
+        // The body still parses as a snapshot.
+        let snap = Snapshot::from_json(&parsed).unwrap();
         // `manifest` must be the first key so readers (and humans) see
         // provenance before data.
-        let crate::json::Json::Obj(sections) = parsed else { panic!() };
+        let Value::Object(sections) = parsed else { panic!() };
         assert_eq!(sections[0].0, "manifest");
-        // The body still parses as a snapshot.
-        let snap = Snapshot::from_json(&crate::json::parse(&text).unwrap()).unwrap();
         assert_eq!(snap.span_count("fit"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

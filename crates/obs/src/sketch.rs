@@ -30,8 +30,7 @@
 //! and thread counts like the rest of the workspace.
 
 use crate::hist::Histogram;
-use crate::json::Json;
-use crate::recorder::{as_f64, as_u64};
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 
 /// PSI at or above this trips the sentinel (the conventional 0.2 "act"
@@ -164,36 +163,39 @@ impl ModelSketch {
 
     /// The sketch as the JSON object stored in the artifact's `sketch`
     /// section and in decision reports.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("n", Json::UInt(self.n)),
-            ("scores", hist_to_json(&self.scores)),
-            ("pair_rate", hist_to_json(&self.pair_rate)),
-            (
-                "unit_mix",
-                Json::Obj(
-                    self.unit_mix
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::UInt(*v)))
-                        .collect(),
-                ),
-            ),
+    pub fn to_json(&self) -> Value {
+        let unit_mix = self.unit_mix.iter().map(|(k, v)| (k.clone(), v.to_value()));
+        Value::object([
+            ("n", self.n.to_value()),
+            ("scores", self.scores.to_json()),
+            ("pair_rate", self.pair_rate.to_json()),
+            ("unit_mix", Value::Object(unit_mix.collect())),
         ])
     }
 
     /// Parses a sketch back out of its [`ModelSketch::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<ModelSketch, String> {
-        let Json::Obj(fields) = v else {
-            return Err("sketch must be an object".to_string());
+    ///
+    /// # Errors
+    /// Besides malformed JSON, rejects histograms whose bounds are not
+    /// [`score_bounds`] / [`pair_rate_bounds`]: [`ModelSketch::compare`]
+    /// aligns buckets by position, so a baseline bucketed any other way
+    /// would raise false drift alerts.
+    pub fn from_json(v: &Value) -> Result<ModelSketch, String> {
+        let n = v.get("n").and_then(Value::as_u64).ok_or("sketch missing n")?;
+        let hist = |key: &str, bounds: Vec<f64>| -> Result<Histogram, String> {
+            let h = Histogram::from_json(v.get(key).ok_or(format!("sketch missing {key}"))?)
+                .map_err(|e| format!("sketch {key}: {e}"))?;
+            if h.bounds() != bounds.as_slice() {
+                return Err(format!("sketch {key} histogram has non-standard bounds"));
+            }
+            Ok(h)
         };
-        let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let n = get("n").and_then(as_u64).ok_or("sketch missing n")?;
-        let scores = hist_from_json(get("scores").ok_or("sketch missing scores")?)?;
-        let pair_rate = hist_from_json(get("pair_rate").ok_or("sketch missing pair_rate")?)?;
+        let scores = hist("scores", score_bounds())?;
+        let pair_rate = hist("pair_rate", pair_rate_bounds())?;
         let mut unit_mix = BTreeMap::new();
-        if let Some(Json::Obj(mix)) = get("unit_mix") {
+        if let Some(Value::Object(mix)) = v.get("unit_mix") {
             for (k, v) in mix {
-                unit_mix.insert(k.clone(), as_u64(v).ok_or("bad unit_mix count")?);
+                unit_mix.insert(k.clone(), v.as_u64().ok_or("bad unit_mix count")?);
             }
         }
         Ok(ModelSketch { scores, pair_rate, unit_mix, n })
@@ -279,46 +281,6 @@ fn psi_categorical(p: &BTreeMap<String, u64>, q: &BTreeMap<String, u64>) -> f64 
     psi(&pv, &qv)
 }
 
-fn hist_to_json(h: &Histogram) -> Json {
-    Json::obj(vec![
-        (
-            "bounds",
-            Json::Arr(h.bounds().iter().map(|&b| Json::Num(b)).collect()),
-        ),
-        (
-            "counts",
-            Json::Arr(h.counts().iter().map(|&c| Json::UInt(c)).collect()),
-        ),
-        ("sum", Json::Num(h.sum())),
-        ("min", if h.count() == 0 { Json::Null } else { Json::Num(h.min()) }),
-        ("max", if h.count() == 0 { Json::Null } else { Json::Num(h.max()) }),
-    ])
-}
-
-fn hist_from_json(v: &Json) -> Result<Histogram, String> {
-    let Json::Obj(fields) = v else {
-        return Err("sketch histogram must be an object".to_string());
-    };
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let Some(Json::Arr(bounds)) = get("bounds") else {
-        return Err("sketch histogram missing bounds".to_string());
-    };
-    let Some(Json::Arr(counts)) = get("counts") else {
-        return Err("sketch histogram missing counts".to_string());
-    };
-    let bounds: Vec<f64> =
-        bounds.iter().map(|b| as_f64(b).ok_or("bad bound")).collect::<Result<_, _>>()?;
-    let counts: Vec<u64> =
-        counts.iter().map(|c| as_u64(c).ok_or("bad count")).collect::<Result<_, _>>()?;
-    Histogram::from_parts(
-        &bounds,
-        &counts,
-        get("sum").and_then(as_f64).unwrap_or(0.0),
-        get("min").and_then(as_f64).unwrap_or(f64::INFINITY),
-        get("max").and_then(as_f64).unwrap_or(f64::NEG_INFINITY),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,8 +362,24 @@ mod tests {
         // PSI against the round-tripped twin is still zero.
         assert!(s.compare(&back).max_psi < 1e-9);
         // And via rendered text, the artifact read path.
-        let reparsed = crate::json::parse(&json.render()).unwrap();
+        let reparsed = serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap();
         assert!(ModelSketch::from_json(&reparsed).is_ok());
+    }
+
+    #[test]
+    fn from_json_rejects_non_standard_bounds() {
+        // One observation in a two-bucket score histogram: `compare` aligns
+        // buckets by position, so against a live sketch holding the same
+        // single observation it would report a false ALERT.
+        let mut base = sketch_of(&[0.7], "title");
+        base.scores = Histogram::new(&[0.5]);
+        base.scores.observe(0.7);
+        let err = ModelSketch::from_json(&base.to_json()).unwrap_err();
+        assert!(err.contains("scores") && err.contains("non-standard bounds"), "{err}");
+        let mut base = sketch_of(&[0.7], "title");
+        base.pair_rate = Histogram::new(&[0.1, 0.9]);
+        let err = ModelSketch::from_json(&base.to_json()).unwrap_err();
+        assert!(err.contains("pair_rate"), "{err}");
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! the ring has wrapped and absolute positions differ from logical ages.
 
 use crate::hist::{default_bounds, Histogram};
-use crate::json::Json;
-use crate::recorder::{as_f64, as_u64};
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -166,38 +165,39 @@ impl Windowed {
     }
 
     /// The ring as the JSON object stored under a snapshot's `windows` key.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("capacity", Json::UInt(self.capacity as u64)),
-            ("advances", Json::UInt(self.advances)),
-            (
-                "frames",
-                Json::Arr(self.frames.iter().map(frame_to_json).collect()),
-            ),
+    pub fn to_json(&self) -> Value {
+        Value::object([
+            ("capacity", self.capacity.to_value()),
+            ("advances", self.advances.to_value()),
+            ("frames", Value::Array(self.frames.iter().map(frame_to_json).collect())),
         ])
     }
 
-    /// Parses a ring back out of its [`Windowed::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Windowed, String> {
-        let Json::Obj(fields) = v else {
-            return Err("windows must be an object".to_string());
-        };
-        let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let capacity = get("capacity")
-            .and_then(as_u64)
-            .ok_or("windows missing capacity")? as usize;
+    /// Parses a ring back out of its [`Windowed::to_json`] form. The ring
+    /// is sized by the frames actually present, never by the declared
+    /// capacity, so a hostile file cannot make it allocate without bound.
+    ///
+    /// # Errors
+    /// Besides malformed JSON, rejects a ring that breaks its own
+    /// invariants: zero capacity, more frames than the capacity, or a
+    /// newest frame that is not the current one (epoch `advances`).
+    pub fn from_json(v: &Value) -> Result<Windowed, String> {
+        let capacity = v
+            .get("capacity")
+            .and_then(|c| usize::try_from(c.as_u64()?).ok())
+            .ok_or("windows missing capacity")?;
         if capacity == 0 {
             return Err("windows capacity must be >= 1".to_string());
         }
-        let advances = get("advances").and_then(as_u64).ok_or("windows missing advances")?;
-        let mut frames = VecDeque::with_capacity(capacity);
-        if let Some(Json::Arr(arr)) = get("frames") {
+        let advances = v.get("advances").and_then(Value::as_u64).ok_or("windows missing advances")?;
+        let mut frames = VecDeque::new();
+        if let Some(Value::Array(arr)) = v.get("frames") {
             for f in arr {
                 frames.push_back(frame_from_json(f)?);
             }
         }
-        if frames.is_empty() {
-            frames.push_back(WindowFrame::new(advances));
+        if frames.back().map(|f| f.epoch) != Some(advances) {
+            return Err(format!("windows must end with the current frame (epoch {advances})"));
         }
         if frames.len() > capacity {
             return Err(format!(
@@ -209,87 +209,31 @@ impl Windowed {
     }
 }
 
-fn frame_to_json(f: &WindowFrame) -> Json {
-    Json::obj(vec![
-        ("epoch", Json::UInt(f.epoch)),
+fn frame_to_json(f: &WindowFrame) -> Value {
+    Value::object([
+        ("epoch", f.epoch.to_value()),
         (
             "counters",
-            Json::Obj(f.counters.iter().map(|(k, v)| (k.clone(), Json::UInt(*v))).collect()),
+            Value::Object(f.counters.iter().map(|(k, v)| (k.clone(), v.to_value())).collect()),
         ),
         (
             "histograms",
-            Json::Obj(
-                f.hists
-                    .iter()
-                    .map(|(k, h)| {
-                        (
-                            k.clone(),
-                            Json::obj(vec![
-                                (
-                                    "bounds",
-                                    Json::Arr(h.bounds().iter().map(|&b| Json::Num(b)).collect()),
-                                ),
-                                (
-                                    "counts",
-                                    Json::Arr(h.counts().iter().map(|&c| Json::UInt(c)).collect()),
-                                ),
-                                ("sum", Json::Num(h.sum())),
-                                (
-                                    "min",
-                                    if h.count() == 0 { Json::Null } else { Json::Num(h.min()) },
-                                ),
-                                (
-                                    "max",
-                                    if h.count() == 0 { Json::Null } else { Json::Num(h.max()) },
-                                ),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
+            Value::Object(f.hists.iter().map(|(k, h)| (k.clone(), h.to_json())).collect()),
         ),
     ])
 }
 
-fn frame_from_json(v: &Json) -> Result<WindowFrame, String> {
-    let Json::Obj(fields) = v else {
-        return Err("window frame must be an object".to_string());
-    };
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let mut frame = WindowFrame::new(get("epoch").and_then(as_u64).ok_or("frame missing epoch")?);
-    if let Some(Json::Obj(counters)) = get("counters") {
+fn frame_from_json(v: &Value) -> Result<WindowFrame, String> {
+    let epoch = v.get("epoch").and_then(Value::as_u64).ok_or("frame missing epoch")?;
+    let mut frame = WindowFrame::new(epoch);
+    if let Some(Value::Object(counters)) = v.get("counters") {
         for (k, v) in counters {
-            frame
-                .counters
-                .insert(k.clone(), as_u64(v).ok_or("bad window counter value")?);
+            frame.counters.insert(k.clone(), v.as_u64().ok_or("bad window counter value")?);
         }
     }
-    if let Some(Json::Obj(hists)) = get("histograms") {
+    if let Some(Value::Object(hists)) = v.get("histograms") {
         for (k, v) in hists {
-            let Json::Obj(hf) = v else {
-                return Err("window histogram must be an object".to_string());
-            };
-            let hget = |name: &str| hf.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-            let Some(Json::Arr(bounds)) = hget("bounds") else {
-                return Err("window histogram missing bounds".to_string());
-            };
-            let Some(Json::Arr(counts)) = hget("counts") else {
-                return Err("window histogram missing counts".to_string());
-            };
-            let bounds: Vec<f64> =
-                bounds.iter().map(|b| as_f64(b).ok_or("bad bound")).collect::<Result<_, _>>()?;
-            let counts: Vec<u64> = counts
-                .iter()
-                .map(|c| as_u64(c).ok_or("bad bucket count"))
-                .collect::<Result<_, _>>()?;
-            let h = Histogram::from_parts(
-                &bounds,
-                &counts,
-                hget("sum").and_then(as_f64).unwrap_or(0.0),
-                hget("min").and_then(as_f64).unwrap_or(f64::INFINITY),
-                hget("max").and_then(as_f64).unwrap_or(f64::NEG_INFINITY),
-            )?;
-            frame.hists.insert(k.clone(), h);
+            frame.hists.insert(k.clone(), Histogram::from_json(v)?);
         }
     }
     Ok(frame)
@@ -398,28 +342,52 @@ mod tests {
         let back = Windowed::from_json(&json).expect("round trip");
         assert_eq!(back, w);
         // And via text, the way obs_diff reads baselines back.
-        let reparsed = crate::json::parse(&json.render()).unwrap();
+        let reparsed = serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap();
         assert_eq!(Windowed::from_json(&reparsed).unwrap(), w);
     }
 
     #[test]
     fn from_json_rejects_inconsistent_rings() {
-        assert!(Windowed::from_json(&Json::obj(vec![
-            ("capacity", Json::UInt(0)),
-            ("advances", Json::UInt(0)),
+        assert!(Windowed::from_json(&Value::object([
+            ("capacity", Value::I64(0)),
+            ("advances", Value::I64(0)),
         ]))
         .is_err());
         let mut w = Windowed::new(2);
         w.advance();
         let mut json = w.to_json();
-        if let Json::Obj(fields) = &mut json {
+        if let Value::Object(fields) = &mut json {
             for (k, v) in fields.iter_mut() {
                 if k == "capacity" {
-                    *v = Json::UInt(1); // fewer than the frames present
+                    *v = Value::I64(1); // fewer than the frames present
                 }
             }
         }
         assert!(Windowed::from_json(&json).is_err());
+        // The newest frame must be the current one.
+        for bad in [
+            r#"{"capacity": 4, "advances": 1, "frames": []}"#,
+            r#"{"capacity": 4, "advances": 1}"#,
+            r#"{"capacity": 4, "advances": 2, "frames": [{"epoch": 0}, {"epoch": 1}]}"#,
+        ] {
+            let err = Windowed::from_json(&serde_json::from_str(bad).unwrap()).unwrap_err();
+            assert!(err.contains("current frame"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn from_json_sizes_the_ring_by_its_frames_not_the_declared_capacity() {
+        // Declared capacities a hostile file may carry: reserving them up
+        // front aborts the process (a 56 TB request) or panics with
+        // "capacity overflow".
+        for capacity in ["1000000000000", "18446744073709551615"] {
+            let text = format!(
+                r#"{{"capacity": {capacity}, "advances": 1, "frames": [{{"epoch": 1}}]}}"#
+            );
+            let w = Windowed::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
+            assert_eq!(w.capacity().to_string(), capacity);
+            assert_eq!(w.frames().count(), 1);
+        }
     }
 
     #[test]

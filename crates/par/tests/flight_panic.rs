@@ -53,8 +53,8 @@ fn worker_panic_leaves_a_parseable_dump_with_the_panicking_span() {
         wym_obs::chrome::write_dump_files(dir.to_str().unwrap(), "par", "panic", &dump)
             .expect("dump files written");
     let text = std::fs::read_to_string(&json_path).unwrap();
-    let parsed = wym_obs::json::parse(&text).expect("trace JSON must parse");
-    let summary = wym_obs::chrome::summarize(&parsed).expect("trace must summarize");
+    let summary = wym_obs::chrome::summarize_file(std::path::Path::new(&json_path))
+        .expect("trace JSON must parse and summarize");
     assert!(text.contains("panicky_work"));
     assert!(summary.contains("par.worker_panic item 7"), "summary:\n{summary}");
     let _ = std::fs::remove_dir_all(&dir);

@@ -36,7 +36,12 @@
 # parseable Chrome-trace dump naming the panicking span, a run with an
 # injected stall must trip the watchdog's stall warning and dump, and
 # `--chrome-trace` plus `wym obs flight` must round-trip a healthy run's
-# event tail. The `bench_diff` timing sentinel also runs, in warn mode:
+# event tail, or (m) the hostile-bytes drill fails: crafted files under
+# results/smoke_hostile_* (a snapshot whose windows section declares a
+# 10^12-frame ring, one whose histogram bounds decrease, and 100,000
+# nested '[') must make `obs_diff` exit 2 (a file error) and `wym obs
+# flight` exit 1 — never abort or panic. The `bench_diff` timing sentinel
+# also runs, in warn mode:
 # flagged stages print WARNING lines against their ledger-learned
 # per-stage thresholds, but timings are machine-dependent so it never
 # fails the smoke.
@@ -357,6 +362,37 @@ if [ "${1:-}" = "--smoke" ]; then
   else
     echo "SMOKE WARNING: no committed baseline results/OBS_baseline_decisions.json; skipping diff" >&2
   fi
+  # Hostile-bytes drill: readers of outside JSON must refuse crafted files
+  # with an error. An abort (exit 134, e.g. reserving the 10^12-frame
+  # ring the windows file declares) or a panic (exit 101, e.g. on the
+  # decreasing bounds) fails the smoke, as does any status other than
+  # the expected error.
+  echo "=== smoke: hostile-bytes drill (obs_diff, wym obs flight) ==="
+  HOSTILE_WINDOWS=results/smoke_hostile_windows.json
+  HOSTILE_BOUNDS=results/smoke_hostile_bounds.json
+  HOSTILE_NESTING=results/smoke_hostile_nesting.json
+  printf '{"windows": {"capacity": 1000000000000, "advances": 1, "frames": []}}\n' \
+    > "$HOSTILE_WINDOWS"
+  printf '{"histograms": {"h": {"bounds": [0.9, 0.1], "counts": [0, 1, 0]}}}\n' \
+    > "$HOSTILE_BOUNDS"
+  head -c 100000 /dev/zero | tr '\0' '[' > "$HOSTILE_NESTING"
+  for f in "$HOSTILE_WINDOWS" "$HOSTILE_BOUNDS"; do
+    ./target/release/obs_diff results/OBS_baseline_decisions.json "$f" \
+      > /dev/null 2> results/smoke_hostile.log
+    RC=$?
+    if [ "$RC" -ne 2 ]; then
+      echo "SMOKE FAILED: obs_diff exited $RC on hostile $f (want 2, a file error)" >&2
+      cat results/smoke_hostile.log >&2
+      exit 1
+    fi
+  done
+  ./target/release/wym obs flight "$HOSTILE_NESTING" > /dev/null 2> results/smoke_hostile.log
+  RC=$?
+  if [ "$RC" -ne 1 ]; then
+    echo "SMOKE FAILED: wym obs flight exited $RC on hostile $HOSTILE_NESTING (want 1)" >&2
+    cat results/smoke_hostile.log >&2
+    exit 1
+  fi
   # Flight-recorder gate (DESIGN.md §15). Three drills: (1) a run with an
   # injected panic in score_train must die nonzero AND leave a post-mortem
   # dump pair whose Chrome trace parses via `wym obs flight` and names the
@@ -427,7 +463,7 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 1
   fi
   DISPATCHED=$(grep -oE '"kernel\.dispatch\.[a-z0-9_]+"' "$OBS_AUTO" | head -1)
-  echo "SMOKE OK: all stages traced, $DISPATCHED == scalar checksum $CK_AUTO, blocking checksum $BCK_AUTO, artifact fnv $AFNV_AUTO, audit cksum $AUDIT_REF_CK, obs_diff clean ($OBS_AUTO, $OBS_SCALAR, $BLOCK_SCALAR, $OBS_DECISIONS), flight drills clean (panic, stall, chrome export)"
+  echo "SMOKE OK: all stages traced, $DISPATCHED == scalar checksum $CK_AUTO, blocking checksum $BCK_AUTO, artifact fnv $AFNV_AUTO, audit cksum $AUDIT_REF_CK, obs_diff clean ($OBS_AUTO, $OBS_SCALAR, $BLOCK_SCALAR, $OBS_DECISIONS), flight drills clean (panic, stall, chrome export), hostile files refused"
   exit 0
 fi
 

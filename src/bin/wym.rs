@@ -230,21 +230,10 @@ fn fit(dataset: &EmDataset, args: &Args) -> (WymModel, Vec<RecordPair>) {
 /// fingerprints seen — the service-side "what has this model been doing"
 /// view, built from the log alone.
 fn obs_report(args: &Args) -> Result<(), String> {
-    use wym_obs::Json;
+    use serde::Value;
     let path = args.require("audit")?;
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let field = |obj: &[(String, Json)], name: &str| -> Option<Json> {
-        obj.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
-    };
-    let as_f64 = |v: &Json| -> Option<f64> {
-        match v {
-            Json::Num(n) => Some(*n),
-            Json::UInt(n) => Some(*n as f64),
-            Json::Int(n) => Some(*n as f64),
-            _ => None,
-        }
-    };
     let mut total = 0u64;
     let mut matches = 0u64;
     let mut by_kind: std::collections::BTreeMap<String, u64> = Default::default();
@@ -258,36 +247,35 @@ fn obs_report(args: &Args) -> Result<(), String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = wym_obs::json::parse(line)
+        let record: Value = serde_json::from_str(line)
             .map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        let Json::Obj(obj) = v else {
+        if !matches!(record, Value::Object(_)) {
             return Err(format!("{path}:{}: decision record is not an object", lineno + 1));
-        };
+        }
+        let string = |key: &str| record.get(key).and_then(Value::as_str).map(str::to_string);
         total += 1;
-        if field(&obj, "verdict") == Some(Json::Bool(true)) {
+        if record.get("verdict") == Some(&Value::Bool(true)) {
             matches += 1;
         }
-        if let Some(Json::Str(kind)) = field(&obj, "kind") {
+        if let Some(kind) = string("kind") {
             *by_kind.entry(kind).or_insert(0) += 1;
         }
-        if let Some(Json::Str(fnv)) = field(&obj, "model_fnv") {
+        if let Some(fnv) = string("model_fnv") {
             fnvs.insert(fnv);
         }
-        if let Some(m) = field(&obj, "margin").as_ref().and_then(as_f64) {
+        if let Some(m) = record.get("margin").and_then(Value::as_f64) {
             margin_min = margin_min.min(m.abs());
             margin_sum += m.abs();
             if m.abs() < 0.05 {
                 close_calls += 1;
             }
         }
-        if let Some(Json::Arr(impacts)) = field(&obj, "top_impacts") {
-            if let Some(Json::Obj(top)) = impacts.first() {
-                if let Some(Json::Str(attr)) = field(top, "attribute") {
-                    *impact_attrs.entry(attr).or_insert(0) += 1;
-                }
+        if let Some(Value::Array(impacts)) = record.get("top_impacts") {
+            if let Some(attr) = impacts.first().and_then(|top| top.get("attribute")?.as_str()) {
+                *impact_attrs.entry(attr.to_string()).or_insert(0) += 1;
             }
         }
-        costed += u64::from(field(&obj, "cost").is_some());
+        costed += u64::from(record.get("cost").is_some());
     }
     if total == 0 {
         return Err(format!("{path} holds no decision records"));
@@ -672,8 +660,8 @@ fn run(args: &Args) -> Result<(), String> {
                     let path = args.require("metrics")?;
                     let text = std::fs::read_to_string(path)
                         .map_err(|e| format!("cannot read {path}: {e}"))?;
-                    let json =
-                        wym_obs::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+                    let json: serde::Value =
+                        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
                     let snap = wym_obs::Snapshot::from_json(&json)
                         .map_err(|e| format!("{path}: {e}"))?;
                     print!("{}", wym_obs::prometheus_text(&snap));

@@ -1,6 +1,8 @@
 //! Fitted-model persistence: a WYM model serialized to JSON and rehydrated
-//! must reproduce its predictions and explanations exactly.
+//! must reproduce its predictions and explanations exactly. Observability
+//! snapshots must survive a read and rewrite byte for byte.
 
+use serde::Value;
 use wym::core::pipeline::{SavedWymModel, WymConfig, WymModel};
 use wym::data::split::paper_split;
 use wym::data::magellan;
@@ -56,4 +58,22 @@ fn saved_model_file_roundtrip() {
         restored.predict(&test[0]).probability
     );
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn committed_obs_baselines_rewrite_byte_for_byte() {
+    use wym_obs::{JsonFileSink, Manifest, Sink, Snapshot};
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let out = std::env::temp_dir().join(format!("wym_obs_golden_{}.json", std::process::id()));
+    for name in ["blocking", "decisions", "smoke", "smoke_scalar"] {
+        let path = results.join(format!("OBS_baseline_{name}.json"));
+        let committed = std::fs::read(&path).expect("committed baseline");
+        let file: Value = serde_json::from_slice(&committed).expect("baseline parses");
+        let manifest = Manifest::from_file_json(&file).expect("baseline carries a manifest");
+        let snap = Snapshot::from_json(&file).expect("baseline is a snapshot");
+        JsonFileSink::new(&out).with_manifest(manifest).emit(&snap).expect("rewrite");
+        let rewritten = std::fs::read(&out).unwrap();
+        assert!(rewritten == committed, "{} changed on rewrite", path.display());
+    }
+    let _ = std::fs::remove_file(&out);
 }
