@@ -15,7 +15,7 @@ use wym_core::algorithm1::{
 use wym_core::features::{featurize, full_specs};
 use wym_core::pairing::{get_sm_pairs, get_sm_pairs_cached, PairingSim, SimMatrix};
 use wym_core::TokenizedRecord;
-use wym_embed::Embedder;
+use wym_embed::{Embedder, EmbedderKind};
 use wym_linalg::vector::cosine;
 use wym_linalg::{Matrix, Rng64};
 use wym_strsim::jaro_winkler;
@@ -114,7 +114,9 @@ fn bench(c: &mut Criterion) {
     // Fused tokenize→embed: the arena path with matrix recycling
     // (steady-state serving — allocation-free after warmup) against the
     // nested alloc-per-record reference it is bit-identical to. Both embed
-    // the same pre-tokenized 10-record workload.
+    // the same pre-tokenized 10-record workload. The `_siamese` case runs
+    // the fused path of the default `Siamese` kind, whose trained
+    // projection maps each entity's rows with one GEMM.
     {
         let dataset = bench_dataset_hard(10);
         let tok = Tokenizer::default();
@@ -145,6 +147,27 @@ fn bench(c: &mut Criterion) {
                     .map(|(lt, rt)| {
                         let l = emb.embed_entity_fused(lt);
                         let r = emb.embed_entity_fused(rt);
+                        let n = l.n_rows() + r.n_rows();
+                        wym_embed::recycle(l);
+                        wym_embed::recycle(r);
+                        n
+                    })
+                    .sum::<usize>()
+            })
+        });
+        let records: Vec<_> = token_lists
+            .iter()
+            .zip(&dataset.pairs)
+            .map(|((lt, rt), p)| (lt.clone(), rt.clone(), p.label))
+            .collect();
+        let siamese = Embedder::fit(EmbedderKind::Siamese, 64, 0, &records);
+        g.bench_function("embed_swa10_fused_siamese", |bch| {
+            bch.iter(|| {
+                token_lists
+                    .iter()
+                    .map(|(lt, rt)| {
+                        let l = siamese.embed_entity_fused(lt);
+                        let r = siamese.embed_entity_fused(rt);
                         let n = l.n_rows() + r.n_rows();
                         wym_embed::recycle(l);
                         wym_embed::recycle(r);

@@ -10,7 +10,8 @@
 //! Every engineered feature is described by a [`FeatureSpec`]; the spec both
 //! *computes* the feature value and *distributes* a trained coefficient back
 //! onto the decision units that fed it ([`contributions`]) — the inverse
-//! feature engineering that yields impact scores.
+//! feature engineering that yields impact scores. Both read a record's units
+//! grouped by scope once, not rescanned per feature.
 
 use crate::record::Side;
 use crate::units::DecisionUnit;
@@ -118,51 +119,14 @@ pub fn simplified_specs() -> Vec<FeatureSpec> {
     specs
 }
 
-/// Indices of the units a spec's scope selects.
-pub fn members(spec: &FeatureSpec, units: &[DecisionUnit], scores: &[f32]) -> Vec<usize> {
-    debug_assert_eq!(units.len(), scores.len());
-    match spec.scope {
-        Scope::Attribute { attr, paired } => (0..units.len())
-            .filter(|&i| units[i].is_paired() == paired && units[i].attribute() == attr)
-            .collect(),
-        Scope::Record { polarity } => (0..units.len())
-            .filter(|&i| match polarity {
-                Polarity::All => true,
-                Polarity::Positive => scores[i] > 0.0,
-                Polarity::Negative => scores[i] < 0.0,
-            })
-            .collect(),
-        Scope::EntityUnpaired { side } => (0..units.len())
-            .filter(|&i| matches!(&units[i], DecisionUnit::Unpaired { side: s, .. } if *s == side))
-            .collect(),
-    }
-}
-
 /// Evaluates one feature. Empty scopes yield 0.
 pub fn evaluate(spec: &FeatureSpec, units: &[DecisionUnit], scores: &[f32]) -> f32 {
-    let idx = members(spec, units, scores);
-    if idx.is_empty() {
-        return 0.0;
-    }
-    let vals: Vec<f32> = idx.iter().map(|&i| scores[i]).collect();
-    match spec.stat {
-        Stat::Count => idx.len() as f32,
-        Stat::Sum => vals.iter().sum(),
-        Stat::Mean => mean(&vals),
-        Stat::Min => vals.iter().copied().fold(f32::INFINITY, f32::min),
-        Stat::Max => vals.iter().copied().fold(f32::NEG_INFINITY, f32::max),
-        Stat::Median => median(&vals),
-        Stat::Range => {
-            let max = vals.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let min = vals.iter().copied().fold(f32::INFINITY, f32::min);
-            max - min
-        }
-    }
+    ScopeGroups::new(units, scores).evaluate(spec)
 }
 
 /// The full engineered feature vector of a record.
 pub fn featurize(specs: &[FeatureSpec], units: &[DecisionUnit], scores: &[f32]) -> Vec<f32> {
-    specs.iter().map(|s| evaluate(s, units, scores)).collect()
+    ScopeGroups::new(units, scores).featurize(specs)
 }
 
 /// Inverse feature engineering: how a unit contributed to a feature.
@@ -180,42 +144,172 @@ pub fn contributions(
     units: &[DecisionUnit],
     scores: &[f32],
 ) -> Vec<(usize, f32)> {
-    let idx = members(spec, units, scores);
-    if idx.is_empty() {
-        return Vec::new();
-    }
-    let vals: Vec<f32> = idx.iter().map(|&i| scores[i]).collect();
-    match spec.stat {
-        Stat::Count | Stat::Mean => {
-            let w = 1.0 / idx.len() as f32;
-            idx.into_iter().map(|i| (i, w)).collect()
-        }
-        Stat::Sum => idx.into_iter().map(|i| (i, 1.0)).collect(),
-        Stat::Max => {
-            let k = argmax(&vals).expect("non-empty");
-            vec![(idx[k], 1.0)]
-        }
-        Stat::Min => {
-            let k = argmax(&vals.iter().map(|v| -v).collect::<Vec<_>>()).expect("non-empty");
-            vec![(idx[k], 1.0)]
-        }
-        Stat::Median => {
-            let mut order: Vec<usize> = (0..vals.len()).collect();
-            order.sort_by(|&a, &b| vals[a].total_cmp(&vals[b]));
-            let n = order.len();
-            if n % 2 == 1 {
-                vec![(idx[order[n / 2]], 1.0)]
-            } else {
-                vec![(idx[order[n / 2 - 1]], 0.5), (idx[order[n / 2]], 0.5)]
+    let mut out = Vec::new();
+    ScopeGroups::new(units, scores).contribute(spec, |i, w| out.push((i, w)));
+    out
+}
+
+/// Scope slots of a [`ScopeGroups`]: the five record-wide scopes, then the
+/// paired and the unpaired slot of each attribute.
+const ALL: usize = 0;
+const POSITIVE: usize = 1;
+const NEGATIVE: usize = 2;
+const LEFT_UNPAIRED: usize = 3;
+const RIGHT_UNPAIRED: usize = 4;
+const FIRST_ATTR: usize = 5;
+
+/// Slot of attribute `attr`'s paired or unpaired units.
+fn attr_slot(attr: usize, paired: bool) -> usize {
+    FIRST_ATTR + 2 * attr + usize::from(!paired)
+}
+
+/// The slots a unit with this score belongs to: [`ALL`], its score's
+/// polarity (none for a zero or NaN score), its side's unpaired scope (none
+/// for a paired unit) and its attribute's paired or unpaired slot.
+fn slots_of(unit: &DecisionUnit, score: f32) -> [Option<usize>; 4] {
+    let polarity = if score > 0.0 {
+        Some(POSITIVE)
+    } else if score < 0.0 {
+        Some(NEGATIVE)
+    } else {
+        None
+    };
+    let unpaired = match unit {
+        DecisionUnit::Paired { .. } => None,
+        DecisionUnit::Unpaired { side: Side::Left, .. } => Some(LEFT_UNPAIRED),
+        DecisionUnit::Unpaired { side: Side::Right, .. } => Some(RIGHT_UNPAIRED),
+    };
+    [Some(ALL), polarity, unpaired, Some(attr_slot(unit.attribute(), unit.is_paired()))]
+}
+
+/// A record's decision units grouped by feature scope, so that every
+/// feature and every contribution list reads its scope's members instead
+/// of rescanning the units.
+///
+/// A counting sort builds the groups: after finding the highest attribute,
+/// one pass over the units counts each scope's members and a second places
+/// them. Each scope keeps its members in
+/// unit order, so every statistic folds the same scores in the same order
+/// as a scan of the units would. Grouping costs O(units), a feature vector
+/// O(units + features) in all.
+pub(crate) struct ScopeGroups {
+    /// One past the highest attribute index of the record's units.
+    n_attrs: usize,
+    /// `starts[s]..starts[s + 1]` are slot `s`'s entries in `members` and
+    /// `values`.
+    starts: Vec<usize>,
+    /// Member unit indices, slot after slot, each slot in unit order.
+    members: Vec<usize>,
+    /// The members' scores, parallel to `members`.
+    values: Vec<f32>,
+}
+
+impl ScopeGroups {
+    /// Groups `units` (scored by `scores`) by scope.
+    pub(crate) fn new(units: &[DecisionUnit], scores: &[f32]) -> ScopeGroups {
+        debug_assert_eq!(units.len(), scores.len());
+        let n_attrs = units.iter().map(|u| u.attribute() + 1).max().unwrap_or(0);
+        // Counts land one slot up, so the prefix sum turns them into starts.
+        let mut starts = vec![0usize; FIRST_ATTR + 2 * n_attrs + 1];
+        for (unit, &score) in units.iter().zip(scores) {
+            for slot in slots_of(unit, score).into_iter().flatten() {
+                starts[slot + 1] += 1;
             }
         }
-        Stat::Range => {
-            let kmax = argmax(&vals).expect("non-empty");
-            let kmin = argmax(&vals.iter().map(|v| -v).collect::<Vec<_>>()).expect("non-empty");
-            if kmax == kmin {
-                vec![(idx[kmax], 0.0)]
-            } else {
-                vec![(idx[kmax], 1.0), (idx[kmin], -1.0)]
+        for s in 1..starts.len() {
+            starts[s] += starts[s - 1];
+        }
+        let total = starts[starts.len() - 1];
+        let (mut members, mut values) = (vec![0usize; total], vec![0.0f32; total]);
+        let mut next = starts.clone();
+        for (i, (unit, &score)) in units.iter().zip(scores).enumerate() {
+            for slot in slots_of(unit, score).into_iter().flatten() {
+                members[next[slot]] = i;
+                values[next[slot]] = score;
+                next[slot] += 1;
+            }
+        }
+        ScopeGroups { n_attrs, starts, members, values }
+    }
+
+    /// The member unit indices of a scope and their scores (both empty for
+    /// an attribute the record has no unit of).
+    fn scope(&self, scope: Scope) -> (&[usize], &[f32]) {
+        let slot = match scope {
+            Scope::Record { polarity: Polarity::All } => ALL,
+            Scope::Record { polarity: Polarity::Positive } => POSITIVE,
+            Scope::Record { polarity: Polarity::Negative } => NEGATIVE,
+            Scope::EntityUnpaired { side: Side::Left } => LEFT_UNPAIRED,
+            Scope::EntityUnpaired { side: Side::Right } => RIGHT_UNPAIRED,
+            Scope::Attribute { attr, paired } if attr < self.n_attrs => attr_slot(attr, paired),
+            Scope::Attribute { .. } => return (&[], &[]),
+        };
+        let range = self.starts[slot]..self.starts[slot + 1];
+        (&self.members[range.clone()], &self.values[range])
+    }
+
+    /// The feature vector of `specs`.
+    pub(crate) fn featurize(&self, specs: &[FeatureSpec]) -> Vec<f32> {
+        specs.iter().map(|s| self.evaluate(s)).collect()
+    }
+
+    /// One feature's value; 0 for an empty scope.
+    fn evaluate(&self, spec: &FeatureSpec) -> f32 {
+        let (idx, vals) = self.scope(spec.scope);
+        if idx.is_empty() {
+            return 0.0;
+        }
+        match spec.stat {
+            Stat::Count => idx.len() as f32,
+            Stat::Sum => vals.iter().sum(),
+            Stat::Mean => mean(vals),
+            Stat::Min => vals.iter().copied().fold(f32::INFINITY, f32::min),
+            Stat::Max => vals.iter().copied().fold(f32::NEG_INFINITY, f32::max),
+            Stat::Median => median(vals),
+            Stat::Range => {
+                let max = vals.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let min = vals.iter().copied().fold(f32::INFINITY, f32::min);
+                max - min
+            }
+        }
+    }
+
+    /// Calls `f(unit_index, weight)` for each of one feature's
+    /// [`contributions`], in the order that function lists them.
+    pub(crate) fn contribute(&self, spec: &FeatureSpec, mut f: impl FnMut(usize, f32)) {
+        let (idx, vals) = self.scope(spec.scope);
+        if idx.is_empty() {
+            return;
+        }
+        let argmin = || argmax(&vals.iter().map(|v| -v).collect::<Vec<_>>()).expect("non-empty");
+        match spec.stat {
+            Stat::Count | Stat::Mean => {
+                let w = 1.0 / idx.len() as f32;
+                idx.iter().for_each(|&i| f(i, w));
+            }
+            Stat::Sum => idx.iter().for_each(|&i| f(i, 1.0)),
+            Stat::Max => f(idx[argmax(vals).expect("non-empty")], 1.0),
+            Stat::Min => f(idx[argmin()], 1.0),
+            Stat::Median => {
+                let mut order: Vec<usize> = (0..vals.len()).collect();
+                order.sort_by(|&a, &b| vals[a].total_cmp(&vals[b]));
+                let n = order.len();
+                if n % 2 == 1 {
+                    f(idx[order[n / 2]], 1.0);
+                } else {
+                    f(idx[order[n / 2 - 1]], 0.5);
+                    f(idx[order[n / 2]], 0.5);
+                }
+            }
+            Stat::Range => {
+                let kmax = argmax(vals).expect("non-empty");
+                let kmin = argmin();
+                if kmax == kmin {
+                    f(idx[kmax], 0.0);
+                } else {
+                    f(idx[kmax], 1.0);
+                    f(idx[kmin], -1.0);
+                }
             }
         }
     }
@@ -261,7 +355,7 @@ mod tests {
     fn attribute_scope_selects_correct_units() {
         let (units, scores) = sample();
         let spec = FeatureSpec { scope: Scope::Attribute { attr: 0, paired: true }, stat: Stat::Count };
-        assert_eq!(members(&spec, &units, &scores), vec![0, 1]);
+        assert_eq!(ScopeGroups::new(&units, &scores).scope(spec.scope).0, &[0, 1]);
         assert_eq!(evaluate(&spec, &units, &scores), 2.0);
     }
 

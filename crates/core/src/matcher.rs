@@ -1,7 +1,7 @@
 //! The explainable matcher (paper §4.3): classifier pool over engineered
 //! features, plus the inverse transformation producing impact scores.
 
-use crate::features::{contributions, featurize, full_specs, simplified_specs, FeatureSpec};
+use crate::features::{featurize, full_specs, simplified_specs, FeatureSpec, ScopeGroups};
 use crate::units::DecisionUnit;
 use serde::{Deserialize, Serialize};
 use wym_linalg::Matrix;
@@ -38,6 +38,9 @@ impl Default for MatcherConfig {
 pub struct ExplainableMatcher {
     specs: Vec<FeatureSpec>,
     selected: SelectedModel,
+    /// `selected.raw_signed_importance()`, derived once at fit and at load
+    /// and never stored: the coefficients the impacts distribute.
+    coefs: Vec<f32>,
 }
 
 /// Serializable form of an [`ExplainableMatcher`].
@@ -57,10 +60,12 @@ impl ExplainableMatcher {
 
     /// Rehydrates a snapshot.
     pub fn from_saved(saved: SavedMatcher) -> ExplainableMatcher {
-        ExplainableMatcher {
-            specs: saved.specs,
-            selected: SelectedModel::from_saved(saved.selected),
-        }
+        ExplainableMatcher::new(saved.specs, SelectedModel::from_saved(saved.selected))
+    }
+
+    fn new(specs: Vec<FeatureSpec>, selected: SelectedModel) -> ExplainableMatcher {
+        let coefs = selected.raw_signed_importance();
+        ExplainableMatcher { specs, selected, coefs }
     }
 
     /// Fits the pool on per-record `(units, scores, label)` triples and
@@ -95,7 +100,7 @@ impl ExplainableMatcher {
             n_threads: config.n_threads,
         };
         let selected = pool.fit_select(&x_train, &y_train, &x_val, &y_val);
-        ExplainableMatcher { specs, selected }
+        ExplainableMatcher::new(specs, selected)
     }
 
     /// The feature specs in use.
@@ -116,9 +121,7 @@ impl ExplainableMatcher {
     /// Match probability of one record.
     pub fn predict_proba(&self, units: &[DecisionUnit], scores: &[f32]) -> f32 {
         let _span = wym_obs::span("classify");
-        let mut x = Matrix::zeros(0, self.specs.len());
-        x.push_row(&featurize(&self.specs, units, scores));
-        self.selected.predict_proba(&x)[0]
+        self.proba(&ScopeGroups::new(units, scores))
     }
 
     /// Match probabilities of many records (one featurize + one model call).
@@ -140,17 +143,40 @@ impl ExplainableMatcher {
     /// transformation, multiplied by the unit's relevance, and averaged
     /// (paper §4.3).
     pub fn impacts(&self, units: &[DecisionUnit], scores: &[f32]) -> Vec<f32> {
-        let coefs = self.selected.raw_signed_importance();
-        let mut acc = vec![0.0f32; units.len()];
-        let mut n = vec![0u32; units.len()];
-        for (spec, coef) in self.specs.iter().zip(&coefs) {
-            if *coef == 0.0 {
+        self.impacts_of(&ScopeGroups::new(units, scores), scores)
+    }
+
+    /// [`ExplainableMatcher::predict_proba`] and
+    /// [`ExplainableMatcher::impacts`] of one record, both read from one
+    /// grouping of its units. The `classify` span wraps the probability.
+    pub(crate) fn proba_and_impacts(
+        &self,
+        units: &[DecisionUnit],
+        scores: &[f32],
+    ) -> (f32, Vec<f32>) {
+        let span = wym_obs::span("classify");
+        let groups = ScopeGroups::new(units, scores);
+        let probability = self.proba(&groups);
+        drop(span);
+        (probability, self.impacts_of(&groups, scores))
+    }
+
+    fn proba(&self, groups: &ScopeGroups) -> f32 {
+        let x = Matrix::from_vec(1, self.specs.len(), groups.featurize(&self.specs));
+        self.selected.predict_proba(&x)[0]
+    }
+
+    fn impacts_of(&self, groups: &ScopeGroups, scores: &[f32]) -> Vec<f32> {
+        let mut acc = vec![0.0f32; scores.len()];
+        let mut n = vec![0u32; scores.len()];
+        for (spec, &coef) in self.specs.iter().zip(&self.coefs) {
+            if coef == 0.0 {
                 continue;
             }
-            for (i, w) in contributions(spec, units, scores) {
+            groups.contribute(spec, |i, w| {
                 acc[i] += coef * w;
                 n[i] += 1;
-            }
+            });
         }
         acc.iter()
             .zip(&n)
@@ -277,6 +303,18 @@ mod tests {
         for ((units, scores, _), b) in test.iter().zip(&batch) {
             let single = m.predict_proba(units, scores);
             assert!((single - b).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn shared_grouping_matches_separate_calls() {
+        let train = synth(80, 9);
+        let m = ExplainableMatcher::fit(&MatcherConfig::default(), 1, &as_refs(&train), &as_refs(&train));
+        for (units, scores, _) in &synth(10, 10) {
+            let (p, impacts) = m.proba_and_impacts(units, scores);
+            assert_eq!(p.to_bits(), m.predict_proba(units, scores).to_bits());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&impacts), bits(&m.impacts(units, scores)));
         }
     }
 

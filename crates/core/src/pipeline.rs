@@ -471,16 +471,6 @@ impl WymModel {
             .collect()
     }
 
-    /// The active audit log, unless this emission point is suppressed
-    /// (see [`WymModel::explain_processed`] — explain audits for both).
-    fn audit_log(&self) -> Option<std::sync::Arc<wym_obs::AuditLog>> {
-        if wym_obs::audit::suppressed() {
-            None
-        } else {
-            wym_obs::audit::active()
-        }
-    }
-
     /// Emits one decision record into `log` for this processed record.
     fn audit_decision(
         &self,
@@ -508,7 +498,7 @@ impl WymModel {
     /// installed (see [`wym_obs::audit`]), emits one `classify` decision
     /// record — without impacts; the explain path records those.
     pub fn predict_processed(&self, proc: &ProcessedRecord) -> Prediction {
-        let Some(log) = self.audit_log() else {
+        let Some(log) = wym_obs::audit::active() else {
             let probability = self.matcher.predict_proba(&proc.units, &proc.relevances);
             return Prediction { label: probability >= 0.5, probability };
         };
@@ -532,25 +522,25 @@ impl WymModel {
         self.predict_processed(&self.process(pair))
     }
 
-    /// Explains an already processed record. When an audit log is
-    /// installed, emits one `explain` decision record carrying the top
-    /// unit impacts; the internal classify call is suppressed so the
-    /// decision is logged exactly once.
+    /// Explains an already processed record: the probability and the unit
+    /// impacts come from one grouping of its units (see
+    /// [`crate::features`]). When an audit log is installed, emits one
+    /// `explain` decision record carrying the top unit impacts — the only
+    /// record of the decision.
     pub fn explain_processed(&self, proc: &ProcessedRecord) -> Explanation {
         let _span = wym_obs::span("explain");
-        let log = self.audit_log();
+        let log = wym_obs::audit::active();
         let (explanation, cost) = wym_obs::audit::measure(|| {
-            let _quiet = wym_obs::audit::suppress();
-            let prediction = self.predict_processed(proc);
-            let impacts = self.matcher.impacts(&proc.units, &proc.relevances);
+            let (probability, impacts) =
+                self.matcher.proba_and_impacts(&proc.units, &proc.relevances);
             Explanation::build(
                 &proc.record,
                 &self.attr_names,
                 &proc.units,
                 &proc.relevances,
                 &impacts,
-                prediction.label,
-                prediction.probability,
+                probability >= 0.5,
+                probability,
             )
         });
         if let Some(log) = log {
@@ -816,8 +806,9 @@ mod tests {
             (model.predict(pair), model.explain(pair))
         });
 
-        // One classify + one explain record — the classify nested inside
-        // explain is suppressed, so each user-facing call logs exactly once.
+        // One classify + one explain record — explain computes its verdict
+        // without the classify path, so each user-facing call logs exactly
+        // once.
         let records = log.sorted();
         assert_eq!(records.len(), 2, "{records:?}");
         let classify = &records[0];

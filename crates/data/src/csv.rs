@@ -129,7 +129,9 @@ pub fn write_csv(dataset: &EmDataset, path: &Path) -> io::Result<()> {
     std::fs::write(path, to_csv_string(dataset))
 }
 
-/// Parses a dataset from CSV text produced by [`to_csv_string`].
+/// Parses a dataset from CSV text produced by [`to_csv_string`]: the header
+/// is `id,label`, then `left_<attr>` for every attribute, then
+/// `right_<attr>` for the same attributes in the same order.
 pub fn from_csv_string(
     text: &str,
     name: &str,
@@ -155,6 +157,14 @@ pub fn from_csv_string(
                 .ok_or_else(|| CsvError::Malformed(format!("bad column name {c}")))
         })
         .collect::<Result<_, _>>()?;
+    for (c, attr) in cols[2 + m..].iter().zip(&attributes) {
+        if c.strip_prefix("right_") != Some(attr.as_str()) {
+            return Err(CsvError::Malformed(format!(
+                "bad column name {c}: expected right_{attr} (the right side must repeat the \
+                 left side's attributes in order)"
+            )));
+        }
+    }
 
     let mut pairs = Vec::new();
     for (ln, line) in lines.enumerate() {
@@ -265,6 +275,20 @@ mod tests {
         let text = "id,label,left_a,left_b,right_a\n";
         let err = from_csv_string(text, "x", DatasetType::Structured);
         assert!(matches!(err, Err(CsvError::Malformed(_))));
+    }
+
+    #[test]
+    fn rejects_right_columns_out_of_order() {
+        let text = "id,label,left_name,left_price,right_price,right_name\n0,1,sony,37,200,sony\n";
+        let err = from_csv_string(text, "x", DatasetType::Structured);
+        assert!(matches!(err, Err(CsvError::Malformed(m)) if m.contains("right_name")));
+    }
+
+    #[test]
+    fn rejects_right_columns_without_prefix() {
+        let text = "id,label,left_name,left_price,foo,bar\n0,1,sony,37,sony,36\n";
+        let err = from_csv_string(text, "x", DatasetType::Structured);
+        assert!(matches!(err, Err(CsvError::Malformed(m)) if m.contains("foo")));
     }
 
     #[test]

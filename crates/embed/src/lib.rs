@@ -179,11 +179,12 @@ impl Embedder {
     ///
     /// Bit-identity: each stage delegates to an `*_into` variant
     /// ([`HashedNgramEmbedder::embed_token_into`], the flat contextualizer,
-    /// [`wym_nn::SiameseProjection::project_into`]) that performs the
+    /// [`wym_nn::SiameseProjection::project_rows_into`]) that performs the
     /// identical float operations in the identical order as its allocating
-    /// twin, so `embed_entity_fused(t).to_nested() == embed_entity(t)`
-    /// exactly — the property `fused_embed_bit_identical_to_reference`
-    /// pins.
+    /// twin — the projection runs each row's chain whether it projects one
+    /// row or the whole entity — so
+    /// `embed_entity_fused(t).to_nested() == embed_entity(t)` exactly, the
+    /// property `fused_embed_bit_identical_to_reference` pins.
     pub fn embed_entity_fused(&self, attr_tokens: &[Vec<String>]) -> EmbedMatrix {
         let _span = wym_obs::span("embed");
         if wym_obs::enabled() {
@@ -236,7 +237,7 @@ impl Embedder {
                         &mut s.nbr,
                     ),
                     // Stages 2+3: contextualize into the ctx arena, project
-                    // each row into the output.
+                    // all rows into the output with one GEMM.
                     Some(proj) => {
                         s.ctx.clear();
                         s.ctx.resize(n_tok * dim, 0.0);
@@ -249,12 +250,7 @@ impl Embedder {
                             &mut s.attr_centroid,
                             &mut s.nbr,
                         );
-                        for r in 0..n_tok {
-                            proj.project_into(
-                                &s.ctx[r * dim..(r + 1) * dim],
-                                &mut data[r * dim..(r + 1) * dim],
-                            );
-                        }
+                        proj.project_rows_into(&s.ctx, &mut data);
                     }
                 }
             }

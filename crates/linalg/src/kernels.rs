@@ -1247,7 +1247,9 @@ pub mod avx512 {
     /// every row runs plain fused updates; a group dead in every row is not
     /// run; a mixed group chains each row into a copy and keeps it only
     /// where the row is live (its flag is the blend mask), which is exactly
-    /// the skip of the recipe.
+    /// the skip of the recipe. Mixed groups and tail steps run only the
+    /// tile's valid rows: a partial tile's padding rows are never stored,
+    /// so a one-row product (a projected vector) costs one row, not eight.
     ///
     /// # Safety
     /// The caller must have verified AVX-512 F support; `t.b` must hold
@@ -1288,7 +1290,7 @@ pub mod avx512 {
                 }
             } else if live != [0; GEMM_MR] {
                 let bv = [load(p), load(p + 1), load(p + 2), load(p + 3)];
-                for (r, row) in acc.iter_mut().enumerate() {
+                for (r, row) in acc.iter_mut().enumerate().take(t.rows) {
                     let mut y = *row;
                     for (j, bj) in bv.iter().enumerate() {
                         let ar = _mm512_set1_ps(*a.add((p + j) * GEMM_MR + r));
@@ -1305,7 +1307,7 @@ pub mod avx512 {
         for s in groups..groups + k % 4 {
             let p = s + 3 * groups;
             let bv = load(p);
-            for (r, row) in acc.iter_mut().enumerate() {
+            for (r, row) in acc.iter_mut().enumerate().take(t.rows) {
                 let ar = _mm512_set1_ps(*a.add(p * GEMM_MR + r));
                 let kr = t.live[s * GEMM_MR + r];
                 for (x, &bj) in row.iter_mut().zip(&bv) {

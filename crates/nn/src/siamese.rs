@@ -12,7 +12,7 @@ use crate::layer::{Dense, DenseGrad};
 use crate::optim::sgd_step;
 use crate::Activation;
 use serde::{Deserialize, Serialize};
-use wym_linalg::{vector, Matrix, Rng64};
+use wym_linalg::{kernels, vector, Matrix, Rng64};
 
 /// Configuration of the siamese trainer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -79,23 +79,44 @@ impl SiameseProjection {
         out
     }
 
-    /// [`SiameseProjection::project`] writing into a caller-provided slice
-    /// (the fused embed path's arena). The sparse `axpy` sweep and the
-    /// final normalization are the identical float-op sequence, so the
-    /// output is bit-identical to [`SiameseProjection::project`].
+    /// [`SiameseProjection::project`] writing into a caller-provided slice:
+    /// the one-row case of [`SiameseProjection::project_rows_into`].
     ///
     /// # Panics
     /// Panics on input/output dimension mismatch.
     pub fn project_into(&self, v: &[f32], out: &mut [f32]) {
         assert_eq!(v.len(), self.p.rows(), "dimension mismatch");
         assert_eq!(out.len(), self.p.cols(), "output dimension mismatch");
-        out.fill(0.0);
-        for (k, &a) in v.iter().enumerate() {
-            if a != 0.0 {
-                vector::axpy(a, self.p.row(k), out);
-            }
+        self.project_rows_into(v, out);
+    }
+
+    /// Projects every row of `rows` (row-major, [`dim`](Self::dim) values
+    /// each) into the same row of `out` and L2-normalizes it: one
+    /// [`kernels::gemm`] call for all rows (the fused embed path projects a
+    /// whole entity at once), then one [`vector::normalize`] per row.
+    ///
+    /// Each output element is `vᵀP`'s column `j`, one `fma` chain over the
+    /// input coordinates in ascending order from `+0.0`. The GEMM skips an
+    /// aligned group of four steps when all four coefficients are zero and
+    /// a zero tail coefficient, but runs a zero coefficient inside a live
+    /// group: `fma(0, p, acc)`. That step leaves `acc` unchanged unless `p`
+    /// is non-finite or `acc` is `-0.0`, so the result equals a chain that
+    /// skips every zero coefficient whenever `P` is finite and no partial
+    /// sum is `-0.0`. The chain depends only on its own row, so a row
+    /// projects to the same bits alone or in a batch.
+    ///
+    /// # Panics
+    /// Panics when `rows` and `out` differ in length or hold a partial row.
+    pub fn project_rows_into(&self, rows: &[f32], out: &mut [f32]) {
+        assert_eq!(rows.len(), out.len(), "output dimension mismatch");
+        if rows.is_empty() {
+            return;
         }
-        vector::normalize(out);
+        assert_eq!(rows.len() % self.dim(), 0, "dimension mismatch");
+        vt_times(&self.p, rows, out);
+        for row in out.chunks_exact_mut(self.dim()) {
+            vector::normalize(row);
+        }
     }
 
     /// Trains the projection on `(left, right, is_match)` pairs with the
@@ -119,6 +140,8 @@ impl SiameseProjection {
             activation: Activation::Identity,
         };
 
+        // Both sides of a pair project in one two-row product.
+        let (mut xy, mut uv) = (vec![0.0f32; 2 * dim], vec![0.0f32; 2 * dim]);
         let mut epoch_losses = Vec::with_capacity(config.epochs);
         for _ in 0..config.epochs {
             rng.shuffle(&mut order);
@@ -128,9 +151,11 @@ impl SiameseProjection {
                 debug_assert_eq!(x.len(), dim);
                 // u = Pᵀ… careful: project uses rows as input index, i.e.
                 // out = Σ_k v_k · row_k(P) = vᵀP, matching Dense's X·W.
-                let u = mat_vec(&layer.w, x);
-                let v = mat_vec(&layer.w, y);
-                let mut d: Vec<f32> = u.iter().zip(&v).map(|(a, b)| a - b).collect();
+                xy[..dim].copy_from_slice(x);
+                xy[dim..].copy_from_slice(y);
+                vt_times(&layer.w, &xy, &mut uv);
+                let (u, v) = uv.split_at(dim);
+                let mut d: Vec<f32> = u.iter().zip(v).map(|(a, b)| a - b).collect();
                 let dist = vector::norm(&d);
                 let (loss, scale_u) = if *is_match {
                     // L = dist², dL/du = 2 d
@@ -166,15 +191,19 @@ impl SiameseProjection {
     }
 }
 
-/// `vᵀ · M` (treating `v` as a row vector), returning a dense vector.
-fn mat_vec(m: &Matrix, v: &[f32]) -> Vec<f32> {
-    let mut out = vec![0.0f32; m.cols()];
-    for (k, &a) in v.iter().enumerate() {
-        if a != 0.0 {
-            vector::axpy(a, m.row(k), &mut out);
-        }
-    }
-    out
+/// `out = V · M` for the row-major rows `V` of `rows` (`m.rows()` values
+/// each): the one `vᵀM` routine of projection and training, as one
+/// [`kernels::gemm`] call.
+fn vt_times(m: &Matrix, rows: &[f32], out: &mut [f32]) {
+    let k = m.rows();
+    let a = kernels::StridedMat {
+        data: rows,
+        rows: rows.len().checked_div(k).unwrap_or(0),
+        cols: k,
+        row_stride: k,
+        col_stride: 1,
+    };
+    kernels::gemm(a, m.as_slice(), m.cols(), out);
 }
 
 #[cfg(test)]

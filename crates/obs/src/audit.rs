@@ -22,10 +22,9 @@
 //! it) over a process-wide slot ([`install_global`]). Emission with no log
 //! installed is a no-op costing one thread-local read.
 //!
-//! **One record per decision.** `explain` computes its verdict by calling
-//! the classify path internally; the outer caller wraps that inner call in
-//! a [`suppress`] scope so a decision never double-logs. The surviving
-//! record is the richer one (kind `explain`, with impacts).
+//! **One record per decision.** `explain` computes its verdict without
+//! going through the classify path, so a decision never double-logs: it
+//! emits one record of kind `explain`, with impacts.
 
 use crate::manifest::fnv1a;
 use serde::{Serialize, Value};
@@ -199,8 +198,7 @@ impl AuditLog {
         self.records.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Emits one decision. No-op inside a [`suppress`] scope or when the
-    /// sequence number is sampled out. The sequence comes from the ambient
+    /// Emits one decision. No-op when the sequence number is sampled out. The sequence comes from the ambient
     /// [`scope_seq`] when one is active, else from an arrival counter.
     #[allow(clippy::too_many_arguments)]
     pub fn emit(
@@ -214,9 +212,6 @@ impl AuditLog {
         top_impacts: Vec<(String, f32)>,
         cost: Option<DecisionCost>,
     ) {
-        if suppressed() {
-            return;
-        }
         let seq = SEQ.with(|s| match s.get() {
             Some(pinned) => pinned,
             None => self.fallback_seq.fetch_add(1, Ordering::Relaxed),
@@ -307,8 +302,6 @@ thread_local! {
     static LOCAL: RefCell<Option<Arc<AuditLog>>> = const { RefCell::new(None) };
     /// Sequence number pinned by the innermost [`scope_seq`], if any.
     static SEQ: Cell<Option<u64>> = const { Cell::new(None) };
-    /// Suppression depth (&gt; 0 = emissions dropped).
-    static SUPPRESS: Cell<u32> = const { Cell::new(0) };
 }
 
 fn global_slot() -> Option<Arc<AuditLog>> {
@@ -377,31 +370,6 @@ impl Drop for SeqScope {
         let prev = self.prev.take();
         SEQ.with(|s| s.set(prev));
     }
-}
-
-/// Drops audit emissions on this thread for the extent of the returned
-/// guard. The explain path wraps its internal classify call with this so a
-/// decision produces exactly one record.
-#[must_use = "suppression lasts only while the guard lives"]
-pub fn suppress() -> SuppressScope {
-    SUPPRESS.with(|s| s.set(s.get() + 1));
-    SuppressScope { _thread_bound: std::marker::PhantomData }
-}
-
-/// Guard of [`suppress`].
-pub struct SuppressScope {
-    _thread_bound: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for SuppressScope {
-    fn drop(&mut self) {
-        SUPPRESS.with(|s| s.set(s.get().saturating_sub(1)));
-    }
-}
-
-/// Whether emissions on this thread are currently suppressed.
-pub fn suppressed() -> bool {
-    SUPPRESS.with(|s| s.get()) > 0
 }
 
 #[cfg(test)]
@@ -478,24 +446,6 @@ mod tests {
             on.emit(KIND_CLASSIFY, 1, true, 0.9, 1, 1, Vec::new(), Some(cost.clone()));
         }
         assert_eq!(on.sorted()[0].cost, Some(cost));
-    }
-
-    #[test]
-    fn suppression_drops_emissions_and_nests() {
-        let log = AuditLog::new(AuditOptions::default());
-        {
-            let _outer = suppress();
-            {
-                let _inner = suppress();
-                emit_plain(&log, 0, 0, 0.9);
-            }
-            assert!(suppressed(), "outer scope still active");
-            emit_plain(&log, 1, 1, 0.9);
-        }
-        assert!(!suppressed());
-        emit_plain(&log, 2, 2, 0.9);
-        let seqs: Vec<u64> = log.sorted().iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![2]);
     }
 
     #[test]

@@ -516,7 +516,7 @@ pub(crate) fn counter_event(name: &str, n: u64) {
 }
 
 /// Records an audit-decision summary on this thread's lane (called by
-/// [`crate::AuditLog::emit`] for sampled, unsuppressed decisions).
+/// [`crate::AuditLog::emit`] for sampled decisions).
 pub(crate) fn decision_event(kind: &str, verdict: bool, score: f32) {
     if let Some(flight) = active() {
         let name =

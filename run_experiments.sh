@@ -40,7 +40,9 @@
 # results/smoke_hostile_* (a snapshot whose windows section declares a
 # 10^12-frame ring, one whose histogram bounds decrease, and 100,000
 # nested '[') must make `obs_diff` exit 2 (a file error) and `wym obs
-# flight` exit 1 — never abort or panic. The `bench_diff` timing sentinel
+# flight` exit 1, and `wym classify` of a T-AB CSV with the S-FZ smoke
+# model must exit 1 with an error naming both attribute lists — never
+# abort or panic. The `bench_diff` timing sentinel
 # also runs, in warn mode:
 # flagged stages print WARNING lines against their ledger-learned
 # per-stage thresholds, but timings are machine-dependent so it never
@@ -362,6 +364,31 @@ if [ "${1:-}" = "--smoke" ]; then
   else
     echo "SMOKE WARNING: no committed baseline results/OBS_baseline_decisions.json; skipping diff" >&2
   fi
+  # Schema-mismatch drill: a CSV whose attributes are not the model's must
+  # be refused up front with an error naming both lists (exit 1), never
+  # classified from misaligned values or panicking (exit 101).
+  echo "=== smoke: schema-mismatch drill (wym classify, T-AB data, S-FZ model) ==="
+  SCHEMA_DATA=results/smoke_schema_tab.csv
+  if ! ./target/release/wym generate --dataset T-AB --out "$SCHEMA_DATA" --cap 20; then
+    echo "SMOKE FAILED: wym generate --dataset T-AB" >&2
+    exit 1
+  fi
+  ./target/release/wym classify --load-model "$SMOKE_MODEL" --data "$SCHEMA_DATA" \
+    > /dev/null 2> results/smoke_schema.log
+  RC=$?
+  if [ "$RC" -ne 1 ]; then
+    echo "SMOKE FAILED: wym classify exited $RC on a mismatched schema (want 1)" >&2
+    cat results/smoke_schema.log >&2
+    exit 1
+  fi
+  for csv in "$SMOKE_DATA" "$SCHEMA_DATA"; do
+    ATTRS=$(head -1 "$csv" | tr -d '\r' | tr ',' '\n' | sed -n 's/^left_//p' | paste -sd, - | sed 's/,/, /g')
+    if ! grep -qF "[$ATTRS]" results/smoke_schema.log; then
+      echo "SMOKE FAILED: schema-mismatch error does not name [$ATTRS] (from $csv)" >&2
+      cat results/smoke_schema.log >&2
+      exit 1
+    fi
+  done
   # Hostile-bytes drill: readers of outside JSON must refuse crafted files
   # with an error. An abort (exit 134, e.g. reserving the 10^12-frame
   # ring the windows file declares) or a panic (exit 101, e.g. on the

@@ -204,6 +204,20 @@ fn load(path: &str) -> Result<EmDataset, String> {
         .map_err(|e| format!("cannot read {path}: {e}"))
 }
 
+/// Checks that a CSV's attributes are the model's, by name and in order:
+/// the model reads each record's values by attribute position.
+fn check_schema(csv: &[String], model: &[String]) -> Result<(), String> {
+    if csv == model {
+        Ok(())
+    } else {
+        Err(format!(
+            "the CSV's attributes [{}] differ from the model's [{}]",
+            csv.join(", "),
+            model.join(", ")
+        ))
+    }
+}
+
 fn fit(dataset: &EmDataset, args: &Args) -> (WymModel, Vec<RecordPair>) {
     let seed = args.num("seed", 42u64);
     let split = paper_split(dataset, seed);
@@ -344,6 +358,7 @@ fn classify(args: &Args) -> Result<(), String> {
     let model_fnv = loaded.content_fnv;
     let model = loaded.model;
     let dataset = load(args.require("data")?)?;
+    check_schema(&dataset.schema.attributes, model.attr_names())?;
     let explain = args.get("explain").is_some();
     let threads = args.num("threads", 1usize);
 
@@ -577,21 +592,25 @@ fn run(args: &Args) -> Result<(), String> {
                 .map_err(|e| format!("cannot parse model: {e}"))?;
             let model = WymModel::from_saved(saved);
             let dataset = load(args.require("data")?)?;
+            check_schema(&dataset.schema.attributes, model.attr_names())?;
             let explain = args.get("explain").is_some();
             let mut predicted_matches = 0usize;
             for pair in &dataset.pairs {
-                let p = model.predict(pair);
-                if explain {
-                    println!("{}", model.explain(pair));
+                let label = if explain {
+                    let ex = model.explain(pair);
+                    println!("{ex}");
+                    ex.prediction
                 } else {
+                    let p = model.predict(pair);
                     println!(
                         "{}\t{}\t{:.4}",
                         pair.id,
                         if p.label { "match" } else { "non-match" },
                         p.probability
                     );
-                }
-                predicted_matches += usize::from(p.label);
+                    p.label
+                };
+                predicted_matches += usize::from(label);
             }
             eprintln!(
                 "{predicted_matches} predicted matches out of {} pairs",
@@ -701,5 +720,39 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_schema;
+
+    fn names(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn schema_check_accepts_only_the_model_attributes_in_order() {
+        // A T-AB model against S-FZ, renamed and reordered T-AB schemas.
+        let model = names(&["name", "description", "price"]);
+        assert_eq!(check_schema(&model, &model), Ok(()));
+
+        let wider = names(&["name", "address", "city", "phone", "type"]);
+        let err = check_schema(&wider, &model).unwrap_err();
+        assert!(
+            err.contains("[name, address, city, phone, type]")
+                && err.contains("[name, description, price]"),
+            "{err}"
+        );
+
+        let renamed = names(&["name", "summary", "price"]);
+        let err = check_schema(&renamed, &model).unwrap_err();
+        assert!(
+            err.contains("[name, summary, price]") && err.contains("[name, description, price]"),
+            "{err}"
+        );
+
+        let reordered = names(&["price", "description", "name"]);
+        assert!(check_schema(&reordered, &model).is_err());
     }
 }

@@ -508,3 +508,80 @@ proptest! {
         }
     }
 }
+
+/// Golden explain-path output: the FNV-1a over
+/// (a) the `featurize` row and `impacts` of every test record of S-FZ and
+/// T-AB (cap 40, seed 7, the `--quick` scorer recipe with the default
+/// `Siamese` embedder) under three matchers fitted on the same processed
+/// records — the full pool's winner, a `RandomForest`-only pool and a
+/// `GradientBoosting`-only pool (tree winners reach the impacts through
+/// their signed importances); and
+/// (b) the `embed_entity_fused` rows of both sides of those records, which
+/// run through the trained projection.
+/// The kernel layer is bit-identical across `WYM_KERNEL`, so the constant
+/// holds under every dispatch.
+#[test]
+fn explain_path_reproduces_golden() {
+    use wym::core::features::featurize;
+    use wym::core::matcher::{ExplainableMatcher, MatcherConfig};
+
+    let push_f32s = |bytes: &mut Vec<u8>, values: &[f32]| {
+        bytes.extend_from_slice(&(values.len() as u64).to_le_bytes());
+        for v in values {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    };
+    let mut bytes = Vec::new();
+    for name in ["S-FZ", "T-AB"] {
+        let dataset = magellan::generate_by_name(name, 7).unwrap().subsample(40, 7);
+        let split = paper_split(&dataset, 7);
+        let mut cfg = WymConfig::default().with_seed(7);
+        cfg.n_threads = 1;
+        cfg.embed_dim = 32;
+        cfg.embedder_kind = EmbedderKind::Siamese;
+        cfg.scorer.train =
+            TrainConfig { epochs: 8, batch_size: 128, lr: 2e-3, ..TrainConfig::default() };
+        let model = WymModel::fit(&dataset, &split, cfg);
+
+        let pairs = |idx: &[usize]| -> Vec<RecordPair> {
+            idx.iter().map(|&i| dataset.pairs[i].clone()).collect()
+        };
+        let (train, val, test) = (
+            model.process_many(&pairs(&split.train)),
+            model.process_many(&pairs(&split.val)),
+            pairs(&split.test),
+        );
+        fn rows(proc: &[wym::core::ProcessedRecord]) -> Vec<(&[DecisionUnit], &[f32], bool)> {
+            proc.iter()
+                .map(|p| (p.units.as_slice(), p.relevances.as_slice(), p.record.label.unwrap_or(false)))
+                .collect()
+        }
+        let (train_rows, val_rows) = (rows(&train), rows(&val));
+        let single = |kind| {
+            let config =
+                MatcherConfig { kinds: vec![kind], seed: 7, n_threads: 1, ..Default::default() };
+            ExplainableMatcher::fit(&config, dataset.schema.len(), &train_rows, &val_rows)
+        };
+        let forest = single(ClassifierKind::RandomForest);
+        let boost = single(ClassifierKind::GradientBoosting);
+
+        let processed = model.process_many(&test);
+        for matcher in [model.matcher(), &forest, &boost] {
+            for p in &processed {
+                push_f32s(&mut bytes, &featurize(matcher.specs(), &p.units, &p.relevances));
+                push_f32s(&mut bytes, &matcher.impacts(&p.units, &p.relevances));
+            }
+        }
+        for pair in &test {
+            for entity in [&pair.left, &pair.right] {
+                let tokens = model.tokenizer().tokenize_attributes(&entity.values);
+                let embedded = model.embedder().embed_entity_fused(&tokens);
+                for row in embedded.rows() {
+                    push_f32s(&mut bytes, row);
+                }
+            }
+        }
+    }
+    let fnv = wym_obs::manifest::fnv1a(&bytes);
+    assert_eq!(fnv, 0xc174_3b49_ba8e_f5a6, "explain-path features, impacts or embeddings changed: fnv {fnv:016x}");
+}
