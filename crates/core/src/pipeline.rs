@@ -218,19 +218,6 @@ pub struct SavedWymModel {
     pub attr_names: Vec<String>,
 }
 
-/// Wall-clock seconds spent in each stage of [`WymModel::fit_timed`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct FitTimings {
-    /// Embedder fitting (stage 1).
-    pub embed_fit_s: f64,
-    /// Tokenize + embed + unit discovery over train and validation (stage 2).
-    pub discover_s: f64,
-    /// Relevance-scorer training (stage 3).
-    pub score_train_s: f64,
-    /// Unit scoring plus classifier-pool fitting (stages 4–5).
-    pub pool_fit_s: f64,
-}
-
 /// A fitted WYM model.
 pub struct WymModel {
     config: WymConfig,
@@ -258,24 +245,9 @@ impl WymModel {
     /// # Panics
     /// Panics when the training split is empty.
     pub fn fit(dataset: &EmDataset, split: &SplitIndices, config: WymConfig) -> WymModel {
-        Self::fit_timed(dataset, split, config).0
-    }
-
-    /// [`WymModel::fit`] plus per-stage wall-clock timings, for the perf
-    /// harness (`wym-experiments`' timing binary).
-    ///
-    /// # Panics
-    /// Panics when the training split is empty.
-    pub fn fit_timed(
-        dataset: &EmDataset,
-        split: &SplitIndices,
-        config: WymConfig,
-    ) -> (WymModel, FitTimings) {
         assert!(!split.train.is_empty(), "training split is empty");
         config.obs.apply();
         let _span = wym_obs::span("fit");
-        let mut timings = FitTimings::default();
-        let stage_start = std::time::Instant::now();
         let tokenizer = Tokenizer::default();
 
         // 1. Embedder (trained variants see a capped slice of train records).
@@ -294,7 +266,6 @@ impl WymModel {
             .collect();
         let embedder =
             Embedder::fit(config.embedder_kind, config.embed_dim, config.seed, &embed_train);
-        timings.embed_fit_s = stage_start.elapsed().as_secs_f64();
 
         // 2. Tokenize + discover units for train and validation records.
         // Per-record work is independent, so this fans out over the
@@ -306,24 +277,19 @@ impl WymModel {
                 (rec, units)
             })
         };
-        let stage_start = std::time::Instant::now();
         let train_proc = process(&split.train);
         let val_proc = process(&split.val);
-        timings.discover_s = stage_start.elapsed().as_secs_f64();
 
         // 3. Relevance scorer.
         let scorer_input: Vec<(&TokenizedRecord, &[DecisionUnit])> =
             train_proc.iter().map(|(r, u)| (r, u.as_slice())).collect();
         let mut scorer_cfg = config.scorer.clone();
         scorer_cfg.seed = config.seed;
-        let stage_start = std::time::Instant::now();
         let scorer = RelevanceScorer::fit(scorer_cfg, &scorer_input);
-        timings.score_train_s = stage_start.elapsed().as_secs_f64();
 
         // 4. Score units batched (chunks of records share one forward pass;
         // bit-identical to per-record scoring — see
         // [`RelevanceScorer::score_batch`]), 5. fit the matcher.
-        let stage_start = std::time::Instant::now();
         let score_all = |proc: &[(TokenizedRecord, Vec<DecisionUnit>)]| -> Vec<Vec<f32>> {
             let chunks: Vec<_> = proc.chunks(SCORE_CHUNK_RECORDS).collect();
             let scored = wym_par::map_indexed(&chunks, config.n_threads, |_, chunk| {
@@ -353,17 +319,15 @@ impl WymModel {
         matcher_cfg.n_threads = config.n_threads;
         let matcher =
             ExplainableMatcher::fit(&matcher_cfg, dataset.schema.len(), &train_rows, &val_rows);
-        timings.pool_fit_s = stage_start.elapsed().as_secs_f64();
 
-        let model = WymModel {
+        WymModel {
             config,
             tokenizer,
             embedder,
             scorer,
             matcher,
             attr_names: dataset.schema.attributes.clone(),
-        };
-        (model, timings)
+        }
     }
 
     /// The model configuration.

@@ -20,11 +20,10 @@
 //! pin `--threads` (the tensor payloads themselves are thread-invariant;
 //! `wym model diff` on two artifacts shows exactly which section moved).
 //!
-//! Results land in `results/BENCH_artifact.json`: save/load wall times,
-//! artifact size, and the mmap-vs-read comparison, under the standard
-//! provenance manifest.
+//! The stdout table reports the artifact size and the save and load
+//! (read and mmap) wall times; the gate is the exit status plus the printed
+//! fnv.
 
-use serde::{Serialize, Value};
 use std::path::Path;
 use std::time::Instant;
 use wym_artifact::{self as artifact, LoadMode};
@@ -116,13 +115,11 @@ fn main() {
     // reproduce the in-memory outputs bit for bit.
     let mut failures = 0;
     let mut load_s = [0.0f64; 2];
-    let mut mapped = [false; 2];
     for (i, mode) in [LoadMode::Read, LoadMode::Mmap].into_iter().enumerate() {
         let t0 = Instant::now();
         let loaded = artifact::load_model(path, mode)
             .unwrap_or_else(|e| panic!("loading {path_s} ({mode:?}): {e}"));
         load_s[i] = t0.elapsed().as_secs_f64();
-        mapped[i] = loaded.mapped;
         let (got, checksum) = record(&loaded.model, sample);
         failures += compare(
             &format!("{mode:?}"),
@@ -153,26 +150,6 @@ fn main() {
         ]],
     );
 
-    let bench = Value::object([
-        ("manifest", manifest.to_value()),
-        ("dataset", dataset.name.to_value()),
-        ("kernel", wym_linalg::kernels::active_name().to_value()),
-        ("n_pairs", sample.len().to_value()),
-        ("artifact_bytes", artifact_bytes.to_value()),
-        ("save_s", save_s.to_value()),
-        ("load_read_s", load_s[0].to_value()),
-        ("load_mmap_s", load_s[1].to_value()),
-        ("mmap_was_mapped", mapped[1].to_value()),
-        ("score_checksum", base_checksum.to_value()),
-        ("model_fnv", format!("{fold:016x}").to_value()),
-        ("mismatches", failures.to_value()),
-    ]);
-    let bench_path = "results/BENCH_artifact.json";
-    match std::fs::write(bench_path, wym_obs::pretty_json(&bench)) {
-        Ok(()) => println!("\n→ results saved to {bench_path}"),
-        Err(e) => eprintln!("warning: could not write {bench_path}: {e}"),
-    }
-    wym_experiments::append_bench_history("artifact_roundtrip", std::slice::from_ref(&bench));
     opts.flush_obs("artifact_roundtrip");
 
     if failures > 0 {

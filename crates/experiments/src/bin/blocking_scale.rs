@@ -250,20 +250,17 @@ fn main() {
     println!("| candidate checksum | {:016x} |", out.checksum);
 
     let snap = wym_obs::snapshot();
-    let row = bench_row(&opts, out.pairs.len(), recall, sampled, synth_s, block_s, &snap);
-    let _ = std::fs::create_dir_all("results");
-    // Smoke runs keep their row separate so the committed full-scale
-    // BENCH_blocking.json row survives `run_experiments.sh --smoke`.
-    let bench_path = if opts.smoke {
-        "results/BENCH_blocking_smoke.json"
-    } else {
-        "results/BENCH_blocking.json"
-    };
-    match std::fs::write(bench_path, wym_obs::pretty_json(&Value::Array(vec![row.clone()]))) {
-        Ok(()) => println!("\n→ results saved to {bench_path}"),
-        Err(e) => eprintln!("warning: could not write {bench_path}: {e}"),
+    // Only a full-scale run writes the committed BENCH_blocking.json row;
+    // a smoke run's evidence is its metrics snapshot.
+    if !opts.smoke {
+        let row = bench_row(&opts, out.pairs.len(), recall, sampled, synth_s, block_s, &snap);
+        let bench_path = "results/BENCH_blocking.json";
+        let _ = std::fs::create_dir_all("results");
+        match std::fs::write(bench_path, wym_obs::pretty_json(&Value::Array(vec![row]))) {
+            Ok(()) => println!("\n→ results saved to {bench_path}"),
+            Err(e) => eprintln!("warning: could not write {bench_path}: {e}"),
+        }
     }
-    wym_experiments::append_bench_history("blocking_scale", std::slice::from_ref(&row));
 
     if opts.trace {
         let _ = wym_obs::StderrSink.emit(&snap);

@@ -8,7 +8,7 @@
 //! units."
 
 use serde::Serialize;
-use wym_experiments::{fit_wym, fmt3, print_table, save_json, HarnessOpts};
+use wym_experiments::{fit_wym, fmt3, print_table, HarnessOpts};
 use wym_explain::errors::analyze_errors;
 
 wym_obs::install_tracking_alloc!();
@@ -64,6 +64,6 @@ fn main() {
         &["Dataset", "F1", "FPs", "FNs", "FPs w/ code confusion", "F1 + code heuristic"],
         &rows,
     );
-    save_json("error_analysis", &rows_json);
+    opts.save_json("error_analysis", &rows_json);
     opts.flush_obs("error_analysis");
 }

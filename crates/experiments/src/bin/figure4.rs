@@ -8,7 +8,7 @@
 use serde::Serialize;
 use wym_core::{discover_units, DiscoveryConfig, TokenizedRecord};
 use wym_embed::Embedder;
-use wym_experiments::{print_table, save_json, HarnessOpts};
+use wym_experiments::{print_table, HarnessOpts};
 use wym_tokenize::Tokenizer;
 
 wym_obs::install_tracking_alloc!();
@@ -71,6 +71,6 @@ fn main() {
         &["Dataset", "match paired", "match unpaired", "non-match paired", "non-match unpaired"],
         &rows,
     );
-    save_json("figure4", &rows_json);
+    opts.save_json("figure4", &rows_json);
     opts.flush_obs("figure4");
 }

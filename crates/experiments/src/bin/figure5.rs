@@ -9,7 +9,7 @@ use serde::Serialize;
 use wym_core::WymModel;
 use wym_data::split::paper_split;
 use wym_embed::EmbedderKind;
-use wym_experiments::{fmt3, print_table, save_json, HarnessOpts};
+use wym_experiments::{fmt3, print_table, HarnessOpts};
 
 wym_obs::install_tracking_alloc!();
 
@@ -67,6 +67,6 @@ fn main() {
         &["Dataset", "500", "1K", "2K", "full"],
         &rows,
     );
-    save_json("figure5", &rows_json);
+    opts.save_json("figure5", &rows_json);
     opts.flush_obs("figure5");
 }

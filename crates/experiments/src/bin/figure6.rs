@@ -6,7 +6,7 @@
 
 use serde::Serialize;
 use wym_explain::pareto::mean_shares;
-use wym_experiments::{fit_wym, print_table, save_json, HarnessOpts};
+use wym_experiments::{fit_wym, print_table, HarnessOpts};
 
 wym_obs::install_tracking_alloc!();
 
@@ -45,6 +45,6 @@ fn main() {
         &["Dataset", "3%", "5%", "10%", "20%", "50%", "100%"],
         &rows,
     );
-    save_json("figure6", &rows_json);
+    opts.save_json("figure6", &rows_json);
     opts.flush_obs("figure6");
 }

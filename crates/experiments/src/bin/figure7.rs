@@ -7,7 +7,7 @@
 
 use serde::Serialize;
 use wym_baselines::{BaselineMatcher, Ditto};
-use wym_experiments::{fit_wym, fmt3, print_table, save_json, HarnessOpts};
+use wym_experiments::{fit_wym, fmt3, print_table, HarnessOpts};
 use wym_explain::sufficiency::{post_hoc_accuracy_tokens_multi, post_hoc_accuracy_wym_multi};
 use wym_explain::{LemonLite, LimeText};
 
@@ -80,6 +80,6 @@ fn main() {
         &["Dataset / setting", "v=1", "v=2", "v=3", "v=4", "v=5"],
         &rows,
     );
-    save_json("figure7", &rows_json);
+    opts.save_json("figure7", &rows_json);
     opts.flush_obs("figure7");
 }

@@ -5,7 +5,7 @@
 //! barely moves it, Random sits in between.
 
 use serde::Serialize;
-use wym_experiments::{fit_wym, fmt3, print_table, save_json, HarnessOpts};
+use wym_experiments::{fit_wym, fmt3, print_table, HarnessOpts};
 use wym_explain::perturb::removal_curves;
 
 wym_obs::install_tracking_alloc!();
@@ -48,6 +48,6 @@ fn main() {
         &["Dataset / strategy", "k=0", "k=1", "k=2", "k=3", "k=4", "k=5"],
         &rows,
     );
-    save_json("figure8", &rows_json);
+    opts.save_json("figure8", &rows_json);
     opts.flush_obs("figure8");
 }

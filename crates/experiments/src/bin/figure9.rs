@@ -6,7 +6,7 @@
 
 use serde::Serialize;
 use wym_data::RecordPair;
-use wym_experiments::{fit_wym, print_table, save_json, HarnessOpts};
+use wym_experiments::{fit_wym, print_table, HarnessOpts};
 use wym_explain::correlation::correlations_by_label;
 use wym_explain::Landmark;
 use wym_linalg::stats::quantile;
@@ -92,6 +92,6 @@ fn main() {
         &["Dataset", "match mean", "match IQR", "non-match mean", "non-match IQR"],
         &rows,
     );
-    save_json("figure9", &rows_json);
+    opts.save_json("figure9", &rows_json);
     opts.flush_obs("figure9");
 }

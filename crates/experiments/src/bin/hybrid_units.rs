@@ -5,7 +5,7 @@
 use serde::Serialize;
 use wym_baselines::{BaselineMatcher, Ditto, HybridUnits};
 use wym_data::split::paper_split;
-use wym_experiments::{fmt3, print_table, save_json, HarnessOpts};
+use wym_experiments::{fmt3, print_table, HarnessOpts};
 
 wym_obs::install_tracking_alloc!();
 
@@ -49,6 +49,6 @@ fn main() {
         &["Dataset", "DITTO", "DITTO+units", "Δ (%)"],
         &rows,
     );
-    save_json("hybrid_units", &rows_json);
+    opts.save_json("hybrid_units", &rows_json);
     opts.flush_obs("hybrid_units");
 }

@@ -6,7 +6,7 @@
 
 use serde::Serialize;
 use wym_data::magellan;
-use wym_experiments::{print_table, save_json, HarnessOpts};
+use wym_experiments::{print_table, HarnessOpts};
 
 wym_obs::install_tracking_alloc!();
 
@@ -52,6 +52,6 @@ fn main() {
         &["Dataset", "Type", "Datasets", "Size", "% Match", "Paper size", "Paper % match"],
         &rows,
     );
-    save_json("table2", &rows_json);
+    opts.save_json("table2", &rows_json);
     opts.flush_obs("table2");
 }

@@ -4,7 +4,7 @@
 
 use serde::Serialize;
 use wym_baselines::{AutoMl, BaselineMatcher, CorDel, Ditto, DmPlus};
-use wym_experiments::{fit_wym, fmt3, print_table, ranks_desc, save_json, HarnessOpts};
+use wym_experiments::{fit_wym, fmt3, print_table, ranks_desc, HarnessOpts};
 
 wym_obs::install_tracking_alloc!();
 
@@ -93,6 +93,6 @@ fn main() {
         ],
         &rows,
     );
-    save_json("table3", &rows_json);
+    opts.save_json("table3", &rows_json);
     opts.flush_obs("table3");
 }

@@ -14,7 +14,7 @@ use wym_core::pairing::PairingSim;
 use wym_core::scorer::ScorerKind;
 use wym_core::WymConfig;
 use wym_embed::EmbedderKind;
-use wym_experiments::{fit_wym, fmt3, print_table, ranks_desc, save_json, HarnessOpts};
+use wym_experiments::{fit_wym, fmt3, print_table, ranks_desc, HarnessOpts};
 
 wym_obs::install_tracking_alloc!();
 
@@ -96,6 +96,6 @@ fn main() {
 
     let headers: Vec<&str> = std::iter::once("Dataset").chain(VARIANTS).collect();
     print_table("Table 4 — component ablations (F1, rank in parentheses)", &headers, &rows);
-    save_json("table4", &rows_json);
+    opts.save_json("table4", &rows_json);
     opts.flush_obs("table4");
 }

@@ -7,7 +7,7 @@
 
 use serde::Serialize;
 use wym_core::features::featurize;
-use wym_experiments::{fit_wym, fmt3, print_table, save_json, HarnessOpts};
+use wym_experiments::{fit_wym, fmt3, print_table, HarnessOpts};
 use wym_linalg::Matrix;
 use wym_ml::{f1_score, ClassifierKind, StandardScaler};
 
@@ -95,6 +95,6 @@ fn main() {
     headers.extend(kinds.iter().map(|k| k.short_name()));
     headers.extend(["Avg.", "S.D."]);
     print_table("Table 5 — classifier pool (test F1; best per dataset in bold)", &headers, &rows);
-    save_json("table5", &rows_json);
+    opts.save_json("table5", &rows_json);
     opts.flush_obs("table5");
 }

@@ -6,7 +6,7 @@
 //! search spaces beats uniform or decreasing ones.
 
 use serde::Serialize;
-use wym_experiments::{fit_wym, fmt3, print_table, save_json, HarnessOpts};
+use wym_experiments::{fit_wym, fmt3, print_table, HarnessOpts};
 
 wym_obs::install_tracking_alloc!();
 
@@ -62,6 +62,6 @@ fn main() {
         &["Dataset", "Setting", "F1"],
         &rows,
     );
-    save_json("threshold_sweep", &rows_json);
+    opts.save_json("threshold_sweep", &rows_json);
     opts.flush_obs("threshold_sweep");
 }

@@ -7,7 +7,7 @@
 //! scored elements. See DESIGN.md §2.
 
 use serde::Serialize;
-use wym_experiments::{fit_wym, print_table, save_json, HarnessOpts};
+use wym_experiments::{fit_wym, print_table, HarnessOpts};
 use wym_explain::readability::{mean_readability, readability};
 
 wym_obs::install_tracking_alloc!();
@@ -66,6 +66,6 @@ fn main() {
         ],
         &rows,
     );
-    save_json("user_study_proxy", &rows_json);
+    opts.save_json("user_study_proxy", &rows_json);
     opts.flush_obs("user_study_proxy");
 }

@@ -9,7 +9,8 @@
 //! default each dataset is label-stratified subsampled to `--cap` pairs
 //! (default 800) and the scorer trains for 20 epochs. `--full` lifts the
 //! cap and restores the paper's 40 epochs; `--quick` shrinks everything for
-//! smoke runs.
+//! smoke runs, whose results land in `results/smoke_<name>.json` so they
+//! never overwrite the committed paper results.
 
 use serde::{Serialize, Value};
 use std::path::PathBuf;
@@ -25,7 +26,8 @@ use wym_nn::TrainConfig;
 pub struct HarnessOpts {
     /// Lift subsampling caps and use paper-scale training.
     pub full: bool,
-    /// Smoke-run mode: tiny caps, few epochs, reduced pool.
+    /// Smoke-run mode: tiny caps, few epochs, reduced pool; results go to
+    /// `results/smoke_<name>.json`.
     pub quick: bool,
     /// Per-dataset pair cap (ignored under `--full`).
     pub cap: usize,
@@ -89,6 +91,7 @@ impl HarnessOpts {
     /// Parses `--full`, `--quick`, `--cap N`, `--seed N`, `--threads N`,
     /// `--dim N`, `--datasets A,B,…`, `--trace`, `--metrics-out FILE` from
     /// `std::env::args`. Enables obs recording when tracing is requested.
+    /// Exits with status 2 when `--datasets` names an unknown dataset.
     pub fn from_args() -> Self {
         let mut opts = Self::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -165,6 +168,12 @@ impl HarnessOpts {
                 other => panic!("unknown argument: {other}"),
             }
             i += 1;
+        }
+        if let Some(names) = &opts.datasets {
+            if let Err(e) = check_dataset_names(names) {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
         }
         wym_obs::register_stages(wym_core::pipeline::PIPELINE_STAGES);
         if opts.trace || opts.metrics_out.is_some() || opts.flame {
@@ -270,6 +279,42 @@ impl HarnessOpts {
             .collect()
     }
 
+    /// Where [`HarnessOpts::save_json`] writes result `name`:
+    /// `results/<name>.json`, or `results/smoke_<name>.json` under
+    /// `--quick`, so a smoke run never replaces a committed paper result.
+    fn results_path(&self, name: &str) -> PathBuf {
+        let prefix = if self.quick { "smoke_" } else { "" };
+        PathBuf::from(format!("results/{prefix}{name}.json"))
+    }
+
+    /// Writes a JSON result file (creating `results/` on demand) and
+    /// reports the path: `results/<name>.json`, or
+    /// `results/smoke_<name>.json` under `--quick`.
+    pub fn save_json<T: Serialize>(&self, name: &str, value: &T) {
+        let path = self.results_path(name);
+        // Fault-injected runs (--inject-panic / --inject-stall) exist to
+        // drill the flight recorder; their timings are poisoned by
+        // construction, so they must never write results files.
+        if wym_obs::ring::injection_armed() {
+            eprintln!("→ fault injection armed; {} not written", path.display());
+            return;
+        }
+        if let Some(dir) = path.parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        match serde_json::to_string_pretty(value) {
+            Ok(json) => {
+                if let Err(e) = std::fs::write(&path, json) {
+                    eprintln!("warning: could not write {}: {e}", path.display());
+                } else {
+                    let note = if self.quick { " (--quick: smoke output)" } else { "" };
+                    println!("\n→ results saved to {}{note}", path.display());
+                }
+            }
+            Err(e) => eprintln!("warning: could not serialize results: {e}"),
+        }
+    }
+
     /// The standard WYM configuration for this run.
     pub fn wym_config(&self) -> WymConfig {
         let mut cfg = WymConfig::default().with_seed(self.seed);
@@ -297,6 +342,19 @@ impl HarnessOpts {
             }
         }
         cfg
+    }
+}
+
+/// Checks `--datasets` names against the twelve benchmark datasets, so a
+/// mistyped name fails before any work instead of running on nothing.
+fn check_dataset_names(names: &[String]) -> Result<(), String> {
+    let known: Vec<&str> = magellan::all_configs().iter().map(|c| c.name).collect();
+    match names.iter().find(|n| !known.contains(&n.as_str())) {
+        Some(unknown) => Err(format!(
+            "unknown dataset \"{unknown}\" in --datasets; known datasets: {}",
+            known.join(", ")
+        )),
+        None => Ok(()),
     }
 }
 
@@ -332,18 +390,16 @@ pub struct FittedRun {
     pub test: Vec<RecordPair>,
     /// Wall-clock seconds spent in `WymModel::fit`.
     pub fit_seconds: f64,
-    /// Per-stage breakdown of `fit_seconds`.
-    pub fit_timings: wym_core::pipeline::FitTimings,
 }
 
 /// Fits WYM on one dataset with the paper's 60-20-20 split.
 pub fn fit_wym(dataset: &EmDataset, config: WymConfig, seed: u64) -> FittedRun {
     let split = paper_split(dataset, seed);
     let start = Instant::now();
-    let (model, fit_timings) = WymModel::fit_timed(dataset, &split, config);
+    let model = WymModel::fit(dataset, &split, config);
     let fit_seconds = start.elapsed().as_secs_f64();
     let test = split.test.iter().map(|&i| dataset.pairs[i].clone()).collect();
-    FittedRun { dataset: dataset.clone(), split, model, test, fit_seconds, fit_timings }
+    FittedRun { dataset: dataset.clone(), split, model, test, fit_seconds }
 }
 
 /// Prints a Markdown table.
@@ -353,31 +409,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("|{}|", headers.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
     for row in rows {
         println!("| {} |", row.join(" | "));
-    }
-}
-
-/// Writes a JSON result file under `results/` (created on demand) and
-/// reports the path.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    // Fault-injected runs (--inject-panic / --inject-stall) exist to drill
-    // the flight recorder; their timings are poisoned by construction, so
-    // they must never overwrite committed results artifacts.
-    if wym_obs::ring::injection_armed() {
-        eprintln!("→ fault injection armed; results/{name}.json not written");
-        return;
-    }
-    let dir = PathBuf::from("results");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("\n→ results saved to {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize results: {e}"),
     }
 }
 
@@ -396,84 +427,6 @@ pub fn bench_sections(snap: &wym_obs::Snapshot) -> (Value, Value) {
         }
     }
     (spans, Value::Object(metrics))
-}
-
-/// Rotation bounds for `results/BENCH_history.jsonl`: when the ledger
-/// exceeds [`HISTORY_MAX_LINES`] lines or [`HISTORY_MAX_BYTES`] bytes
-/// after an append, it is rewritten keeping the newest
-/// [`HISTORY_KEEP_LINES`] lines.
-pub const HISTORY_MAX_LINES: usize = 512;
-/// See [`HISTORY_MAX_LINES`].
-pub const HISTORY_KEEP_LINES: usize = 256;
-/// See [`HISTORY_MAX_LINES`].
-pub const HISTORY_MAX_BYTES: u64 = 8 * 1024 * 1024;
-
-/// Appends benchmark rows to the cross-run ledger
-/// `results/BENCH_history.jsonl` — one compact JSON object per line,
-/// `{"source": <binary>, "row": <the row, provenance manifest included>}`.
-/// Unlike the per-binary `BENCH_*.json` files (overwritten every run), the
-/// ledger is append-only *between* rotations: once it exceeds
-/// [`HISTORY_MAX_LINES`] lines (or [`HISTORY_MAX_BYTES`]), the oldest
-/// lines are dropped down to [`HISTORY_KEEP_LINES`], so regressions stay
-/// diagnosable against a deep-but-bounded history. Failures only warn:
-/// history is telemetry, not a gate. Runs with a flight fault injection
-/// armed are skipped entirely — an injected stall would poison the timing
-/// ledger `bench_diff` reads its thresholds from.
-pub fn append_bench_history(source: &str, rows: &[Value]) {
-    use std::io::Write;
-    if wym_obs::ring::injection_armed() {
-        eprintln!("→ fault injection armed; BENCH history append skipped");
-        return;
-    }
-    let dir = PathBuf::from("results");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("BENCH_history.jsonl");
-    let mut out = String::new();
-    for row in rows {
-        let line = Value::object([("source", source.to_value()), ("row", row.clone())]);
-        out.push_str(&serde_json::to_string(&line).expect("a Value tree always prints"));
-        out.push('\n');
-    }
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(out.as_bytes()));
-    match appended {
-        Ok(()) => println!("→ {} row(s) appended to {}", rows.len(), path.display()),
-        Err(e) => eprintln!("warning: could not append to {}: {e}", path.display()),
-    }
-    if let Some(kept) = rotate_history(&path, HISTORY_MAX_LINES, HISTORY_MAX_BYTES, HISTORY_KEEP_LINES)
-    {
-        println!("→ ledger rotated: kept newest {kept} lines in {}", path.display());
-    }
-}
-
-/// Size-bounded keep-last-N rotation: rewrites `path` with its newest
-/// `keep` lines when it exceeds `max_lines` lines or `max_bytes` bytes.
-/// Returns the kept line count when a rotation happened.
-fn rotate_history(
-    path: &std::path::Path,
-    max_lines: usize,
-    max_bytes: u64,
-    keep: usize,
-) -> Option<usize> {
-    let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    let text = std::fs::read_to_string(path).ok()?;
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.len() <= max_lines && bytes <= max_bytes {
-        return None;
-    }
-    let tail = &lines[lines.len().saturating_sub(keep)..];
-    let mut out = tail.join("\n");
-    out.push('\n');
-    match std::fs::write(path, out) {
-        Ok(()) => Some(tail.len()),
-        Err(e) => {
-            eprintln!("warning: could not rotate {}: {e}", path.display());
-            None
-        }
-    }
 }
 
 /// Formats an F1-like metric to three decimals.
@@ -532,28 +485,20 @@ mod tests {
     }
 
     #[test]
-    fn history_rotation_keeps_newest_lines() {
-        let dir = std::env::temp_dir().join(format!("wym_hist_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_history.jsonl");
-        let lines: Vec<String> = (0..20).map(|i| format!("{{\"run\":{i}}}")).collect();
-        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    fn unknown_dataset_names_are_refused() {
+        assert!(check_dataset_names(&["S-FZ".into(), "T-AB".into()]).is_ok());
+        let err = check_dataset_names(&["S-FZ".into(), "S-XX".into()]).unwrap_err();
+        assert!(err.contains("\"S-XX\""), "{err}");
+        for config in magellan::all_configs() {
+            assert!(err.contains(config.name), "{err} does not list {}", config.name);
+        }
+    }
 
-        // Under both bounds: untouched.
-        assert_eq!(rotate_history(&path, 32, u64::MAX, 8), None);
-        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 20);
-
-        // Over the line bound: newest 8 survive, oldest dropped.
-        assert_eq!(rotate_history(&path, 16, u64::MAX, 8), Some(8));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let kept: Vec<&str> = text.lines().collect();
-        assert_eq!(kept.len(), 8);
-        assert_eq!(kept[0], "{\"run\":12}");
-        assert_eq!(kept[7], "{\"run\":19}");
-
-        // Byte bound triggers independently of the line bound.
-        assert_eq!(rotate_history(&path, 1024, 10, 2), Some(2));
-        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
+    #[test]
+    fn quick_results_never_replace_paper_results() {
+        let paper = HarnessOpts::default();
+        assert_eq!(paper.results_path("table3"), PathBuf::from("results/table3.json"));
+        let quick = HarnessOpts { quick: true, cap: 300, ..Default::default() };
+        assert_eq!(quick.results_path("table3"), PathBuf::from("results/smoke_table3.json"));
     }
 }

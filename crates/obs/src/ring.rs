@@ -564,8 +564,8 @@ pub fn clear_injection() {
     *INJECTION.lock().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
-/// Whether a fault is armed. `append_bench_history` consults this so
-/// fault-injection runs never pollute the timing ledger.
+/// Whether a fault is armed. The experiment harness's `save_json`
+/// consults this so fault-injection runs never write results files.
 pub fn injection_armed() -> bool {
     INJECT_ARMED.load(Ordering::Relaxed)
 }

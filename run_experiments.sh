@@ -42,17 +42,33 @@
 # nested '[') must make `obs_diff` exit 2 (a file error) and `wym obs
 # flight` exit 1, and `wym classify` of a T-AB CSV with the S-FZ smoke
 # model must exit 1 with an error naming both attribute lists — never
-# abort or panic. The `bench_diff` timing sentinel
-# also runs, in warn mode:
-# flagged stages print WARNING lines against their ledger-learned
-# per-stage thresholds, but timings are machine-dependent so it never
-# fails the smoke.
+# abort or panic, or (n) the smoke run changed a tracked file: it
+# fingerprints `git diff HEAD --binary` at its start and at its end and
+# fails if the two differ (SKIP outside a git checkout). Every output it
+# writes is gitignored (results/smoke*, OBS_smoke*, OBS_blocking_smoke*,
+# model_*.wyma, ann_tables*.wyma, FLIGHT_*).
+#
+# --quick: the full suite at smoke scale. Each binary writes its results to
+# results/smoke_<exp>.json and its log to results/smoke_<exp>.log, so the
+# committed paper results stay untouched.
+#
+# Speed is measured by the benchmark, not here: `bash wymbench/run.sh
+# --workload all --seed N` (see BENCHMARK.json and README "Performance").
 set -u
 cd "$(dirname "$0")"
 mkdir -p results
 
+# Fingerprint of every tracked change in the checkout.
+tree_fingerprint() {
+  git diff HEAD --binary | cksum
+}
+
 if [ "${1:-}" = "--smoke" ]; then
   shift
+  TREE_START=""
+  if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    TREE_START=$(tree_fingerprint)
+  fi
   OBS_AUTO=results/OBS_smoke.json
   OBS_SCALAR=results/OBS_smoke_scalar.json
   rm -f "$OBS_AUTO" "$OBS_SCALAR"
@@ -150,13 +166,6 @@ if [ "${1:-}" = "--smoke" ]; then
       exit 1
     fi
   done
-  # Timing sentinel, warn mode: compare this run's per-stage wall times
-  # against the BENCH_history.jsonl ledger, flagging stages over their
-  # ledger-learned thresholds with prominent WARNING lines. Never fatal —
-  # timings depend on the machine and its load (gate mode exists for
-  # boxes stable enough to enforce; see the bench_diff docs).
-  echo "=== smoke: bench_diff timing sentinel (warn mode) ==="
-  ./target/release/bench_diff --mode warn || echo "SMOKE WARNING: bench_diff could not compare (non-fatal)" >&2
   # Regression sentinel. A snapshot diffed against itself must always pass
   # (sentinel sanity), then both kernel variants diff against their
   # committed baselines. Wall times are machine-dependent, so --ignore-wall;
@@ -231,7 +240,6 @@ if [ "${1:-}" = "--smoke" ]; then
   # the saved head embeds the config's n_threads knob (see the binary's
   # docs); thread-count invariance of the *outputs* is covered by the
   # round trip itself at whatever thread count the run uses.
-  rm -f results/BENCH_artifact.json
   echo "=== smoke: artifact round trip (WYM_KERNEL=auto) ==="
   WYM_KERNEL=auto ./target/release/artifact_roundtrip --quick --cap 40 \
     --datasets S-FZ --threads 1 2>&1 | tee results/smoke_artifact.log
@@ -254,10 +262,6 @@ if [ "${1:-}" = "--smoke" ]; then
   fi
   if [ "$AFNV_AUTO" != "$AFNV_SCALAR" ]; then
     echo "SMOKE FAILED: kernel dispatch changed the saved model: auto=$AFNV_AUTO scalar=$AFNV_SCALAR" >&2
-    exit 1
-  fi
-  if [ ! -f results/BENCH_artifact.json ]; then
-    echo "SMOKE FAILED: artifact round trip wrote no results/BENCH_artifact.json" >&2
     exit 1
   fi
   # Telemetry gate (DESIGN.md §13). Train a tiny model through the CLI —
@@ -426,9 +430,8 @@ if [ "${1:-}" = "--smoke" ]; then
   # panicking span; (2) a run with an injected stall must trip the
   # watchdog's stall warning, dump, and still finish cleanly; (3) a
   # healthy run must export its full event tail with --chrome-trace.
-  # Injected runs never append to the BENCH history ledger (the harness
-  # checks the injection latch), so these drills cannot pollute the
-  # thresholds bench_diff learns from.
+  # Injected runs write no results file (the harness checks the injection
+  # latch), so these drills cannot replace results/smoke_timing.json.
   FLIGHT_PANIC=results/FLIGHT_timing_panic.trace.json
   FLIGHT_STALL=results/FLIGHT_timing_stall.trace.json
   FLIGHT_EXPORT=results/smoke_flight.trace.json
@@ -489,14 +492,28 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "SMOKE FAILED: --chrome-trace export does not summarize or holds no scoring spans" >&2
     exit 1
   fi
+  # Clean-tree gate: every output above is gitignored, so the tracked
+  # files must be exactly as the run found them.
+  if [ -z "$TREE_START" ]; then
+    echo "=== smoke: clean-tree gate — SKIP (not a git checkout) ==="
+  elif [ "$(tree_fingerprint)" != "$TREE_START" ]; then
+    echo "SMOKE FAILED: the smoke run changed tracked files (git diff HEAD moved); now differing from HEAD:" >&2
+    git status --porcelain --untracked-files=no >&2
+    exit 1
+  fi
   DISPATCHED=$(grep -oE '"kernel\.dispatch\.[a-z0-9_]+"' "$OBS_AUTO" | head -1)
-  echo "SMOKE OK: all stages traced, $DISPATCHED == scalar checksum $CK_AUTO, blocking checksum $BCK_AUTO, artifact fnv $AFNV_AUTO, audit cksum $AUDIT_REF_CK, obs_diff clean ($OBS_AUTO, $OBS_SCALAR, $BLOCK_SCALAR, $OBS_DECISIONS), flight drills clean (panic, stall, chrome export), hostile files refused"
+  echo "SMOKE OK: all stages traced, $DISPATCHED == scalar checksum $CK_AUTO, blocking checksum $BCK_AUTO, artifact fnv $AFNV_AUTO, audit cksum $AUDIT_REF_CK, obs_diff clean ($OBS_AUTO, $OBS_SCALAR, $BLOCK_SCALAR, $OBS_DECISIONS), flight drills clean (panic, stall, chrome export), hostile files refused, tracked files unchanged"
   exit 0
 fi
 
 ARGS="${@:-}"
+# A --quick run's logs go next to its results/smoke_<exp>.json files.
+LOG_PREFIX=""
+for arg in "$@"; do
+  [ "$arg" = --quick ] && LOG_PREFIX=smoke_
+done
 for exp in table2 figure4 table3 table5 figure6 figure8 figure9 timing user_study_proxy threshold_sweep hybrid_units error_analysis table4 figure5 figure7; do
   echo "=== $exp ==="
-  ./target/release/$exp $ARGS 2>&1 | tee results/$exp.log
+  ./target/release/$exp $ARGS 2>&1 | tee "results/${LOG_PREFIX}$exp.log"
 done
 echo "ALL EXPERIMENTS DONE"
