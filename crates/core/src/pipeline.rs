@@ -21,7 +21,8 @@ use wym_tokenize::Tokenizer;
 pub const PIPELINE_STAGES: &[&str] =
     &["tokenize", "embed", "pair", "score", "classify", "explain"];
 
-/// Records per batched-scoring chunk. At the typical 15–40 units a record,
+/// Records per batched-scoring chunk, in [`WymModel::process_batch`] and in
+/// the unit scoring of [`WymModel::fit`]. At the typical 15–40 units a record,
 /// a chunk feeds the scorer a few hundred feature rows per forward pass —
 /// deep enough to amortize GEMM setup, small enough that work stealing
 /// still balances chunks across worker threads. Chunk boundaries never
@@ -189,14 +190,12 @@ impl EmPredictor for WymModel {
         self.predict(pair).probability
     }
 
-    /// Batched override: one scorer forward pass for all pairs' units (see
-    /// [`WymModel::process_many_batched`]), then the matcher's batch path.
-    /// Bit-identical to mapping [`Self::proba`].
+    /// Batched override: [`WymModel::process_batch`] on the calling
+    /// thread (one scorer forward pass per [`SCORE_CHUNK_RECORDS`]
+    /// records), then the matcher's batch path. Bit-identical to mapping
+    /// [`Self::proba`].
     fn proba_batch(&self, pairs: &[RecordPair]) -> Vec<f32> {
-        let proc = self.process_many_batched(pairs);
-        let rows: Vec<(&[DecisionUnit], &[f32])> =
-            proc.iter().map(|p| (p.units.as_slice(), p.relevances.as_slice())).collect();
-        self.matcher.predict_proba_batch(&rows)
+        self.probabilities(&self.process_batch(pairs, 1))
     }
 }
 
@@ -216,6 +215,33 @@ pub struct SavedWymModel {
     pub matcher: SavedMatcher,
     /// Schema attribute names.
     pub attr_names: Vec<String>,
+}
+
+/// Tokenize → embed → Algorithm 1 for one record pair: a processed record
+/// whose relevances are still to be scored (see [`score_chunk`]).
+fn discover(
+    pair: &RecordPair,
+    tokenizer: &Tokenizer,
+    embedder: &Embedder,
+    discovery: &DiscoveryConfig,
+) -> ProcessedRecord {
+    let record = TokenizedRecord::from_pair(pair, tokenizer, embedder);
+    let units = discover_units(&record, discovery);
+    ProcessedRecord { record, units, relevances: Vec::new() }
+}
+
+/// The relevances of a chunk of discovered records: one scorer forward
+/// pass for all of their units (bit-identical to scoring each record
+/// alone, see [`RelevanceScorer::score_batch`]), then the unit rules.
+fn score_chunk(
+    scorer: &RelevanceScorer,
+    rules: &[UnitRule],
+    chunk: &[ProcessedRecord],
+) -> Vec<Vec<f32>> {
+    let batch: Vec<(&TokenizedRecord, &[DecisionUnit])> =
+        chunk.iter().map(|p| (&p.record, p.units.as_slice())).collect();
+    let raw = scorer.score_batch(&batch);
+    chunk.iter().zip(raw).map(|(p, raw)| apply_rules(rules, &p.record, &p.units, &raw)).collect()
 }
 
 /// A fitted WYM model.
@@ -270,51 +296,37 @@ impl WymModel {
         // 2. Tokenize + discover units for train and validation records.
         // Per-record work is independent, so this fans out over the
         // configured worker threads; results come back in input order.
-        let process = |idx: &[usize]| -> Vec<(TokenizedRecord, Vec<DecisionUnit>)> {
+        let [mut train, mut val] = [&split.train, &split.val].map(|idx| {
             wym_par::map_indexed(idx, config.n_threads, |_, &i| {
-                let rec = TokenizedRecord::from_pair(&dataset.pairs[i], &tokenizer, &embedder);
-                let units = discover_units(&rec, &config.discovery);
-                (rec, units)
+                discover(&dataset.pairs[i], &tokenizer, &embedder, &config.discovery)
             })
-        };
-        let train_proc = process(&split.train);
-        let val_proc = process(&split.val);
+        });
 
         // 3. Relevance scorer.
         let scorer_input: Vec<(&TokenizedRecord, &[DecisionUnit])> =
-            train_proc.iter().map(|(r, u)| (r, u.as_slice())).collect();
+            train.iter().map(|p| (&p.record, p.units.as_slice())).collect();
         let mut scorer_cfg = config.scorer.clone();
         scorer_cfg.seed = config.seed;
         let scorer = RelevanceScorer::fit(scorer_cfg, &scorer_input);
 
-        // 4. Score units batched (chunks of records share one forward pass;
-        // bit-identical to per-record scoring — see
-        // [`RelevanceScorer::score_batch`]), 5. fit the matcher.
-        let score_all = |proc: &[(TokenizedRecord, Vec<DecisionUnit>)]| -> Vec<Vec<f32>> {
-            let chunks: Vec<_> = proc.chunks(SCORE_CHUNK_RECORDS).collect();
+        // 4. Score units in record chunks, 5. fit the matcher.
+        for records in [&mut train, &mut val] {
+            let chunks: Vec<_> = records.chunks(SCORE_CHUNK_RECORDS).collect();
             let scored = wym_par::map_indexed(&chunks, config.n_threads, |_, chunk| {
-                let batch: Vec<(&TokenizedRecord, &[DecisionUnit])> =
-                    chunk.iter().map(|(r, u)| (r, u.as_slice())).collect();
-                scorer.score_batch(&batch)
+                score_chunk(&scorer, &config.rules, chunk)
             });
-            proc.iter()
-                .zip(scored.into_iter().flatten())
-                .map(|((r, u), raw)| apply_rules(&config.rules, r, u, &raw))
-                .collect()
-        };
-        let train_scores = score_all(&train_proc);
-        let val_scores = score_all(&val_proc);
-        fn rows<'a>(
-            proc: &'a [(TokenizedRecord, Vec<DecisionUnit>)],
-            scores: &'a [Vec<f32>],
-        ) -> Vec<(&'a [DecisionUnit], &'a [f32], bool)> {
-            proc.iter()
-                .zip(scores)
-                .map(|((r, u), s)| (u.as_slice(), s.as_slice(), r.label.unwrap_or(false)))
-                .collect()
+            for (p, relevances) in records.iter_mut().zip(scored.into_iter().flatten()) {
+                p.relevances = relevances;
+            }
         }
-        let train_rows = rows(&train_proc, &train_scores);
-        let val_rows = rows(&val_proc, &val_scores);
+        let [train_rows, val_rows] = [&train, &val].map(|records| {
+            records
+                .iter()
+                .map(|p| {
+                    (p.units.as_slice(), p.relevances.as_slice(), p.record.label.unwrap_or(false))
+                })
+                .collect::<Vec<_>>()
+        });
         let mut matcher_cfg = config.matcher.clone();
         matcher_cfg.n_threads = config.n_threads;
         let matcher =
@@ -366,73 +378,45 @@ impl WymModel {
     }
 
     /// Tokenize → embed → discover → score one record pair, on the calling
-    /// thread: as in the batch paths below, unit discovery is sequential
-    /// within a record.
+    /// thread: a batch of one (see [`Self::process_batch`]).
     pub fn process(&self, pair: &RecordPair) -> ProcessedRecord {
-        let _span = wym_obs::span("process");
-        let record = TokenizedRecord::from_pair(pair, &self.tokenizer, &self.embedder);
-        let units = discover_units(&record, &self.config.discovery);
-        let raw = self.scorer.score_units(&record, &units);
-        let relevances = apply_rules(&self.config.rules, &record, &units, &raw);
-        ProcessedRecord { record, units, relevances }
+        self.process_batch(std::slice::from_ref(pair), 1).pop().expect("one record in, one out")
     }
 
-    /// Processes many record pairs one at a time (the per-record reference
-    /// path; the batched variants below are bit-identical to it).
-    pub fn process_many(&self, pairs: &[RecordPair]) -> Vec<ProcessedRecord> {
-        pairs.iter().map(|p| self.process(p)).collect()
-    }
-
-    /// Processes many record pairs with **one** batched scorer forward pass
-    /// for all of their units, instead of one per record.
+    /// Tokenize → embed → discover → score many record pairs on `threads`
+    /// worker threads (`0` = all available cores), returned in input order.
     ///
-    /// Tokenization and unit discovery stay per-record; the unit scores are
-    /// bit-identical to [`WymModel::process_many`] because GEMM output rows
-    /// depend only on their own input row (see
-    /// [`RelevanceScorer::score_batch`]). This is the path the post-hoc
-    /// explainers drive with their perturbation sets.
-    pub fn process_many_batched(&self, pairs: &[RecordPair]) -> Vec<ProcessedRecord> {
-        let pre: Vec<(TokenizedRecord, Vec<DecisionUnit>)> = pairs
-            .iter()
-            .map(|pair| {
-                let _span = wym_obs::span("process");
-                let record = TokenizedRecord::from_pair(pair, &self.tokenizer, &self.embedder);
-                let units = discover_units(&record, &self.config.discovery);
-                (record, units)
-            })
-            .collect();
-        let batch: Vec<(&TokenizedRecord, &[DecisionUnit])> =
-            pre.iter().map(|(r, u)| (r, u.as_slice())).collect();
-        let raw = self.scorer.score_batch(&batch);
-        pre.into_iter()
-            .zip(raw)
-            .map(|((record, units), raw)| {
-                let relevances = apply_rules(&self.config.rules, &record, &units, &raw);
-                ProcessedRecord { record, units, relevances }
-            })
-            .collect()
-    }
-
-    /// Processes many record pairs on `n_threads` worker threads
-    /// (`0` = all available cores).
-    ///
-    /// Workers claim [`SCORE_CHUNK_RECORDS`]-sized record chunks from a
-    /// shared atomic counter (work stealing), and each chunk runs through
-    /// the batched path — so every worker amortizes forward-pass overhead
-    /// over a few hundred unit rows per GEMM. Results are returned in input
-    /// order; chunking and threading never change a bit of the output, so
-    /// this is identical to [`WymModel::process_many`] for any thread
-    /// count.
-    pub fn process_many_parallel(
-        &self,
-        pairs: &[RecordPair],
-        n_threads: usize,
-    ) -> Vec<ProcessedRecord> {
+    /// Workers claim [`SCORE_CHUNK_RECORDS`]-record chunks (work stealing).
+    /// Each chunk runs inside one `process` span: per-record tokenization
+    /// and unit discovery, then one scorer forward pass for all of the
+    /// chunk's units, then the unit rules. Chunking and threading never
+    /// change a bit of the output: GEMM output rows depend only on their
+    /// own input row (see [`RelevanceScorer::score_batch`]).
+    pub fn process_batch(&self, pairs: &[RecordPair], threads: usize) -> Vec<ProcessedRecord> {
         let chunks: Vec<_> = pairs.chunks(SCORE_CHUNK_RECORDS).collect();
-        wym_par::map_indexed(&chunks, n_threads, |_, chunk| self.process_many_batched(chunk))
-            .into_iter()
-            .flatten()
-            .collect()
+        wym_par::map_indexed(&chunks, threads, |_, chunk| {
+            let _span = wym_obs::span("process");
+            let mut records: Vec<ProcessedRecord> = chunk
+                .iter()
+                .map(|pair| discover(pair, &self.tokenizer, &self.embedder, &self.config.discovery))
+                .collect();
+            let scored = score_chunk(&self.scorer, &self.config.rules, &records);
+            for (p, relevances) in records.iter_mut().zip(scored) {
+                p.relevances = relevances;
+            }
+            records
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    /// Match probabilities of processed records, through the matcher's
+    /// batch path.
+    fn probabilities(&self, records: &[ProcessedRecord]) -> Vec<f32> {
+        let rows: Vec<(&[DecisionUnit], &[f32])> =
+            records.iter().map(|p| (p.units.as_slice(), p.relevances.as_slice())).collect();
+        self.matcher.predict_proba_batch(&rows)
     }
 
     /// Emits one decision record into `log` for this processed record.
@@ -542,22 +526,29 @@ impl WymModel {
     /// emits audit records, so sketching is silent and deterministic.
     pub fn sketch_on(&self, pairs: &[RecordPair]) -> wym_obs::ModelSketch {
         let _span = wym_obs::span("sketch");
-        let proc = self.process_many_batched(pairs);
-        let rows: Vec<(&[DecisionUnit], &[f32])> =
-            proc.iter().map(|p| (p.units.as_slice(), p.relevances.as_slice())).collect();
-        let scores = self.matcher.predict_proba_batch(&rows);
+        let records = self.process_batch(pairs, 1);
         let mut sketch = wym_obs::ModelSketch::new();
-        for (p, score) in proc.iter().zip(scores) {
-            let paired = p.units.iter().filter(|u| u.is_paired()).count();
-            let paired_frac = if p.units.is_empty() {
-                0.0
-            } else {
-                paired as f64 / p.units.len() as f64
-            };
-            let attrs = p.units.iter().map(|u| self.attr_names[u.attribute()].as_str());
-            sketch.observe(score, paired_frac, attrs);
+        for (p, probability) in records.iter().zip(self.probabilities(&records)) {
+            self.observe_drift(&mut sketch, probability, &p.units);
         }
         sketch
+    }
+
+    /// Adds one decision to a drift sketch: its match probability, the
+    /// share of its units that are paired, and the attribute of every
+    /// unit. The train-time baseline ([`Self::sketch_on`]) and the live
+    /// sketch of served traffic must observe records the same way, or the
+    /// drift sentinel trips on unchanged traffic, so both go through here.
+    pub fn observe_drift(
+        &self,
+        sketch: &mut wym_obs::ModelSketch,
+        probability: f32,
+        units: &[DecisionUnit],
+    ) {
+        let paired = units.iter().filter(|u| u.is_paired()).count();
+        let paired_frac = if units.is_empty() { 0.0 } else { paired as f64 / units.len() as f64 };
+        let attrs = units.iter().map(|u| self.attr_names[u.attribute()].as_str());
+        sketch.observe(probability, paired_frac, attrs);
     }
 
     /// A serializable snapshot of the fitted model.
@@ -586,10 +577,7 @@ impl WymModel {
 
     /// F1 of the match class over a set of labeled pairs.
     pub fn f1_on(&self, pairs: &[RecordPair]) -> f32 {
-        let proc = self.process_many_batched(pairs);
-        let rows: Vec<(&[DecisionUnit], &[f32])> =
-            proc.iter().map(|p| (p.units.as_slice(), p.relevances.as_slice())).collect();
-        let probas = self.matcher.predict_proba_batch(&rows);
+        let probas = self.probabilities(&self.process_batch(pairs, 1));
         let preds: Vec<u8> = probas.iter().map(|&p| u8::from(p >= 0.5)).collect();
         let gold: Vec<u8> = pairs.iter().map(|p| u8::from(p.label)).collect();
         f1_score(&preds, &gold)

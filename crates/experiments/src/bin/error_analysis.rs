@@ -24,14 +24,11 @@ struct Row {
 }
 
 fn main() {
-    let mut opts = HarnessOpts::from_args();
-    if opts.datasets.is_none() {
-        // The code-heavy datasets, where the paper locates this error class.
-        opts.datasets = Some(vec!["S-AG".into(), "S-WA".into(), "T-AB".into(), "D-WA".into()]);
-    }
+    let opts = HarnessOpts::from_args();
     let mut rows_json = Vec::new();
     let mut rows = Vec::new();
-    for dataset in opts.datasets() {
+    // The code-heavy datasets, where the paper locates this error class.
+    for dataset in opts.datasets_or(&["S-AG", "S-WA", "T-AB", "D-WA"]) {
         eprintln!("[error-analysis] {}", dataset.name);
         let plain = fit_wym(&dataset, opts.wym_config(), opts.seed);
         let report = analyze_errors(&plain.model, &plain.test);

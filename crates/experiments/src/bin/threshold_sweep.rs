@@ -29,15 +29,12 @@ struct Row {
 }
 
 fn main() {
-    let mut opts = HarnessOpts::from_args();
-    // A sweep over two representative datasets (one clean, one dirty)
-    // unless the caller selects others.
-    if opts.datasets.is_none() {
-        opts.datasets = Some(vec!["S-BR".into(), "D-WA".into()]);
-    }
+    let opts = HarnessOpts::from_args();
     let mut rows_json = Vec::new();
     let mut rows = Vec::new();
-    for dataset in opts.datasets() {
+    // A sweep over two representative datasets (one clean, one dirty)
+    // unless the caller selects others.
+    for dataset in opts.datasets_or(&["S-BR", "D-WA"]) {
         for (name, theta, eta, epsilon) in SWEEPS {
             eprintln!("[threshold-sweep] {} {}", dataset.name, name);
             let mut cfg = opts.wym_config();

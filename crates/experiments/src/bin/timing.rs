@@ -34,15 +34,6 @@ fn main() {
     let mut rows = Vec::new();
     for dataset in opts.datasets() {
         eprintln!("[timing] {}", dataset.name);
-        // Per-dataset snapshot: clear metrics from the previous dataset
-        // (the stage registry survives). Re-record which kernel
-        // implementation this process dispatched to — the smoke gate greps
-        // for a nonzero `kernel.dispatch.*` counter in the exported metrics.
-        wym_obs::reset();
-        wym_obs::counter_add(
-            &format!("kernel.dispatch.{}", wym_linalg::kernels::active_name()),
-            1,
-        );
         let run = fit_wym(&dataset, opts.wym_config(), opts.seed);
         let n_train = run.split.train.len() + run.split.val.len();
         let train_tp = n_train as f64 / run.fit_seconds.max(1e-9);

@@ -9,8 +9,9 @@
 //! default each dataset is label-stratified subsampled to `--cap` pairs
 //! (default 800) and the scorer trains for 20 epochs. `--full` lifts the
 //! cap and restores the paper's 40 epochs; `--quick` shrinks everything for
-//! smoke runs, whose results land in `results/smoke_<name>.json` so they
-//! never overwrite the committed paper results.
+//! smoke runs. Smoke runs and runs over a `--datasets` subset write their
+//! results to `results/smoke_<name>.json`, so they never overwrite the
+//! committed paper results.
 
 use serde::{Serialize, Value};
 use std::path::PathBuf;
@@ -36,7 +37,8 @@ pub struct HarnessOpts {
     /// Worker threads for fitting/inference (0 = all cores). Results are
     /// identical for every value; this only trades latency for footprint.
     pub threads: usize,
-    /// Restrict to these dataset short names (default: all twelve).
+    /// Restrict to these dataset short names (default: all twelve). A
+    /// subset run's results go to `results/smoke_<name>.json`.
     pub datasets: Option<Vec<String>>,
     /// Override the embedding dimensionality (`None` = the config default;
     /// pass 300 for the paper's fastText-scale vectors). `--quick` wins
@@ -261,12 +263,20 @@ impl HarnessOpts {
     /// The twelve benchmark datasets (or the `--datasets` selection),
     /// generated and capped according to the options.
     pub fn datasets(&self) -> Vec<EmDataset> {
+        let all: Vec<&str> = magellan::all_configs().iter().map(|c| c.name).collect();
+        self.datasets_or(&all)
+    }
+
+    /// The `--datasets` selection, or the datasets named in `default` when
+    /// the command line gave none, generated and capped according to the
+    /// options. A binary's own default subset is not a `--datasets` run:
+    /// [`HarnessOpts::save_json`] still writes `results/<name>.json`.
+    pub fn datasets_or(&self, default: &[&str]) -> Vec<EmDataset> {
         magellan::all_configs()
             .iter()
-            .filter(|c| {
-                self.datasets
-                    .as_ref()
-                    .is_none_or(|names| names.iter().any(|n| n == c.name))
+            .filter(|c| match &self.datasets {
+                Some(names) => names.iter().any(|n| n == c.name),
+                None => default.contains(&c.name),
             })
             .map(|c| {
                 let d = magellan::generate(c, self.seed);
@@ -279,17 +289,24 @@ impl HarnessOpts {
             .collect()
     }
 
+    /// Whether this run writes smoke results: a `--quick` run, or one
+    /// over a `--datasets` subset.
+    fn smoke_output(&self) -> bool {
+        self.quick || self.datasets.is_some()
+    }
+
     /// Where [`HarnessOpts::save_json`] writes result `name`:
     /// `results/<name>.json`, or `results/smoke_<name>.json` under
-    /// `--quick`, so a smoke run never replaces a committed paper result.
+    /// `--quick` or `--datasets`, so neither a smoke run nor a subset run
+    /// replaces a committed paper result.
     fn results_path(&self, name: &str) -> PathBuf {
-        let prefix = if self.quick { "smoke_" } else { "" };
+        let prefix = if self.smoke_output() { "smoke_" } else { "" };
         PathBuf::from(format!("results/{prefix}{name}.json"))
     }
 
     /// Writes a JSON result file (creating `results/` on demand) and
     /// reports the path: `results/<name>.json`, or
-    /// `results/smoke_<name>.json` under `--quick`.
+    /// `results/smoke_<name>.json` under `--quick` or `--datasets`.
     pub fn save_json<T: Serialize>(&self, name: &str, value: &T) {
         let path = self.results_path(name);
         // Fault-injected runs (--inject-panic / --inject-stall) exist to
@@ -307,7 +324,7 @@ impl HarnessOpts {
                 if let Err(e) = std::fs::write(&path, json) {
                     eprintln!("warning: could not write {}: {e}", path.display());
                 } else {
-                    let note = if self.quick { " (--quick: smoke output)" } else { "" };
+                    let note = if self.smoke_output() { " (smoke output)" } else { "" };
                     println!("\n→ results saved to {}{note}", path.display());
                 }
             }
@@ -474,6 +491,14 @@ mod tests {
         };
         let ds = opts.datasets();
         assert_eq!(ds.len(), 2);
+        // A binary's default subset applies only without `--datasets`.
+        assert_eq!(opts.datasets_or(&["T-AB"]).len(), 2);
+        let names: Vec<String> = HarnessOpts::default()
+            .datasets_or(&["T-AB"])
+            .iter()
+            .map(|d| d.name.clone())
+            .collect();
+        assert_eq!(names, ["T-AB"]);
     }
 
     #[test]
@@ -500,5 +525,12 @@ mod tests {
         assert_eq!(paper.results_path("table3"), PathBuf::from("results/table3.json"));
         let quick = HarnessOpts { quick: true, cap: 300, ..Default::default() };
         assert_eq!(quick.results_path("table3"), PathBuf::from("results/smoke_table3.json"));
+    }
+
+    #[test]
+    fn subset_results_never_replace_paper_results() {
+        let subset =
+            HarnessOpts { datasets: Some(vec!["S-FZ".into()]), ..Default::default() };
+        assert_eq!(subset.results_path("table3"), PathBuf::from("results/smoke_table3.json"));
     }
 }

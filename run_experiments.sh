@@ -44,13 +44,20 @@
 # model must exit 1 with an error naming both attribute lists — never
 # abort or panic, or (n) the smoke run changed a tracked file: it
 # fingerprints `git diff HEAD --binary` at its start and at its end and
-# fails if the two differ (SKIP outside a git checkout). Every output it
+# fails if the two differ (SKIP outside a git checkout), or (o) the
+# subset-results drill fails: `figure4 --datasets S-FZ --cap 40` without
+# --quick must write results/smoke_figure4.json and leave the committed
+# results/figure4.json untouched, or (p) the multi-dataset trace drill
+# fails: a traced `timing --quick --datasets S-FZ,S-BR` run, made in a
+# temporary directory so it cannot replace any results/smoke_* file, must
+# export span `fit` with count 2 (one per dataset). Every output it
 # writes is gitignored (results/smoke*, OBS_smoke*, OBS_blocking_smoke*,
 # model_*.wyma, ann_tables*.wyma, FLIGHT_*).
 #
 # --quick: the full suite at smoke scale. Each binary writes its results to
 # results/smoke_<exp>.json and its log to results/smoke_<exp>.log, so the
-# committed paper results stay untouched.
+# committed paper results stay untouched. A run given --datasets writes
+# to the same smoke_ files: a subset never replaces a paper result.
 #
 # Speed is measured by the benchmark, not here: `bash wymbench/run.sh
 # --workload all --seed N` (see BENCHMARK.json and README "Performance").
@@ -492,6 +499,37 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "SMOKE FAILED: --chrome-trace export does not summarize or holds no scoring spans" >&2
     exit 1
   fi
+  # Subset-results drill: a run over a --datasets subset at default scale
+  # (no --quick) writes smoke output, never the committed 12-dataset file.
+  echo "=== smoke: subset-results drill (figure4 --datasets S-FZ, no --quick) ==="
+  PAPER_CK=$(cksum < results/figure4.json)
+  rm -f results/smoke_figure4.json
+  if ! ./target/release/figure4 --datasets S-FZ --cap 40 > results/smoke_subset.log 2>&1; then
+    echo "SMOKE FAILED: figure4 --datasets S-FZ --cap 40 exited nonzero" >&2
+    cat results/smoke_subset.log >&2
+    exit 1
+  fi
+  if [ ! -f results/smoke_figure4.json ] || [ "$(cksum < results/figure4.json)" != "$PAPER_CK" ]; then
+    echo "SMOKE FAILED: a --datasets run must write results/smoke_figure4.json and leave results/figure4.json alone" >&2
+    exit 1
+  fi
+  # Multi-dataset trace drill: the exported snapshot covers every dataset
+  # of the run. It runs in a temporary directory, so its results/ files
+  # cannot replace the smoke outputs above.
+  echo "=== smoke: multi-dataset trace drill (timing --datasets S-FZ,S-BR) ==="
+  DRILL_DIR=$(mktemp -d)
+  TIMING_BIN="$(pwd)/target/release/timing"
+  (cd "$DRILL_DIR" && "$TIMING_BIN" --quick --cap 40 --datasets S-FZ,S-BR --threads 1 \
+    --metrics-out obs.json > timing.log 2>&1)
+  FIT_SPANS=$(grep -A1 '"path": "fit",' "$DRILL_DIR/obs.json" 2>/dev/null \
+    | grep -o '"count": *[0-9]*' | head -1 | sed 's/.*: *//')
+  if [ "$FIT_SPANS" != 2 ]; then
+    echo "SMOKE FAILED: two-dataset traced timing run exported fit count '${FIT_SPANS}', want 2" >&2
+    cat "$DRILL_DIR/timing.log" >&2
+    rm -rf "$DRILL_DIR"
+    exit 1
+  fi
+  rm -rf "$DRILL_DIR"
   # Clean-tree gate: every output above is gitignored, so the tracked
   # files must be exactly as the run found them.
   if [ -z "$TREE_START" ]; then
@@ -502,15 +540,18 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 1
   fi
   DISPATCHED=$(grep -oE '"kernel\.dispatch\.[a-z0-9_]+"' "$OBS_AUTO" | head -1)
-  echo "SMOKE OK: all stages traced, $DISPATCHED == scalar checksum $CK_AUTO, blocking checksum $BCK_AUTO, artifact fnv $AFNV_AUTO, audit cksum $AUDIT_REF_CK, obs_diff clean ($OBS_AUTO, $OBS_SCALAR, $BLOCK_SCALAR, $OBS_DECISIONS), flight drills clean (panic, stall, chrome export), hostile files refused, tracked files unchanged"
+  echo "SMOKE OK: all stages traced, $DISPATCHED == scalar checksum $CK_AUTO, blocking checksum $BCK_AUTO, artifact fnv $AFNV_AUTO, audit cksum $AUDIT_REF_CK, obs_diff clean ($OBS_AUTO, $OBS_SCALAR, $BLOCK_SCALAR, $OBS_DECISIONS), flight drills clean (panic, stall, chrome export), hostile files refused, subset run kept to smoke output, two-dataset trace exported fit x2, tracked files unchanged"
   exit 0
 fi
 
 ARGS="${@:-}"
-# A --quick run's logs go next to its results/smoke_<exp>.json files.
+# A --quick or --datasets run's logs go next to its
+# results/smoke_<exp>.json files.
 LOG_PREFIX=""
 for arg in "$@"; do
-  [ "$arg" = --quick ] && LOG_PREFIX=smoke_
+  case "$arg" in
+    --quick|--datasets) LOG_PREFIX=smoke_ ;;
+  esac
 done
 for exp in table2 figure4 table3 table5 figure6 figure8 figure9 timing user_study_proxy threshold_sweep hybrid_units error_analysis table4 figure5 figure7; do
   echo "=== $exp ==="

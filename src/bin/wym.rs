@@ -403,24 +403,13 @@ fn classify(args: &Args) -> Result<(), String> {
                 );
                 (line, p.label, p.probability)
             };
-            let paired = proc.units.iter().filter(|u| u.is_paired()).count();
-            let attrs: Vec<u32> = proc.units.iter().map(|u| u.attribute() as u32).collect();
-            (line, label, probability, paired, attrs)
+            (line, label, probability, proc.units)
         });
-        for (line, label, probability, paired, attrs) in rows {
+        for (line, label, probability, units) in rows {
             println!("{line}");
             predicted_matches += usize::from(label);
             if baseline.is_some() {
-                let frac = if attrs.is_empty() {
-                    0.0
-                } else {
-                    paired as f64 / attrs.len() as f64
-                };
-                live.observe(
-                    probability,
-                    frac,
-                    attrs.iter().map(|&a| model.attr_names()[a as usize].as_str()),
-                );
+                model.observe_drift(&mut live, probability, &units);
             }
         }
         offset += chunk.len();

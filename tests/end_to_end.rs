@@ -144,12 +144,12 @@ fn parallel_processing_matches_serial() {
     let split = paper_split(&dataset, 0);
     let model = WymModel::fit(&dataset, &split, fast_config(8));
     let pairs: Vec<RecordPair> = split.test.iter().map(|&i| dataset.pairs[i].clone()).collect();
-    let serial = model.process_many(&pairs);
-    let parallel = model.process_many_parallel(&pairs, 4);
-    assert_eq!(serial.len(), parallel.len());
-    for (a, b) in serial.iter().zip(&parallel) {
-        assert_eq!(a.units, b.units);
-        assert_eq!(a.relevances, b.relevances);
+    let parallel = model.process_batch(&pairs, 4);
+    assert_eq!(parallel.len(), pairs.len());
+    for (p, pair) in parallel.iter().zip(&pairs) {
+        let serial = model.process(pair);
+        assert_eq!(serial.units, p.units);
+        assert_eq!(serial.relevances, p.relevances);
     }
 }
 

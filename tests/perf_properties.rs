@@ -439,9 +439,9 @@ fn discovery_reproduces_golden_units() {
     );
 }
 
-/// One shared fitted model for the parallel-equivalence property — fitting
-/// is the expensive part and its determinism is covered by the end-to-end
-/// suite, so fit once and probe `process_many_parallel` against it.
+/// One shared fitted model for the `process_batch` equivalence properties —
+/// fitting is the expensive part and its determinism is covered by the
+/// end-to-end suite, so fit once and probe `process_batch` against it.
 fn shared_model() -> &'static (WymModel, Vec<RecordPair>) {
     static MODEL: OnceLock<(WymModel, Vec<RecordPair>)> = OnceLock::new();
     MODEL.get_or_init(|| {
@@ -463,50 +463,77 @@ fn shared_model() -> &'static (WymModel, Vec<RecordPair>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Work-stealing `process_many_parallel` returns exactly what the
-    /// sequential `process_many` returns — same order, same units, same
-    /// relevances — for every thread count 1..=8 (0 = auto is the
-    /// n-cores special case of the same code path).
+    /// `process_batch` over any prefix of the test set, on any of 1..=8
+    /// worker threads, returns exactly what `process` returns record by
+    /// record — same order, tokens, units and relevances — although it
+    /// scores 16 records per forward pass (0 = auto is the n-cores special
+    /// case of the same code path).
     #[test]
-    fn parallel_processing_matches_sequential(n_threads in 1usize..9) {
+    fn parallel_processing_matches_sequential(
+        prefix in any::<usize>(),
+        threads in 1usize..9,
+    ) {
         let (model, test) = shared_model();
-        let sequential = model.process_many(test);
-        let parallel = model.process_many_parallel(test, n_threads);
-        prop_assert_eq!(sequential.len(), parallel.len());
-        for (s, p) in sequential.iter().zip(&parallel) {
-            prop_assert_eq!(&s.units, &p.units);
-            prop_assert_eq!(&s.relevances, &p.relevances);
+        let pairs = &test[..=prefix % test.len()];
+        let batched = model.process_batch(pairs, threads);
+        prop_assert_eq!(batched.len(), pairs.len());
+        for (b, pair) in batched.iter().zip(pairs) {
+            let one = model.process(pair);
+            prop_assert_eq!(b.record.id, one.record.id);
+            prop_assert_eq!(&b.record.left.tokens, &one.record.left.tokens);
+            prop_assert_eq!(&b.record.right.tokens, &one.record.right.tokens);
+            prop_assert_eq!(&b.units, &one.units);
+            prop_assert_eq!(&b.relevances, &one.relevances);
         }
     }
 
-    /// Batched scorer inference is bit-identical to per-record scoring:
-    /// `score_batch` over a random prefix of the test set returns exactly
-    /// the per-record `score_units` results (GEMM output rows depend only
-    /// on their own input row), and the batched process path reproduces the
-    /// sequential reference records end to end.
+    /// Batched scorer inference is bit-identical to per-record scoring: one
+    /// multi-record `score_batch` forward over a random prefix of the test
+    /// set returns exactly the per-record `score_units` results (GEMM output
+    /// rows depend only on their own input row).
     #[test]
     fn batched_scoring_matches_per_unit(n_records in 1usize..24) {
         let (model, test) = shared_model();
-        let take = n_records.min(test.len());
-        let pairs = &test[..take];
-
-        let batched = model.process_many_batched(pairs);
-        let sequential = model.process_many(pairs);
-        prop_assert_eq!(batched.len(), sequential.len());
-        for (b, s) in batched.iter().zip(&sequential) {
-            prop_assert_eq!(&b.units, &s.units);
-            prop_assert_eq!(&b.relevances, &s.relevances);
-        }
-
-        // And directly at the scorer: one multi-record forward pass vs one
-        // call per record.
-        let batch: Vec<_> =
-            batched.iter().map(|p| (&p.record, p.units.as_slice())).collect();
+        let processed = model.process_batch(&test[..n_records.min(test.len())], 1);
+        let batch: Vec<_> = processed.iter().map(|p| (&p.record, p.units.as_slice())).collect();
         let stacked = model.scorer().score_batch(&batch);
+        prop_assert_eq!(stacked.len(), batch.len());
         for ((rec, units), scores) in batch.iter().zip(&stacked) {
             prop_assert_eq!(scores, &model.scorer().score_units(rec, units));
         }
     }
+}
+
+/// The span contract of the one processing path: `process` is a batch of
+/// one and opens exactly the per-record subtree that the committed OBS
+/// baselines hold, and `process_batch` opens one `process` span per
+/// 16-record chunk with its scorer forward inside.
+#[test]
+fn process_spans_follow_the_chunks() {
+    use std::sync::Arc;
+    let (model, test) = shared_model();
+    // "path:count" of every span the run opens, sorted by path.
+    let spans = |run: &dyn Fn()| -> String {
+        let obs = Arc::new(wym_obs::Recorder::new_enabled());
+        wym_obs::with_recorder(Arc::clone(&obs), run);
+        let mut spans = obs.snapshot().spans;
+        spans.sort_by(|a, b| a.path.cmp(&b.path));
+        spans.iter().map(|s| format!("{}:{}", s.path, s.count)).collect::<Vec<_>>().join(" ")
+    };
+
+    let one = spans(&|| {
+        let _ = model.process(&test[0]);
+    });
+    assert_eq!(one, "process:1 process/embed:2 process/pair:1 process/score:1 process/tokenize:2");
+
+    assert!(test.len() >= 20, "the S-FZ test split holds {} pairs", test.len());
+    let twenty = spans(&|| {
+        let _ = model.process_batch(&test[..20], 1);
+    });
+    assert_eq!(
+        twenty,
+        "process:2 process/embed:40 process/pair:20 process/score:2 process/tokenize:40"
+    );
 }
 
 /// Golden explain-path output: the FNV-1a over
@@ -547,8 +574,8 @@ fn explain_path_reproduces_golden() {
             idx.iter().map(|&i| dataset.pairs[i].clone()).collect()
         };
         let (train, val, test) = (
-            model.process_many(&pairs(&split.train)),
-            model.process_many(&pairs(&split.val)),
+            model.process_batch(&pairs(&split.train), 1),
+            model.process_batch(&pairs(&split.val), 1),
             pairs(&split.test),
         );
         fn rows(proc: &[wym::core::ProcessedRecord]) -> Vec<(&[DecisionUnit], &[f32], bool)> {
@@ -565,7 +592,7 @@ fn explain_path_reproduces_golden() {
         let forest = single(ClassifierKind::RandomForest);
         let boost = single(ClassifierKind::GradientBoosting);
 
-        let processed = model.process_many(&test);
+        let processed = model.process_batch(&test, 1);
         for matcher in [model.matcher(), &forest, &boost] {
             for p in &processed {
                 push_f32s(&mut bytes, &featurize(matcher.specs(), &p.units, &p.relevances));
