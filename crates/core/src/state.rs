@@ -160,8 +160,26 @@ impl WymModelState {
                     }
                     layers.push(Dense { w, b: b.data.as_slice().to_vec(), activation });
                 }
-                if layers.is_empty() {
+                let (Some(first), Some(last)) = (layers.first(), layers.last()) else {
                     return Err("scorer_net promises a network but lists no layers".into());
+                };
+                // The scorer reads one `[mean | |diff|]` row of two
+                // embeddings per unit and emits one relevance logit.
+                let dim = head.embedder.hashed.dim();
+                if first.in_dim() != 2 * dim {
+                    return Err(format!(
+                        "tensor `scorer.layer0.w` has {} input rows, expected {} \
+                         (2 × embedding dim {dim})",
+                        first.in_dim(),
+                        2 * dim
+                    ));
+                }
+                if last.out_dim() != 1 {
+                    return Err(format!(
+                        "tensor `scorer.layer{}.w` has {} output columns, expected 1",
+                        layers.len() - 1,
+                        last.out_dim()
+                    ));
                 }
                 Some(Mlp::from_parts(layers, spec.loss))
             }
@@ -262,14 +280,30 @@ mod tests {
     #[test]
     fn shape_mismatch_is_an_actionable_error() {
         let model = fitted(EmbedderKind::Siamese);
-        let mut state = WymModelState::from_model(&model);
-        let t = state
-            .tensors
-            .iter_mut()
-            .find(|t| t.name == "embed.projection")
-            .expect("projection present");
-        t.data = Matrix::zeros(3, 5);
-        let err = state.into_model().err().expect("must reject bad shape");
+        // Reshapes the named tensors (to zeros) and returns the load error.
+        let reject = |reshape: &[(&str, (usize, usize))]| -> String {
+            let mut state = WymModelState::from_model(&model);
+            for &(name, (rows, cols)) in reshape {
+                let t = state.tensors.iter_mut().find(|t| t.name == name).expect(name);
+                t.data = Matrix::zeros(rows, cols);
+            }
+            state.into_model().err().expect("must reject bad shape")
+        };
+
+        let err = reject(&[("embed.projection", (3, 5))]);
         assert!(err.contains("embed.projection") && err.contains("expected"), "{err}");
+
+        // A first layer narrower than the scorer's `2 × dim` feature row.
+        let layers = model.scorer().model().expect("trained scorer").layers();
+        let dim = model.embedder().dim();
+        let err = reject(&[("scorer.layer0.w", (2 * dim - 1, layers[0].out_dim()))]);
+        let want = format!("expected {}", 2 * dim);
+        assert!(err.contains("scorer.layer0.w") && err.contains(&want), "{err}");
+
+        // A last layer with two outputs (its bias widened to match).
+        let last = layers.len() - 1;
+        let (w, b) = (format!("scorer.layer{last}.w"), format!("scorer.layer{last}.b"));
+        let err = reject(&[(&w, (layers[last].in_dim(), 2)), (&b, (1, 2))]);
+        assert!(err.contains(&w) && err.contains("expected 1"), "{err}");
     }
 }

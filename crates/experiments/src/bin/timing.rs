@@ -32,6 +32,11 @@ fn main() {
     let tokenizer = Tokenizer::default();
     let mut rows_json = Vec::new();
     let mut rows = Vec::new();
+    // Deterministic f64 checksum of every relevance score of the run, over
+    // all datasets: `run_experiments.sh --smoke` runs this binary under
+    // each WYM_KERNEL and fails when the checksums differ, which pins the
+    // kernel layer's bit-identity guarantee at the end-to-end level.
+    let mut score_checksum = 0.0f64;
     for dataset in opts.datasets() {
         eprintln!("[timing] {}", dataset.name);
         let run = fit_wym(&dataset, opts.wym_config(), opts.seed);
@@ -46,18 +51,14 @@ fn main() {
         }
         let explain_tp = sample.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
 
-        // Per-stage timings. The relevance scores are also folded into a
-        // deterministic f64 checksum: `run_experiments.sh --smoke` runs this
-        // binary under WYM_KERNEL=scalar and =auto and fails when the two
-        // checksums differ, which pins the kernel layer's bit-identity
-        // guarantee at the end-to-end level.
+        // Per-stage timings; the relevance scores also fold into the run's
+        // score checksum.
         let mut t_tokenize = 0.0f64;
         let mut t_embed = 0.0f64;
         let mut t_discover = 0.0;
         let mut t_score = 0.0;
         let mut t_predict = 0.0;
         let mut t_impact = 0.0;
-        let mut score_checksum = 0.0f64;
         for pair in sample {
             let s = Instant::now();
             let lt = tokenizer.tokenize_attributes(&pair.left.values);

@@ -28,16 +28,15 @@
 //!
 //! * **AVX2+FMA** maps the eight lanes onto one `ymm` register
 //!   (`vfmadd231ps`), tails run scalar `mul_add` into the stored lanes.
-//! * **AVX-512** must *not* widen the f32 reductions to 16 lanes — that
-//!   would change which elements share an accumulator chain and therefore
-//!   the rounding — so [`dot`], [`cosine`] and [`dist_sq`] reuse the AVX2
-//!   bodies verbatim (every AVX-512 CPU has AVX2), and the [`gemm_nt`] dot
-//!   tile keeps 8-lane `ymm` chains too (AVX-512VL only gives it 32
-//!   registers, enough for whole 4 × 4 tiles). Only [`axpy`] and the
-//!   [`gemm`] tile, where each output element is one independent fused
-//!   chain, and the exact-integer int8 kernels widen to full `zmm`
-//!   registers — that is where the scorer's training and the blocking
-//!   pass spend their bandwidth.
+//! * **AVX-512** widens only the two GEMM tiles, where the scorer's
+//!   training spends its time: the [`gemm`] tile (each output element is
+//!   one independent fused chain, so it runs two `zmm` of columns) and the
+//!   [`gemm_nt`] dot tile (8-lane `ymm` chains, but AVX-512VL's 32
+//!   registers hold whole 4 × 4 tiles). Every other kernel runs the AVX2
+//!   body (every AVX-512 CPU has AVX2): widening the f32 reductions to 16
+//!   lanes would change which elements share an accumulator chain and
+//!   therefore the rounding, and `zmm` twins of [`axpy`], the int8 and the
+//!   quantization kernels measured no faster on any benchmark workload.
 //!
 //! Other architectures (aarch64 included) run the scalar path, which is
 //! the reference every SIMD body must match bit for bit.
@@ -62,9 +61,8 @@ pub enum KernelImpl {
     Scalar,
     /// AVX2 + FMA path via `std::arch` intrinsics (x86_64 only).
     Avx2Fma,
-    /// AVX-512 (F+BW) path: AVX2 bodies for the f32 reductions (the 8-lane
-    /// recipe is fixed), `zmm`-wide element-wise f32 and int8 kernels
-    /// (x86_64 only).
+    /// AVX-512 (F+VL) path: AVX-512 bodies for the two GEMM tiles only,
+    /// the AVX2+FMA bodies for every other kernel (x86_64 only).
     Avx512,
 }
 
@@ -96,11 +94,12 @@ pub fn supported(imp: KernelImpl) -> bool {
             std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
         }
+        // Every arm but the two GEMM tiles runs an AVX2+FMA body.
         #[cfg(target_arch = "x86_64")]
         KernelImpl::Avx512 => {
             std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512bw")
                 && std::arch::is_x86_feature_detected!("avx512vl")
+                && supported(KernelImpl::Avx2Fma)
         }
         #[allow(unreachable_patterns)]
         _ => false,
@@ -264,13 +263,6 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     dot_i8_with(active(), a, b)
 }
 
-/// Integer squared Euclidean distance of two int8 vectors under the active
-/// implementation. Exact for `len ≤ 33_000` (sum ≤ len · 254²).
-#[inline]
-pub fn dist_sq_i8(a: &[i8], b: &[i8]) -> i32 {
-    dist_sq_i8_with(active(), a, b)
-}
-
 /// Fused int8 cosine: the exact integer dot scaled back to f32 by the two
 /// per-vector quantization scales (`value ≈ q · scale`). Because the dot is
 /// an exact integer and the two multiplies happen in one fixed order, the
@@ -320,9 +312,7 @@ pub fn dot_i8_with(imp: KernelImpl, a: &[i8], b: &[i8]) -> i32 {
     match imp {
         KernelImpl::Scalar => scalar::dot_i8(a, b),
         #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx2Fma => unsafe { avx2::dot_i8(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx512 => unsafe { avx512::dot_i8(a, b) },
+        KernelImpl::Avx2Fma | KernelImpl::Avx512 => unsafe { avx2::dot_i8(a, b) },
         #[allow(unreachable_patterns)]
         _ => scalar::dot_i8(a, b),
     }
@@ -340,9 +330,7 @@ pub fn max_abs_with(imp: KernelImpl, v: &[f32]) -> f32 {
     match imp {
         KernelImpl::Scalar => scalar::max_abs(v),
         #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx2Fma => unsafe { avx2::max_abs(v) },
-        #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx512 => unsafe { avx512::max_abs(v) },
+        KernelImpl::Avx2Fma | KernelImpl::Avx512 => unsafe { avx2::max_abs(v) },
         #[allow(unreachable_patterns)]
         _ => scalar::max_abs(v),
     }
@@ -355,26 +343,9 @@ pub fn quantize_i8_with(imp: KernelImpl, src: &[f32], inv: f32, out: &mut [i8]) 
     match imp {
         KernelImpl::Scalar => scalar::quantize_i8(src, inv, out),
         #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx2Fma => unsafe { avx2::quantize_i8(src, inv, out) },
-        #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx512 => unsafe { avx512::quantize_i8(src, inv, out) },
+        KernelImpl::Avx2Fma | KernelImpl::Avx512 => unsafe { avx2::quantize_i8(src, inv, out) },
         #[allow(unreachable_patterns)]
         _ => scalar::quantize_i8(src, inv, out),
-    }
-}
-
-/// [`dist_sq_i8`] under an explicitly chosen implementation.
-#[inline]
-pub fn dist_sq_i8_with(imp: KernelImpl, a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    match imp {
-        KernelImpl::Scalar => scalar::dist_sq_i8(a, b),
-        #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx2Fma => unsafe { avx2::dist_sq_i8(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx512 => unsafe { avx512::dist_sq_i8(a, b) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::dist_sq_i8(a, b),
     }
 }
 
@@ -400,9 +371,7 @@ pub fn axpy_with(imp: KernelImpl, alpha: f32, x: &[f32], y: &mut [f32]) {
     match imp {
         KernelImpl::Scalar => scalar::axpy(alpha, x, y),
         #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx2Fma => unsafe { avx2::axpy(alpha, x, y) },
-        #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx512 => unsafe { avx512::axpy(alpha, x, y) },
+        KernelImpl::Avx2Fma | KernelImpl::Avx512 => unsafe { avx2::axpy(alpha, x, y) },
         #[allow(unreachable_patterns)]
         _ => scalar::axpy(alpha, x, y),
     }
@@ -791,16 +760,6 @@ pub mod scalar {
         acc
     }
 
-    /// Integer int8 squared distance (exact; see [`super::dist_sq_i8`]).
-    pub fn dist_sq_i8(a: &[i8], b: &[i8]) -> i32 {
-        let mut acc = 0i32;
-        for (&x, &y) in a.iter().zip(b) {
-            let d = x as i32 - y as i32;
-            acc += d * d;
-        }
-        acc
-    }
-
     /// Largest absolute value (exactly associative; see [`super::max_abs`]).
     pub fn max_abs(v: &[f32]) -> f32 {
         v.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
@@ -875,9 +834,8 @@ pub mod avx2 {
         _mm256_hadd_ps, _mm256_loadu_ps, _mm256_madd_epi16, _mm256_maskload_ps,
         _mm256_maskstore_ps, _mm256_max_epi32, _mm256_max_ps, _mm256_min_epi32, _mm256_mul_ps,
         _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps,
-        _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi16,
-        _mm256_sub_ps, _mm_add_ps, _mm_loadu_si128, _mm_packs_epi16, _mm_packs_epi32,
-        _mm_storel_epi64, _mm_storeu_ps,
+        _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps, _mm_add_ps,
+        _mm_loadu_si128, _mm_packs_epi16, _mm_packs_epi32, _mm_storel_epi64, _mm_storeu_ps,
     };
 
     /// 8-lane dot product.
@@ -1017,34 +975,6 @@ pub mod avx2 {
         total
     }
 
-    /// Integer int8 squared distance: differences in i16 (range ±254, no
-    /// overflow), squared and pair-summed by `vpmaddwd`. Exact integer.
-    ///
-    /// # Safety
-    /// The caller must have verified AVX2+FMA support (via
-    /// [`super::detect_best`]) before calling.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dist_sq_i8(a: &[i8], b: &[i8]) -> i32 {
-        let blocks = a.len() / I8_BLOCK * I8_BLOCK;
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i < blocks {
-            let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(i).cast()));
-            let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(i).cast()));
-            let d = _mm256_sub_epi16(va, vb);
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, d));
-            i += I8_BLOCK;
-        }
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
-        let mut total: i32 = lanes.iter().sum();
-        for l in blocks..a.len() {
-            let d = a[l] as i32 - b[l] as i32;
-            total += d * d;
-        }
-        total
-    }
-
     /// Largest absolute value: 8-lane `vmaxps` over sign-stripped lanes,
     /// folded with scalar `max` at the end. Exactly associative, so
     /// bit-identical to the scalar fold for finite inputs.
@@ -1171,64 +1101,33 @@ pub mod avx2 {
 
 // --- AVX-512 implementation -----------------------------------------------
 
-/// AVX-512 (F + BW) implementation of the kernels that can widen to `zmm`
-/// registers **without** touching the 8-lane reduction recipe:
+/// AVX-512 (F + VL) bodies of the two GEMM tiles, the only kernels whose
+/// AVX-512 form measured faster than the AVX2 one (on `fit`, where the
+/// scorer's training runs them):
 ///
-/// * [`axpy`] and the [`gemm`] tile — each
-///   output element is its own independent fused-multiply-add chain, so
-///   block width is unobservable and 16-wide blocks are bit-identical;
-/// * the int8 kernels — exact integer arithmetic is associative, so any
-///   accumulation order (here 32 int8 lanes widened to one `zmm` of i16,
-///   `vpmaddwd` into 16 i32 lanes) gives the identical result.
+/// * the [`gemm`] tile — each output element is its own independent
+///   fused-multiply-add chain, so it widens to two `zmm` of columns with
+///   bit-identical results;
+/// * the [`gemm_nt`] dot tile — still 8-lane `ymm` chains (the reduction
+///   recipe is fixed), but AVX-512VL's 32 registers hold a whole 4 × 4
+///   tile.
 ///
-/// The f32 *reductions* (`dot`, `dot3`, `dist_sq`, and the
-/// [`gemm_nt`] dot tile) are deliberately absent:
-/// widening them to 16 accumulator lanes would change which elements share
-/// a chain and therefore the rounding. The dispatch layer routes them to
-/// the [`avx2`] bodies instead (every AVX-512 host also has AVX2+FMA).
+/// Every other kernel under [`KernelImpl::Avx512`] runs its [`avx2`]
+/// body (every AVX-512 host also has AVX2+FMA).
 #[cfg(target_arch = "x86_64")]
 pub mod avx512 {
     use super::{Tile, GEMM_MR, LANES};
     use std::arch::x86_64::{
         __mmask16, _mm256_blendv_ps, _mm256_castps256_ps128, _mm256_castsi256_ps,
         _mm256_cmpgt_epi32, _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_hadd_ps,
-        _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps, _mm256_set1_epi32,
-        _mm256_setr_epi32, _mm256_setzero_ps, _mm512_abs_ps, _mm512_add_epi32,
-        _mm512_cvtepi32_epi8, _mm512_cvtepi8_epi16, _mm512_cvtps_epi32, _mm512_fmadd_ps,
-        _mm512_loadu_ps, _mm512_madd_epi16, _mm512_mask3_fmadd_ps, _mm512_mask_blend_ps,
-        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_epi32, _mm512_max_ps,
-        _mm512_min_epi32, _mm512_mul_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_setzero_si512, _mm512_storeu_ps, _mm512_storeu_si512, _mm512_sub_epi16, _mm_add_ps,
-        _mm_storeu_ps, _mm_storeu_si128,
+        _mm256_loadu_ps, _mm256_maskload_ps, _mm256_set1_epi32, _mm256_setr_epi32,
+        _mm256_setzero_ps, _mm512_fmadd_ps, _mm512_mask3_fmadd_ps, _mm512_mask_blend_ps,
+        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm_add_ps, _mm_storeu_ps,
     };
 
     /// f32 elements per `zmm` register.
     const W: usize = 16;
-
-    /// int8 elements widened into one `zmm` of i16 per block.
-    const I8_BLOCK: usize = 32;
-
-    /// Element-wise fused `y[i] = fma(alpha, x[i], y[i])`, 16 elements per
-    /// block. Identical per-element operation as the scalar and AVX2 paths.
-    ///
-    /// # Safety
-    /// The caller must have verified AVX-512 F support (via
-    /// [`super::supported`]) before calling.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        let blocks = x.len() / W * W;
-        let va = _mm512_set1_ps(alpha);
-        let mut i = 0;
-        while i < blocks {
-            let vx = _mm512_loadu_ps(x.as_ptr().add(i));
-            let vy = _mm512_loadu_ps(y.as_ptr().add(i));
-            _mm512_storeu_ps(y.as_mut_ptr().add(i), _mm512_fmadd_ps(va, vx, vy));
-            i += W;
-        }
-        for l in blocks..x.len() {
-            y[l] = alpha.mul_add(x[l], y[l]);
-        }
-    }
 
     dot_tile!("avx512f,avx512vl,avx2,fma", 4);
 
@@ -1320,131 +1219,6 @@ pub mod avx512 {
                 _mm512_mask_storeu_ps(c.as_mut_ptr().wrapping_add(r * ldc + v * W), lm[v], x);
             }
         }
-    }
-
-    /// Largest absolute value: 16-lane `vmaxps` over `vabsps`-stripped
-    /// lanes. Exactly associative, bit-identical to the scalar fold for
-    /// finite inputs.
-    ///
-    /// # Safety
-    /// The caller must have verified AVX-512 F support (via
-    /// [`super::supported`]) before calling.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn max_abs(v: &[f32]) -> f32 {
-        let blocks = v.len() / W * W;
-        let mut acc = _mm512_setzero_ps();
-        let mut i = 0;
-        while i < blocks {
-            acc = _mm512_max_ps(acc, _mm512_abs_ps(_mm512_loadu_ps(v.as_ptr().add(i))));
-            i += W;
-        }
-        let mut lanes = [0.0f32; W];
-        _mm512_storeu_ps(lanes.as_mut_ptr(), acc);
-        let mut m = lanes.iter().fold(0.0f32, |m, &x| m.max(x));
-        for &x in &v[blocks..] {
-            m = m.max(x.abs());
-        }
-        m
-    }
-
-    /// Element-wise symmetric int8 quantization, 16 elements per block:
-    /// `vmulps` → `vcvtps2dq` (round-to-nearest-even, same as the scalar
-    /// `round_ties_even`) → i32 clamp to ±127 → `vpmovdb` narrowing
-    /// (truncation is exact after the clamp). Element-independent, so
-    /// bit-identical to the scalar path for finite inputs.
-    ///
-    /// # Safety
-    /// The caller must have verified AVX-512 F support (via
-    /// [`super::supported`]) before calling.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn quantize_i8(src: &[f32], inv: f32, out: &mut [i8]) {
-        let blocks = src.len() / W * W;
-        let vinv = _mm512_set1_ps(inv);
-        let vmin = _mm512_set1_epi32(-127);
-        let vmax = _mm512_set1_epi32(127);
-        let mut i = 0;
-        while i < blocks {
-            let t = _mm512_mul_ps(_mm512_loadu_ps(src.as_ptr().add(i)), vinv);
-            let r = _mm512_cvtps_epi32(t);
-            let c = _mm512_min_epi32(_mm512_max_epi32(r, vmin), vmax);
-            _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), _mm512_cvtepi32_epi8(c));
-            i += W;
-        }
-        for l in blocks..src.len() {
-            out[l] = (src[l] * inv).round_ties_even().clamp(-127.0, 127.0) as i8;
-        }
-    }
-
-    /// Integer int8 dot product: 32 int8 lanes sign-extend to one `zmm` of
-    /// i16 (`vpmovsxbw`), multiply-accumulate pairwise into 16 i32 lanes
-    /// (`vpmaddwd`), lanes sum at the end. Exact integer arithmetic, so the
-    /// result equals the scalar loop for any input — this is the kernel the
-    /// int8 ANN blocking pass rides.
-    ///
-    /// # Safety
-    /// The caller must have verified AVX-512 F+BW support (via
-    /// [`super::supported`]) before calling.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        // Two independent accumulators over a 64-byte stride keep the
-        // widen→madd→add chain pipelined; integer addition is associative,
-        // so the split cannot change the result.
-        let pairs = a.len() / (2 * I8_BLOCK) * (2 * I8_BLOCK);
-        let mut acc0 = _mm512_setzero_si512();
-        let mut acc1 = _mm512_setzero_si512();
-        let mut i = 0;
-        while i < pairs {
-            let va0 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.as_ptr().add(i).cast()));
-            let vb0 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.as_ptr().add(i).cast()));
-            let va1 =
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.as_ptr().add(i + I8_BLOCK).cast()));
-            let vb1 =
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.as_ptr().add(i + I8_BLOCK).cast()));
-            acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(va0, vb0));
-            acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(va1, vb1));
-            i += 2 * I8_BLOCK;
-        }
-        let blocks = a.len() / I8_BLOCK * I8_BLOCK;
-        if i < blocks {
-            let va = _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.as_ptr().add(i).cast()));
-            let vb = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.as_ptr().add(i).cast()));
-            acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(va, vb));
-        }
-        let mut lanes = [0i32; 16];
-        _mm512_storeu_si512(lanes.as_mut_ptr().cast(), _mm512_add_epi32(acc0, acc1));
-        let mut total: i32 = lanes.iter().sum();
-        for l in blocks..a.len() {
-            total += a[l] as i32 * b[l] as i32;
-        }
-        total
-    }
-
-    /// Integer int8 squared distance: differences in i16 (range ±254, no
-    /// overflow), squared and pair-summed by `vpmaddwd`. Exact integer.
-    ///
-    /// # Safety
-    /// The caller must have verified AVX-512 F+BW support (via
-    /// [`super::supported`]) before calling.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn dist_sq_i8(a: &[i8], b: &[i8]) -> i32 {
-        let blocks = a.len() / I8_BLOCK * I8_BLOCK;
-        let mut acc = _mm512_setzero_si512();
-        let mut i = 0;
-        while i < blocks {
-            let va = _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.as_ptr().add(i).cast()));
-            let vb = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.as_ptr().add(i).cast()));
-            let d = _mm512_sub_epi16(va, vb);
-            acc = _mm512_add_epi32(acc, _mm512_madd_epi16(d, d));
-            i += I8_BLOCK;
-        }
-        let mut lanes = [0i32; 16];
-        _mm512_storeu_si512(lanes.as_mut_ptr().cast(), acc);
-        let mut total: i32 = lanes.iter().sum();
-        for l in blocks..a.len() {
-            let d = a[l] as i32 - b[l] as i32;
-            total += d * d;
-        }
-        total
     }
 }
 
@@ -1617,24 +1391,16 @@ mod tests {
         (a, b)
     }
 
-    /// The int8 kernels are exact integer arithmetic: every available path
+    /// The int8 kernel is exact integer arithmetic: every available path
     /// must equal the scalar path (and an i64 reference) on every length —
-    /// 0..=70 covers remainders of the 16-wide AVX2 block and the 32-wide
-    /// AVX-512 block — including the extreme ±127 corners.
+    /// 0..=70 covers several remainders of the 16-wide AVX2 block —
+    /// including the extreme ±127 corners.
     #[test]
     fn i8_kernels_exact_across_impls() {
         for imp in available() {
             for len in 0..=70usize {
                 let (a, b) = i8_vecs(len, 31 ^ len as u64);
                 let dot_ref: i64 = a.iter().zip(&b).map(|(&x, &y)| x as i64 * y as i64).sum();
-                let dist_ref: i64 = a
-                    .iter()
-                    .zip(&b)
-                    .map(|(&x, &y)| {
-                        let d = x as i64 - y as i64;
-                        d * d
-                    })
-                    .sum();
                 assert_eq!(
                     dot_i8_with(imp, &a, &b) as i64,
                     dot_ref,
@@ -1647,24 +1413,10 @@ mod tests {
                     "dot_i8 dispatch {} len {len}",
                     imp.name()
                 );
-                assert_eq!(
-                    dist_sq_i8_with(imp, &a, &b) as i64,
-                    dist_ref,
-                    "dist_sq_i8 {} len {len}",
-                    imp.name()
-                );
-                assert_eq!(
-                    dist_sq_i8_with(imp, &a, &b),
-                    dist_sq_i8_with(KernelImpl::Scalar, &a, &b),
-                    "dist_sq_i8 dispatch {} len {len}",
-                    imp.name()
-                );
             }
         }
         let extremes: Vec<i8> = vec![127, -127, 127, -127, 127, -127, 127, -127];
-        let negated: Vec<i8> = extremes.iter().map(|&v| -v).collect();
         assert_eq!(dot_i8(&extremes, &extremes), 8 * 127 * 127);
-        assert_eq!(dist_sq_i8(&extremes, &negated), 8 * 254 * 254);
     }
 
     #[test]
@@ -1673,7 +1425,6 @@ mod tests {
         let expected = (dot_i8(&a, &b) as f32) * (0.01f32 * 0.02f32);
         assert_eq!(cosine_i8(&a, &b, 0.01, 0.02).to_bits(), expected.to_bits());
         assert_eq!(dot_i8(&[], &[]), 0);
-        assert_eq!(dist_sq_i8(&[], &[]), 0);
     }
 
     #[test]
@@ -1710,11 +1461,13 @@ mod tests {
     }
 
     /// The dispatch support probes are consistent: scalar is always
-    /// supported, the availability list contains exactly the supported
+    /// supported, AVX-512 only where AVX2+FMA is (its non-GEMM arms run the
+    /// AVX2 bodies), the availability list contains exactly the supported
     /// implementations (best first), and `detect_best` is its head.
     #[test]
     fn dispatch_probes_are_consistent() {
         assert!(supported(KernelImpl::Scalar));
+        assert!(!supported(KernelImpl::Avx512) || supported(KernelImpl::Avx2Fma));
         let avail = available();
         assert!(avail.contains(&KernelImpl::Scalar));
         for imp in ALL_IMPLS {

@@ -15,7 +15,9 @@
 # deterministic structure, counters, gauges, and histograms gate; see
 # DESIGN.md §10), or (f) the blocking pipeline's candidate-set checksum
 # differs between kernel variants or its scalar snapshot drifts from
-# results/OBS_baseline_blocking.json (DESIGN.md §11), or (g)
+# results/OBS_baseline_blocking.json (DESIGN.md §11), or any explicitly
+# requestable kernel backend this host supports (avx2, avx512; the rest
+# SKIP) produces a different blocking checksum than the scalar run, or (g)
 # `RUSTDOCFLAGS="-D warnings" cargo doc --no-deps` reports anything, or
 # (h) the model-artifact round trip (train→save→load→classify, DESIGN.md
 # §12) is not bit-identical to the in-memory model under either kernel
@@ -48,9 +50,11 @@
 # subset-results drill fails: `figure4 --datasets S-FZ --cap 40` without
 # --quick must write results/smoke_figure4.json and leave the committed
 # results/figure4.json untouched, or (p) the multi-dataset trace drill
-# fails: a traced `timing --quick --datasets S-FZ,S-BR` run, made in a
-# temporary directory so it cannot replace any results/smoke_* file, must
-# export span `fit` with count 2 (one per dataset). Every output it
+# fails: a traced `timing --quick --datasets S-FZ,S-BR` run, made under
+# WYM_KERNEL=auto and =scalar in a temporary directory so it cannot
+# replace any results/smoke_* file, must export span `fit` with count 2
+# (one per dataset) and a score checksum over both datasets — equal
+# across the two kernels, and not the S-FZ-only checksum. Every output it
 # writes is gitignored (results/smoke*, OBS_smoke*, OBS_blocking_smoke*,
 # model_*.wyma, ann_tables*.wyma, FLIGHT_*).
 #
@@ -229,6 +233,27 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "SMOKE FAILED: kernel dispatch changed the candidate set: auto=$BCK_AUTO scalar=$BCK_SCALAR" >&2
     exit 1
   fi
+  # Blocking kernel matrix: the int8 and quantization kernels run only
+  # here, so every explicitly requestable backend this host supports must
+  # reproduce the scalar candidate set too; unsupported ones are skipped.
+  for K in avx2 avx512; do
+    KNAME=$K
+    [ "$K" = avx2 ] && KNAME=avx2_fma
+    if ! echo "$SUPPORTED_KERNELS" | grep -qx "$KNAME"; then
+      echo "=== smoke: blocking kernel matrix WYM_KERNEL=$K — SKIP (unsupported) ==="
+      continue
+    fi
+    BLOCK_K="results/OBS_blocking_smoke_${K}.json"
+    rm -f "$BLOCK_K"
+    echo "=== smoke: blocking kernel matrix (WYM_KERNEL=$K) ==="
+    WYM_KERNEL=$K ./target/release/blocking_scale --smoke --threads 1 \
+      --metrics-out "$BLOCK_K" 2>&1 | tee "results/smoke_blocking_${K}.log"
+    BCK_K=$(grep -o '"block\.checksum": *[0-9]*' "$BLOCK_K" 2>/dev/null | head -1 | sed 's/.*: *//')
+    if [ "$BCK_K" != "$BCK_SCALAR" ]; then
+      echo "SMOKE FAILED: WYM_KERNEL=$K changed the candidate set: $K=$BCK_K scalar=$BCK_SCALAR" >&2
+      exit 1
+    fi
+  done
   if [ -f results/OBS_baseline_blocking.json ]; then
     if ! ./target/release/obs_diff --ignore-wall results/OBS_baseline_blocking.json "$BLOCK_SCALAR"; then
       echo "SMOKE FAILED: $BLOCK_SCALAR regressed against results/OBS_baseline_blocking.json" >&2
@@ -514,21 +539,38 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 1
   fi
   # Multi-dataset trace drill: the exported snapshot covers every dataset
-  # of the run. It runs in a temporary directory, so its results/ files
-  # cannot replace the smoke outputs above.
+  # of the run. Under both the dispatched and the scalar kernels, span
+  # `fit` counts 2, and the score checksum sums both datasets: the two
+  # runs agree, and neither equals the one-dataset $CK_AUTO. It runs in a
+  # temporary directory, so its results/ files cannot replace the smoke
+  # outputs above.
   echo "=== smoke: multi-dataset trace drill (timing --datasets S-FZ,S-BR) ==="
   DRILL_DIR=$(mktemp -d)
   TIMING_BIN="$(pwd)/target/release/timing"
-  (cd "$DRILL_DIR" && "$TIMING_BIN" --quick --cap 40 --datasets S-FZ,S-BR --threads 1 \
-    --metrics-out obs.json > timing.log 2>&1)
-  FIT_SPANS=$(grep -A1 '"path": "fit",' "$DRILL_DIR/obs.json" 2>/dev/null \
-    | grep -o '"count": *[0-9]*' | head -1 | sed 's/.*: *//')
-  if [ "$FIT_SPANS" != 2 ]; then
-    echo "SMOKE FAILED: two-dataset traced timing run exported fit count '${FIT_SPANS}', want 2" >&2
-    cat "$DRILL_DIR/timing.log" >&2
-    rm -rf "$DRILL_DIR"
-    exit 1
-  fi
+  CK_DRILL=""
+  for K in auto scalar; do
+    (cd "$DRILL_DIR" && WYM_KERNEL=$K "$TIMING_BIN" --quick --cap 40 --datasets S-FZ,S-BR \
+      --threads 1 --metrics-out "obs_$K.json" > "timing_$K.log" 2>&1)
+    FIT_SPANS=$(grep -A1 '"path": "fit",' "$DRILL_DIR/obs_$K.json" 2>/dev/null \
+      | grep -o '"count": *[0-9]*' | head -1 | sed 's/.*: *//')
+    CK_K=$(grep -o '"scorer\.score_checksum": *[-0-9.eE+]*' "$DRILL_DIR/obs_$K.json" 2>/dev/null \
+      | head -1 | sed 's/.*: *//')
+    DRILL_ERR=""
+    if [ "$FIT_SPANS" != 2 ]; then
+      DRILL_ERR="exported fit count '${FIT_SPANS}', want 2"
+    elif [ -z "$CK_K" ] || [ "$CK_K" = "$CK_AUTO" ]; then
+      DRILL_ERR="exported score checksum '${CK_K}', which must cover both datasets (S-FZ alone: $CK_AUTO)"
+    elif [ -n "$CK_DRILL" ] && [ "$CK_K" != "$CK_DRILL" ]; then
+      DRILL_ERR="exported score checksum $CK_K, but WYM_KERNEL=auto exported $CK_DRILL"
+    fi
+    if [ -n "$DRILL_ERR" ]; then
+      echo "SMOKE FAILED: two-dataset traced timing run (WYM_KERNEL=$K) $DRILL_ERR" >&2
+      cat "$DRILL_DIR/timing_$K.log" >&2
+      rm -rf "$DRILL_DIR"
+      exit 1
+    fi
+    CK_DRILL=$CK_K
+  done
   rm -rf "$DRILL_DIR"
   # Clean-tree gate: every output above is gitignored, so the tracked
   # files must be exactly as the run found them.
@@ -540,7 +582,7 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 1
   fi
   DISPATCHED=$(grep -oE '"kernel\.dispatch\.[a-z0-9_]+"' "$OBS_AUTO" | head -1)
-  echo "SMOKE OK: all stages traced, $DISPATCHED == scalar checksum $CK_AUTO, blocking checksum $BCK_AUTO, artifact fnv $AFNV_AUTO, audit cksum $AUDIT_REF_CK, obs_diff clean ($OBS_AUTO, $OBS_SCALAR, $BLOCK_SCALAR, $OBS_DECISIONS), flight drills clean (panic, stall, chrome export), hostile files refused, subset run kept to smoke output, two-dataset trace exported fit x2, tracked files unchanged"
+  echo "SMOKE OK: all stages traced, $DISPATCHED == scalar checksum $CK_AUTO, blocking checksum $BCK_AUTO, artifact fnv $AFNV_AUTO, audit cksum $AUDIT_REF_CK, obs_diff clean ($OBS_AUTO, $OBS_SCALAR, $BLOCK_SCALAR, $OBS_DECISIONS), flight drills clean (panic, stall, chrome export), hostile files refused, subset run kept to smoke output, two-dataset trace exported fit x2 and checksum $CK_DRILL under auto and scalar, tracked files unchanged"
   exit 0
 fi
 
