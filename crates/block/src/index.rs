@@ -1,15 +1,14 @@
-//! The lexical pass: a sharded token inverted index with TF-IDF-weighted
-//! posting lists.
+//! The lexical pass: a token inverted index with TF-IDF-weighted posting
+//! lists in one flat CSR array.
 //!
-//! Build: records are tokenized in parallel, tokens are interned into a
-//! vocabulary, and posting lists are built by sharding the *record range*
-//! across `wym-par` workers — each shard builds local postings for its
-//! contiguous slice, and the shard-order merge concatenates them, so every
-//! posting list holds ascending record ids exactly as a sequential build
-//! would produce. Tokens whose document frequency exceeds the pruning
-//! cutoff are stop-listed (their posting lists are dropped); survivors get
-//! the weight `idf(t)² = ln(1 + n/df)²`, the self-dot of the binary TF-IDF
-//! vector coordinate.
+//! Build: records are tokenized in parallel and tokens are interned into a
+//! vocabulary. Document frequencies are counted first, and they alone
+//! decide pruning and weights: tokens whose document frequency exceeds the
+//! pruning cutoff are stop-listed (their posting ranges stay empty);
+//! survivors get the weight `idf(t)² = ln(1 + n/df)²`, the self-dot of the
+//! binary TF-IDF vector coordinate. A counting sort over the records in
+//! ascending order then fills only the kept tokens' ranges, so every
+//! posting list holds ascending record ids.
 //!
 //! Query: each record scores every record sharing at least one surviving
 //! token by summed squared IDF, accumulated in a per-worker dense scratch
@@ -19,6 +18,7 @@
 //! order, so scores — and therefore the candidate set — are bit-identical
 //! for any thread count.
 
+use crate::csr::Csr;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -30,7 +30,7 @@ pub struct TokenIndex {
     /// Per-record sorted unique token ids.
     record_tokens: Vec<Vec<u32>>,
     /// Token id → ascending record ids. Pruned tokens have empty lists.
-    postings: Vec<Vec<u32>>,
+    postings: Csr,
     /// Token id → squared IDF weight; 0.0 marks a pruned token.
     weight: Vec<f32>,
     /// Number of tokens dropped by document-frequency pruning.
@@ -87,52 +87,38 @@ impl TokenIndex {
         let (record_tokens, vocab) = intern_tokens(texts, threads);
         let vocab_len = vocab.len();
 
-        // Sharded posting build: each worker covers a contiguous record
-        // range; concatenating shard results in shard order yields
-        // ascending record ids per token.
-        let n_shards = wym_par::resolve_threads(threads).max(1) * 4;
-        let shards: Vec<HashMap<u32, Vec<u32>>> =
-            wym_par::map_ranges(n, n_shards, threads, |_, range| {
-                let mut local: HashMap<u32, Vec<u32>> = HashMap::new();
-                for i in range {
-                    for &t in &record_tokens[i] {
-                        local.entry(t).or_default().push(i as u32);
-                    }
-                }
-                local
-            });
-        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); vocab_len];
-        for shard in shards {
-            let mut entries: Vec<(u32, Vec<u32>)> = shard.into_iter().collect();
-            entries.sort_unstable_by_key(|(t, _)| *t);
-            for (t, ids) in entries {
-                postings[t as usize].extend_from_slice(&ids);
+        // Document frequencies decide pruning and IDF weights before any
+        // posting is stored.
+        let mut doc_freq = vec![0u32; vocab_len];
+        for ids in &record_tokens {
+            for &t in ids {
+                doc_freq[t as usize] += 1;
             }
         }
-
-        // Document-frequency pruning + IDF weights.
-        let cutoff = (((n as f32) * max_df_frac).ceil() as usize).max(min_df_cutoff).max(1);
+        let cutoff = (((n as f32) * max_df_frac).ceil() as usize)
+            .max(min_df_cutoff)
+            .max(1);
         let mut weight = vec![0.0f32; vocab_len];
         let mut pruned = 0usize;
-        let record_obs = wym_obs::enabled();
-        for (t, posting) in postings.iter_mut().enumerate() {
-            let df = posting.len();
-            if record_obs {
-                wym_obs::hist_observe_with(
-                    "block.index.posting_len",
-                    &wym_obs::hist::pow2_bounds(24),
-                    df as f64,
-                );
+        let bounds = wym_obs::enabled().then(|| wym_obs::hist::pow2_bounds(24));
+        for (t, &df) in doc_freq.iter().enumerate() {
+            let df = df as usize;
+            if let Some(bounds) = &bounds {
+                wym_obs::hist_observe_with("block.index.posting_len", bounds, df as f64);
             }
             if df > cutoff {
                 pruned += 1;
-                posting.clear();
-                posting.shrink_to_fit();
             } else if df > 0 {
                 let idf = (1.0 + n as f32 / df as f32).ln();
                 weight[t] = idf * idf;
             }
         }
+        let kept = (0u32..).zip(&record_tokens).flat_map(|(i, ids)| {
+            ids.iter()
+                .filter(|&&t| weight[t as usize] != 0.0)
+                .map(move |&t| (t as usize, i))
+        });
+        let postings = Csr::group(vocab_len, kept);
         wym_obs::counter_add("block.index.vocab", vocab_len as u64);
         wym_obs::counter_add("block.index.pruned_tokens", pruned as u64);
         TokenIndex { n_records: n, vocab, record_tokens, postings, weight, pruned_tokens: pruned }
@@ -187,7 +173,7 @@ impl TokenIndex {
                     if w == 0.0 {
                         continue;
                     }
-                    for &j in &self.postings[t as usize] {
+                    for &j in self.postings.get(t as usize) {
                         if j == qi {
                             continue;
                         }
@@ -268,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_thread_counts_and_shards() {
+    fn deterministic_across_thread_counts() {
         let t: Vec<String> = (0..300)
             .map(|i| {
                 format!(

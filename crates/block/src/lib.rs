@@ -5,7 +5,7 @@
 //! million candidates before anything downstream runs. This crate does that
 //! in two passes that cover each other's blind spots:
 //!
-//! 1. **Lexical** ([`index::TokenIndex`]): a sharded TF-IDF-weighted token
+//! 1. **Lexical** ([`index::TokenIndex`]): a TF-IDF-weighted token
 //!    inverted index. Catches every duplicate that still shares a rare
 //!    token (model codes, unusual words), misses duplicates whose rare
 //!    tokens were all corrupted.
@@ -14,6 +14,11 @@
 //!    exactly in f32. Catches typo-corrupted duplicates (character n-grams
 //!    survive typos that defeat token equality), at the cost of a
 //!    per-record probe budget.
+//!
+//! Both passes keep their id lists — posting lists by token, LSH buckets
+//! by signature — in flat CSR arrays (offsets plus ids) built by a
+//! two-pass counting sort, so no lookup hashes and every list holds
+//! ascending record ids.
 //!
 //! The merged candidate set is sorted, deduplicated, and **bit-identical
 //! across kernel implementations (`WYM_KERNEL=scalar|auto`) and thread
@@ -24,6 +29,7 @@
 //! u64 so experiment harnesses can assert equality across runs cheaply.
 
 pub mod ann;
+mod csr;
 pub mod index;
 pub mod synth;
 
@@ -63,7 +69,9 @@ pub struct BlockConfig {
     pub threads: usize,
     /// Kernel implementation override; `None` resolves `WYM_KERNEL` via
     /// [`wym_linalg::kernels::active`]. Tests pin both paths explicitly to
-    /// prove bit-identity inside one process.
+    /// prove bit-identity inside one process. An implementation the host
+    /// does not support ([`wym_linalg::kernels::supported`]) makes the
+    /// blocking call panic.
     pub kernel: Option<KernelImpl>,
 }
 
@@ -95,6 +103,10 @@ pub struct BlockOutput {
 }
 
 /// Blocks a deduplication table given one text per record.
+///
+/// # Panics
+/// Panics when `config.kernel` names an implementation the host does not
+/// support, or when `config.ann.bits` exceeds 16.
 pub fn block_table(texts: &[String], config: &BlockConfig) -> BlockOutput {
     block_table_with_ann(texts, config).0
 }

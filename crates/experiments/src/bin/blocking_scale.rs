@@ -1,14 +1,22 @@
 //! Million-record blocking at scale (ROADMAP item 2, DESIGN.md §11).
 //!
 //! Generates a synthetic deduplication table with exact gold pairings
-//! (`wym_block::synth`), runs the two-pass blocker — sharded TF-IDF
-//! inverted index plus int8-quantized ANN with exact f32 re-scoring — and
-//! reports throughput and recall against a seeded gold subsample.
+//! (`wym_block::synth`), runs the two-pass blocker — a TF-IDF inverted
+//! index with flat (CSR) posting lists, plus int8-quantized ANN behind
+//! flat LSH tables with exact f32 re-scoring — and reports throughput and
+//! recall against a seeded gold subsample.
 //!
 //! The candidate set is bit-identical across `WYM_KERNEL=scalar|auto` and
 //! any `--threads`; the `block.checksum` counter in the exported metrics is
 //! the equality witness `run_experiments.sh --smoke` compares across kernel
-//! runs and against the committed `results/OBS_baseline_blocking.json`.
+//! runs and thread counts and against the committed
+//! `results/OBS_baseline_blocking.json`.
+//!
+//! Only the committed table — the default 1,000,000 records at seed 7,
+//! without `--smoke` — writes `results/BENCH_blocking.json`; every other
+//! run writes its row to `results/smoke_blocking_scale.json` (gitignored),
+//! so a laptop-sized run cannot replace the committed row. An unknown flag
+//! or a malformed value prints `error: …` and exits with status 2.
 //!
 //! ```text
 //! blocking_scale [--records N] [--smoke] [--threads N] [--seed N]
@@ -19,9 +27,14 @@
 use serde::{Serialize, Value};
 use std::time::Instant;
 use wym_block::{BlockConfig, SynthConfig, BLOCK_STAGES};
+use wym_experiments::{flag_number, flag_value, usage_error};
 use wym_obs::{JsonFileSink, Manifest, Sink, Snapshot};
 
 wym_obs::install_tracking_alloc!();
+
+/// The table of the committed `results/BENCH_blocking.json` row.
+const COMMITTED_RECORDS: usize = 1_000_000;
+const COMMITTED_SEED: u64 = 7;
 
 struct Opts {
     records: usize,
@@ -37,10 +50,10 @@ struct Opts {
 impl Opts {
     fn from_args() -> Opts {
         let mut opts = Opts {
-            records: 1_000_000,
+            records: COMMITTED_RECORDS,
             smoke: false,
             threads: 0,
-            seed: 7,
+            seed: COMMITTED_SEED,
             subsample: 10_000,
             profile_mem: false,
             trace: false,
@@ -48,11 +61,6 @@ impl Opts {
         };
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
-        let num = |args: &[String], i: usize, flag: &str| -> usize {
-            args.get(i)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} needs a number"))
-        };
         while i < args.len() {
             match args[i].as_str() {
                 "--smoke" => {
@@ -62,32 +70,41 @@ impl Opts {
                 }
                 "--records" => {
                     i += 1;
-                    opts.records = num(&args, i, "--records");
+                    opts.records = flag_number(&args, i);
                 }
                 "--threads" => {
                     i += 1;
-                    opts.threads = num(&args, i, "--threads");
+                    opts.threads = flag_number(&args, i);
                 }
                 "--seed" => {
                     i += 1;
-                    opts.seed = num(&args, i, "--seed") as u64;
+                    opts.seed = flag_number(&args, i);
                 }
                 "--subsample" => {
                     i += 1;
-                    opts.subsample = num(&args, i, "--subsample");
+                    opts.subsample = flag_number(&args, i);
                 }
                 "--profile-mem" => opts.profile_mem = true,
                 "--trace" => opts.trace = true,
                 "--metrics-out" => {
                     i += 1;
-                    opts.metrics_out =
-                        Some(args.get(i).expect("--metrics-out needs a path").clone());
+                    opts.metrics_out = Some(flag_value(&args, i).to_string());
                 }
-                other => panic!("unknown argument: {other}"),
+                other => usage_error(&format!(
+                    "unknown argument: {other}\nusage: blocking_scale [--records N] [--smoke] \
+                     [--threads N] [--seed N] [--subsample N] [--profile-mem] [--trace] \
+                     [--metrics-out FILE]"
+                )),
             }
             i += 1;
         }
         opts
+    }
+
+    /// Whether this run blocks the committed table, the only run that may
+    /// replace `results/BENCH_blocking.json`.
+    fn committed_table(&self) -> bool {
+        !self.smoke && self.records == COMMITTED_RECORDS && self.seed == COMMITTED_SEED
     }
 
     fn manifest(&self) -> Manifest {
@@ -250,16 +267,26 @@ fn main() {
     println!("| candidate checksum | {:016x} |", out.checksum);
 
     let snap = wym_obs::snapshot();
-    // Only a full-scale run writes the committed BENCH_blocking.json row;
-    // a smoke run's evidence is its metrics snapshot.
-    if !opts.smoke {
-        let row = bench_row(&opts, out.pairs.len(), recall, sampled, synth_s, block_s, &snap);
-        let bench_path = "results/BENCH_blocking.json";
-        let _ = std::fs::create_dir_all("results");
-        match std::fs::write(bench_path, wym_obs::pretty_json(&Value::Array(vec![row]))) {
-            Ok(()) => println!("\n→ results saved to {bench_path}"),
-            Err(e) => eprintln!("warning: could not write {bench_path}: {e}"),
-        }
+    // Only the committed table replaces the committed row; any other run
+    // (smoke, another size or seed) writes smoke output.
+    let row = bench_row(
+        &opts,
+        out.pairs.len(),
+        recall,
+        sampled,
+        synth_s,
+        block_s,
+        &snap,
+    );
+    let (bench_path, note) = if opts.committed_table() {
+        ("results/BENCH_blocking.json", "")
+    } else {
+        ("results/smoke_blocking_scale.json", " (smoke output)")
+    };
+    let _ = std::fs::create_dir_all("results");
+    match std::fs::write(bench_path, wym_obs::pretty_json(&Value::Array(vec![row]))) {
+        Ok(()) => println!("\n→ results saved to {bench_path}{note}"),
+        Err(e) => eprintln!("warning: could not write {bench_path}: {e}"),
     }
 
     if opts.trace {

@@ -93,7 +93,9 @@ impl HarnessOpts {
     /// Parses `--full`, `--quick`, `--cap N`, `--seed N`, `--threads N`,
     /// `--dim N`, `--datasets A,B,…`, `--trace`, `--metrics-out FILE` from
     /// `std::env::args`. Enables obs recording when tracing is requested.
-    /// Exits with status 2 when `--datasets` names an unknown dataset.
+    /// Exits with status 2 (see [`usage_error`]) on an unknown flag, a
+    /// missing or malformed value, or a `--datasets` name that is not one
+    /// of the twelve datasets.
     pub fn from_args() -> Self {
         let mut opts = Self::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -106,8 +108,7 @@ impl HarnessOpts {
                 "--profile-mem" => opts.profile_mem = true,
                 "--metrics-out" => {
                     i += 1;
-                    opts.metrics_out =
-                        Some(args.get(i).expect("--metrics-out needs a path").clone());
+                    opts.metrics_out = Some(flag_value(&args, i).to_string());
                 }
                 "--quick" => {
                     opts.quick = true;
@@ -115,66 +116,56 @@ impl HarnessOpts {
                 }
                 "--cap" => {
                     i += 1;
-                    opts.cap = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--cap needs a number"));
+                    opts.cap = flag_number(&args, i);
                 }
                 "--seed" => {
                     i += 1;
-                    opts.seed = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--seed needs a number"));
+                    opts.seed = flag_number(&args, i);
                 }
                 "--threads" => {
                     i += 1;
-                    opts.threads = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--threads needs a number"));
+                    opts.threads = flag_number(&args, i);
                 }
                 "--datasets" => {
                     i += 1;
-                    let list = args.get(i).expect("--datasets needs a comma-separated list");
+                    let list = flag_value(&args, i);
                     opts.datasets =
                         Some(list.split(',').map(|s| s.trim().to_string()).collect());
                 }
                 "--dim" => {
                     i += 1;
-                    opts.dim = Some(
-                        args.get(i)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| panic!("--dim needs a number")),
-                    );
+                    opts.dim = Some(flag_number(&args, i));
                 }
                 "--chrome-trace" => {
                     i += 1;
-                    opts.chrome_trace =
-                        Some(args.get(i).expect("--chrome-trace needs a path").clone());
+                    opts.chrome_trace = Some(flag_value(&args, i).to_string());
                 }
                 "--inject-panic" => {
                     i += 1;
-                    opts.inject_panic =
-                        Some(args.get(i).expect("--inject-panic needs a span name").clone());
+                    opts.inject_panic = Some(flag_value(&args, i).to_string());
                 }
                 "--inject-stall" => {
                     i += 1;
-                    let spec = args.get(i).expect("--inject-stall needs SPAN,MS");
+                    let spec = flag_value(&args, i);
                     let (span, ms) = spec
                         .split_once(',')
                         .and_then(|(s, m)| m.trim().parse().ok().map(|ms| (s.to_string(), ms)))
-                        .unwrap_or_else(|| panic!("--inject-stall needs SPAN,MS: {spec}"));
+                        .unwrap_or_else(|| {
+                            usage_error(&format!("--inject-stall needs SPAN,MS: {spec}"))
+                        });
                     opts.inject_stall = Some((span, ms));
                 }
-                other => panic!("unknown argument: {other}"),
+                other => usage_error(&format!(
+                    "unknown argument: {other}\nflags: --full --quick --cap N --seed N --threads N \
+                     --dim N --datasets A,B,... --trace --metrics-out FILE --flame --profile-mem \
+                     --chrome-trace FILE"
+                )),
             }
             i += 1;
         }
         if let Some(names) = &opts.datasets {
             if let Err(e) = check_dataset_names(names) {
-                eprintln!("error: {e}");
-                std::process::exit(2);
+                usage_error(&e);
             }
         }
         wym_obs::register_stages(wym_core::pipeline::PIPELINE_STAGES);
@@ -360,6 +351,31 @@ impl HarnessOpts {
         }
         cfg
     }
+}
+
+/// Reports a command-line mistake the way every experiment binary does:
+/// prints `error: {msg}` and exits with status 2 (no panic, no backtrace).
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// The value `args[i]` of the flag `args[i - 1]`; a [`usage_error`] when
+/// the command line ends before it.
+pub fn flag_value(args: &[String], i: usize) -> &str {
+    match args.get(i) {
+        Some(value) => value,
+        None => usage_error(&format!("{} needs a value", args[i - 1])),
+    }
+}
+
+/// [`flag_value`] parsed as a number; a [`usage_error`] when it is missing
+/// or malformed.
+pub fn flag_number<T: std::str::FromStr>(args: &[String], i: usize) -> T {
+    let value = flag_value(args, i);
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{} needs a number, got {value:?}", args[i - 1])))
 }
 
 /// Checks `--datasets` names against the twelve benchmark datasets, so a

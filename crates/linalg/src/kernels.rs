@@ -177,19 +177,19 @@ fn reduce8(acc: [f32; LANES]) -> f32 {
 /// Panics in debug builds on length mismatch.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    dot_with(active(), a, b)
+    dot_impl(active(), a, b)
 }
 
 /// `y += alpha * x` (fused per element) under the active implementation.
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    axpy_with(active(), alpha, x, y);
+    axpy_impl(active(), alpha, x, y);
 }
 
 /// Squared Euclidean distance under the active implementation.
 #[inline]
 pub fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
-    dist_sq_with(active(), a, b)
+    dist_sq_impl(active(), a, b)
 }
 
 /// Fused cosine similarity: `a·b`, `a·a`, and `b·b` accumulate in one pass
@@ -200,7 +200,7 @@ pub fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
 /// `dot(a, a)` computed on its own.
 #[inline]
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    cosine_with(active(), a, b)
+    cosine_impl(active(), a, b)
 }
 
 /// `c = a · b` under the active implementation: the register-tiled GEMM
@@ -229,7 +229,7 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 /// Panics when `b` or `c` is shorter than its shape.
 #[inline]
 pub fn gemm(a: StridedMat<'_>, b: &[f32], n: usize, c: &mut [f32]) {
-    gemm_with(active(), a, b, n, c);
+    gemm_impl(active(), a, b, n, c);
 }
 
 /// `c[i][j] = dot(a_i, b_j)` under the active implementation: the
@@ -245,7 +245,7 @@ pub fn gemm(a: StridedMat<'_>, b: &[f32], n: usize, c: &mut [f32]) {
 /// Panics when a buffer is shorter than its shape.
 #[inline]
 pub fn gemm_nt(a: &[f32], m: usize, b: &[f32], n: usize, k: usize, c: &mut [f32]) {
-    gemm_nt_with(active(), a, m, b, n, k, c);
+    gemm_nt_impl(active(), a, m, b, n, k, c);
 }
 
 /// Integer dot product of two int8 vectors under the active implementation.
@@ -260,7 +260,7 @@ pub fn gemm_nt(a: &[f32], m: usize, b: &[f32], n: usize, k: usize, c: &mut [f32]
 /// Panics in debug builds on length mismatch.
 #[inline]
 pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    dot_i8_with(active(), a, b)
+    dot_i8_impl(active(), a, b)
 }
 
 /// Fused int8 cosine: the exact integer dot scaled back to f32 by the two
@@ -283,7 +283,7 @@ pub fn cosine_i8(a: &[i8], b: &[i8], scale_a: f32, scale_b: f32) -> f32 {
 /// unspecified.
 #[inline]
 pub fn max_abs(v: &[f32]) -> f32 {
-    max_abs_with(active(), v)
+    max_abs_impl(active(), v)
 }
 
 /// Symmetric int8 quantization of one row under the active implementation:
@@ -300,14 +300,155 @@ pub fn max_abs(v: &[f32]) -> f32 {
 /// Panics in debug builds on length mismatch.
 #[inline]
 pub fn quantize_i8(src: &[f32], inv: f32, out: &mut [i8]) {
-    quantize_i8_with(active(), src, inv, out);
+    quantize_i8_impl(active(), src, inv, out);
 }
 
-// --- explicit-implementation entry points (tests, benches) ----------------
+// --- explicit-implementation entry points ---------------------------------
+//
+// Tests, benches and `wym-block` (whose `BlockConfig::kernel` is public)
+// name the implementation themselves, so each `*_with` refuses one the host
+// cannot run before it reaches a `#[target_feature]` body. The dispatched
+// entry points above skip that check: `active` only resolves to supported
+// implementations.
+
+/// Panics unless this host can execute `imp` (see [`supported`]).
+#[inline]
+#[track_caller]
+fn assert_supported(imp: KernelImpl) {
+    if !supported(imp) {
+        let isa = match imp {
+            KernelImpl::Avx512 => "AVX-512F, AVX-512VL, AVX2 and FMA",
+            _ => "AVX2 and FMA",
+        };
+        panic!(
+            "kernel implementation {} needs {isa}, which this host lacks",
+            imp.name()
+        );
+    }
+}
+
+/// [`dot`] under an explicitly chosen implementation.
+///
+/// # Panics
+/// Panics when the host does not support `imp` ([`supported`]), and in
+/// debug builds on length mismatch.
+#[inline]
+pub fn dot_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
+    assert_supported(imp);
+    dot_impl(imp, a, b)
+}
+
+/// [`axpy`] under an explicitly chosen implementation.
+///
+/// # Panics
+/// Panics when the host does not support `imp` ([`supported`]), and in
+/// debug builds on length mismatch.
+#[inline]
+pub fn axpy_with(imp: KernelImpl, alpha: f32, x: &[f32], y: &mut [f32]) {
+    assert_supported(imp);
+    axpy_impl(imp, alpha, x, y);
+}
+
+/// [`dist_sq`] under an explicitly chosen implementation.
+///
+/// # Panics
+/// Panics when the host does not support `imp` ([`supported`]), and in
+/// debug builds on length mismatch.
+#[inline]
+pub fn dist_sq_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
+    assert_supported(imp);
+    dist_sq_impl(imp, a, b)
+}
+
+/// [`cosine`] under an explicitly chosen implementation.
+///
+/// # Panics
+/// Panics when the host does not support `imp` ([`supported`]), and in
+/// debug builds on length mismatch.
+#[inline]
+pub fn cosine_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
+    assert_supported(imp);
+    cosine_impl(imp, a, b)
+}
+
+/// [`gemm`] under an explicitly chosen implementation.
+///
+/// # Panics
+/// Panics when the host does not support `imp` ([`supported`]), or when
+/// an operand is shorter than its shape.
+pub fn gemm_with(imp: KernelImpl, a: StridedMat<'_>, b: &[f32], n: usize, c: &mut [f32]) {
+    assert_supported(imp);
+    gemm_impl(imp, a, b, n, c);
+}
+
+/// [`gemm_nt`] under an explicitly chosen implementation.
+///
+/// # Panics
+/// Panics when the host does not support `imp` ([`supported`]), or when
+/// a buffer is shorter than its shape.
+pub fn gemm_nt_with(
+    imp: KernelImpl,
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    k: usize,
+    c: &mut [f32],
+) {
+    assert_supported(imp);
+    gemm_nt_impl(imp, a, m, b, n, k, c);
+}
 
 /// [`dot_i8`] under an explicitly chosen implementation.
+///
+/// # Panics
+/// Panics when the host does not support `imp` ([`supported`]), and in
+/// debug builds on length mismatch.
 #[inline]
 pub fn dot_i8_with(imp: KernelImpl, a: &[i8], b: &[i8]) -> i32 {
+    assert_supported(imp);
+    dot_i8_impl(imp, a, b)
+}
+
+/// [`cosine_i8`] under an explicitly chosen implementation.
+///
+/// # Panics
+/// Panics when the host does not support `imp` ([`supported`]), and in
+/// debug builds on length mismatch.
+#[inline]
+pub fn cosine_i8_with(imp: KernelImpl, a: &[i8], b: &[i8], scale_a: f32, scale_b: f32) -> f32 {
+    (dot_i8_with(imp, a, b) as f32) * (scale_a * scale_b)
+}
+
+/// [`max_abs`] under an explicitly chosen implementation.
+///
+/// # Panics
+/// Panics when the host does not support `imp` ([`supported`]).
+#[inline]
+pub fn max_abs_with(imp: KernelImpl, v: &[f32]) -> f32 {
+    assert_supported(imp);
+    max_abs_impl(imp, v)
+}
+
+/// [`quantize_i8`] under an explicitly chosen implementation.
+///
+/// # Panics
+/// Panics when the host does not support `imp` ([`supported`]), and in
+/// debug builds on length mismatch.
+#[inline]
+pub fn quantize_i8_with(imp: KernelImpl, src: &[f32], inv: f32, out: &mut [i8]) {
+    assert_supported(imp);
+    quantize_i8_impl(imp, src, inv, out);
+}
+
+// --- per-implementation bodies ----------------------------------------------
+//
+// Shared by both kinds of entry point; every caller has made sure the host
+// supports `imp`.
+
+/// The body of [`dot_i8`] for `imp`.
+#[inline]
+fn dot_i8_impl(imp: KernelImpl, a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
     match imp {
         KernelImpl::Scalar => scalar::dot_i8(a, b),
@@ -318,15 +459,9 @@ pub fn dot_i8_with(imp: KernelImpl, a: &[i8], b: &[i8]) -> i32 {
     }
 }
 
-/// [`cosine_i8`] under an explicitly chosen implementation.
+/// The body of [`max_abs`] for `imp`.
 #[inline]
-pub fn cosine_i8_with(imp: KernelImpl, a: &[i8], b: &[i8], scale_a: f32, scale_b: f32) -> f32 {
-    (dot_i8_with(imp, a, b) as f32) * (scale_a * scale_b)
-}
-
-/// [`max_abs`] under an explicitly chosen implementation.
-#[inline]
-pub fn max_abs_with(imp: KernelImpl, v: &[f32]) -> f32 {
+fn max_abs_impl(imp: KernelImpl, v: &[f32]) -> f32 {
     match imp {
         KernelImpl::Scalar => scalar::max_abs(v),
         #[cfg(target_arch = "x86_64")]
@@ -336,9 +471,9 @@ pub fn max_abs_with(imp: KernelImpl, v: &[f32]) -> f32 {
     }
 }
 
-/// [`quantize_i8`] under an explicitly chosen implementation.
+/// The body of [`quantize_i8`] for `imp`.
 #[inline]
-pub fn quantize_i8_with(imp: KernelImpl, src: &[f32], inv: f32, out: &mut [i8]) {
+fn quantize_i8_impl(imp: KernelImpl, src: &[f32], inv: f32, out: &mut [i8]) {
     debug_assert_eq!(src.len(), out.len());
     match imp {
         KernelImpl::Scalar => scalar::quantize_i8(src, inv, out),
@@ -349,9 +484,9 @@ pub fn quantize_i8_with(imp: KernelImpl, src: &[f32], inv: f32, out: &mut [i8]) 
     }
 }
 
-/// [`dot`] under an explicitly chosen implementation.
+/// The body of [`dot`] for `imp`.
 #[inline]
-pub fn dot_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
+fn dot_impl(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     match imp {
         KernelImpl::Scalar => scalar::dot(a, b),
@@ -364,9 +499,9 @@ pub fn dot_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// [`axpy`] under an explicitly chosen implementation.
+/// The body of [`axpy`] for `imp`.
 #[inline]
-pub fn axpy_with(imp: KernelImpl, alpha: f32, x: &[f32], y: &mut [f32]) {
+fn axpy_impl(imp: KernelImpl, alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     match imp {
         KernelImpl::Scalar => scalar::axpy(alpha, x, y),
@@ -377,13 +512,13 @@ pub fn axpy_with(imp: KernelImpl, alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// [`dist_sq`] under an explicitly chosen implementation.
+/// The body of [`dist_sq`] for `imp`.
 #[inline]
-pub fn dist_sq_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
+fn dist_sq_impl(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     match imp {
         KernelImpl::Scalar => scalar::dist_sq(a, b),
-        // See `dot_with`: AVX-512 keeps the 8-lane AVX2 reduction body.
+        // See `dot_impl`: AVX-512 keeps the 8-lane AVX2 reduction body.
         #[cfg(target_arch = "x86_64")]
         KernelImpl::Avx2Fma | KernelImpl::Avx512 => unsafe { avx2::dist_sq(a, b) },
         #[allow(unreachable_patterns)]
@@ -391,13 +526,13 @@ pub fn dist_sq_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// [`cosine`] under an explicitly chosen implementation.
+/// The body of [`cosine`] for `imp`.
 #[inline]
-pub fn cosine_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
+fn cosine_impl(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let [ab, aa, bb] = match imp {
         KernelImpl::Scalar => scalar::dot3(a, b),
-        // See `dot_with`: AVX-512 keeps the 8-lane AVX2 reduction body.
+        // See `dot_impl`: AVX-512 keeps the 8-lane AVX2 reduction body.
         #[cfg(target_arch = "x86_64")]
         KernelImpl::Avx2Fma | KernelImpl::Avx512 => unsafe { avx2::dot3(a, b) },
         #[allow(unreachable_patterns)]
@@ -499,8 +634,8 @@ thread_local! {
     static PACKED: std::cell::RefCell<PackedTile> = std::cell::RefCell::default();
 }
 
-/// [`gemm`] under an explicitly chosen implementation.
-pub fn gemm_with(imp: KernelImpl, a: StridedMat<'_>, b: &[f32], n: usize, c: &mut [f32]) {
+/// The body of [`gemm`] for `imp`.
+fn gemm_impl(imp: KernelImpl, a: StridedMat<'_>, b: &[f32], n: usize, c: &mut [f32]) {
     let (m, k) = (a.rows, a.cols);
     assert!(b.len() >= k * n, "gemm: b holds {} values, shape {k}x{n}", b.len());
     assert!(c.len() >= m * n, "gemm: c holds {} values, shape {m}x{n}", c.len());
@@ -564,8 +699,8 @@ struct Tile<'a> {
     cols: usize,
 }
 
-/// [`gemm_nt`] under an explicitly chosen implementation.
-pub fn gemm_nt_with(
+/// The body of [`gemm_nt`] for `imp`.
+fn gemm_nt_impl(
     imp: KernelImpl,
     a: &[f32],
     m: usize,
@@ -604,7 +739,7 @@ pub fn gemm_nt_with(
     for i in 0..m {
         let js = if i < m4 { n4..n } else { 0..n };
         for j in js {
-            c[i * n + j] = dot_with(imp, &a[i * k..][..k], &b[j * k..][..k]);
+            c[i * n + j] = dot_impl(imp, &a[i * k..][..k], &b[j * k..][..k]);
         }
     }
 }

@@ -146,76 +146,10 @@ where
     slots.into_iter().map(|s| s.expect("every item claimed")).collect()
 }
 
-/// The `n_shards` near-equal contiguous ranges covering `0..n` (the first
-/// `n % n_shards` shards get one extra item). Empty ranges are omitted, so
-/// tiny inputs produce fewer shards than requested.
-pub fn shard_ranges(n: usize, n_shards: usize) -> Vec<std::ops::Range<usize>> {
-    let n_shards = n_shards.max(1).min(n.max(1));
-    let base = n / n_shards;
-    let extra = n % n_shards;
-    let mut out = Vec::with_capacity(n_shards);
-    let mut start = 0;
-    for s in 0..n_shards {
-        let len = base + usize::from(s < extra);
-        if len == 0 {
-            continue;
-        }
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// Maps `f` over the [`shard_ranges`] of `0..n` on `n_threads` workers,
-/// returning one result per shard in shard order. The sharded builders in
-/// `wym-block` use this to construct per-shard structures in parallel and
-/// merge them in a deterministic order: because results come back in shard
-/// order, a shard-order merge is identical to the sequential build for any
-/// thread count.
-pub fn map_ranges<R, F>(n: usize, n_shards: usize, n_threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> R + Sync,
-{
-    let ranges = shard_ranges(n, n_shards);
-    map_indexed(&ranges, n_threads, |shard, range| f(shard, range.clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn shard_ranges_cover_exactly_once() {
-        for n in [0usize, 1, 2, 7, 64, 100] {
-            for shards in [1usize, 2, 3, 8, 200] {
-                let ranges = shard_ranges(n, shards);
-                let mut covered = 0;
-                for (i, r) in ranges.iter().enumerate() {
-                    assert_eq!(r.start, covered, "n={n} shards={shards} range {i}");
-                    assert!(!r.is_empty());
-                    covered = r.end;
-                }
-                assert_eq!(covered, n, "n={n} shards={shards}");
-                assert!(ranges.len() <= shards.max(1));
-            }
-        }
-    }
-
-    #[test]
-    fn map_ranges_matches_sequential_for_every_thread_count() {
-        let expected: Vec<usize> = shard_ranges(97, 8).iter().map(|r| r.len()).collect();
-        for threads in 0..=6 {
-            let got = map_ranges(97, 8, threads, |_, r| r.len());
-            assert_eq!(got, expected, "thread count {threads}");
-        }
-        assert_eq!(got_sum(&map_ranges(97, 8, 4, |_, r| r.len())), 97);
-    }
-
-    fn got_sum(v: &[usize]) -> usize {
-        v.iter().sum()
-    }
 
     #[test]
     fn matches_sequential_for_every_thread_count() {

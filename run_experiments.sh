@@ -17,7 +17,13 @@
 # differs between kernel variants or its scalar snapshot drifts from
 # results/OBS_baseline_blocking.json (DESIGN.md §11), or any explicitly
 # requestable kernel backend this host supports (avx2, avx512; the rest
-# SKIP) produces a different blocking checksum than the scalar run, or (g)
+# SKIP) produces a different blocking checksum than the scalar run, or a
+# WYM_KERNEL=auto run at --threads 3 does (the signature blocks and the
+# tokenization run on wym-par workers), or the dev-scale blocking drill
+# fails: `blocking_scale --records 3000 --threads 1` must write
+# results/smoke_blocking_scale.json and leave the committed
+# results/BENCH_blocking.json byte-identical, and `blocking_scale --bogus`
+# must exit 2 (a usage error, never a panic), or (g)
 # `RUSTDOCFLAGS="-D warnings" cargo doc --no-deps` reports anything, or
 # (h) the model-artifact round trip (train→save→load→classify, DESIGN.md
 # §12) is not bit-identical to the in-memory model under either kernel
@@ -254,6 +260,40 @@ if [ "${1:-}" = "--smoke" ]; then
       exit 1
     fi
   done
+  # Thread-count gate: three workers must reproduce the scalar
+  # single-thread candidate set.
+  BLOCK_T3=results/OBS_blocking_smoke_t3.json
+  rm -f "$BLOCK_T3"
+  echo "=== smoke: blocking at 3 threads (WYM_KERNEL=auto) ==="
+  WYM_KERNEL=auto ./target/release/blocking_scale --smoke --threads 3 \
+    --metrics-out "$BLOCK_T3" 2>&1 | tee results/smoke_blocking_t3.log
+  BCK_T3=$(grep -o '"block\.checksum": *[0-9]*' "$BLOCK_T3" 2>/dev/null | head -1 | sed 's/.*: *//')
+  if [ "$BCK_T3" != "$BCK_SCALAR" ]; then
+    echo "SMOKE FAILED: --threads 3 changed the candidate set: threads3=$BCK_T3 scalar=$BCK_SCALAR" >&2
+    exit 1
+  fi
+  # Dev-scale drill: only the committed 1M-record table may replace
+  # results/BENCH_blocking.json; any other run writes smoke output. A bad
+  # flag is a usage error (exit 2), not a panic (exit 101).
+  echo "=== smoke: dev-scale blocking drill (blocking_scale --records 3000) ==="
+  BENCH_CK=$(cksum < results/BENCH_blocking.json)
+  rm -f results/smoke_blocking_scale.json
+  if ! ./target/release/blocking_scale --records 3000 --threads 1 > results/smoke_blocking_dev.log 2>&1; then
+    echo "SMOKE FAILED: blocking_scale --records 3000 --threads 1 exited nonzero" >&2
+    cat results/smoke_blocking_dev.log >&2
+    exit 1
+  fi
+  if [ ! -f results/smoke_blocking_scale.json ] || [ "$(cksum < results/BENCH_blocking.json)" != "$BENCH_CK" ]; then
+    echo "SMOKE FAILED: a dev-scale blocking run must write results/smoke_blocking_scale.json and leave results/BENCH_blocking.json alone" >&2
+    exit 1
+  fi
+  ./target/release/blocking_scale --bogus > results/smoke_blocking_bogus.log 2>&1
+  BOGUS_STATUS=$?
+  if [ "$BOGUS_STATUS" -ne 2 ]; then
+    echo "SMOKE FAILED: blocking_scale --bogus exited $BOGUS_STATUS, want 2 (usage error)" >&2
+    cat results/smoke_blocking_bogus.log >&2
+    exit 1
+  fi
   if [ -f results/OBS_baseline_blocking.json ]; then
     if ! ./target/release/obs_diff --ignore-wall results/OBS_baseline_blocking.json "$BLOCK_SCALAR"; then
       echo "SMOKE FAILED: $BLOCK_SCALAR regressed against results/OBS_baseline_blocking.json" >&2
@@ -582,7 +622,7 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 1
   fi
   DISPATCHED=$(grep -oE '"kernel\.dispatch\.[a-z0-9_]+"' "$OBS_AUTO" | head -1)
-  echo "SMOKE OK: all stages traced, $DISPATCHED == scalar checksum $CK_AUTO, blocking checksum $BCK_AUTO, artifact fnv $AFNV_AUTO, audit cksum $AUDIT_REF_CK, obs_diff clean ($OBS_AUTO, $OBS_SCALAR, $BLOCK_SCALAR, $OBS_DECISIONS), flight drills clean (panic, stall, chrome export), hostile files refused, subset run kept to smoke output, two-dataset trace exported fit x2 and checksum $CK_DRILL under auto and scalar, tracked files unchanged"
+  echo "SMOKE OK: all stages traced, $DISPATCHED == scalar checksum $CK_AUTO, blocking checksum $BCK_AUTO (also at 3 threads), dev-scale blocking kept to smoke output, bad flag exit 2, artifact fnv $AFNV_AUTO, audit cksum $AUDIT_REF_CK, obs_diff clean ($OBS_AUTO, $OBS_SCALAR, $BLOCK_SCALAR, $OBS_DECISIONS), flight drills clean (panic, stall, chrome export), hostile files refused, subset run kept to smoke output, two-dataset trace exported fit x2 and checksum $CK_DRILL under auto and scalar, tracked files unchanged"
   exit 0
 fi
 

@@ -607,3 +607,78 @@ fn explain_path_reproduces_golden() {
     let fnv = wym_obs::manifest::fnv1a(&bytes);
     assert_eq!(fnv, 0xc174_3b49_ba8e_f5a6, "explain-path features, impacts or embeddings changed: fnv {fnv:016x}");
 }
+
+/// Golden candidate sets of `wym-block` on a seed-7, 1,500-record
+/// synthetic table, under every available kernel at 1 and 3 threads, for
+/// (a) the default configuration and (b) a 6-bit, single-probe ANN layer
+/// with a probe cap of 4, whose large buckets force the probe-cap
+/// truncation path. Each run pins two checksums: `block_entities`' merged
+/// candidate set, and the ANN pass's own candidate lists in the order it
+/// returns them (on this table the lexical pass already proposes almost
+/// every ANN pair, so the merged set alone would not see the LSH tables).
+/// The constants were recorded before the LSH tables and posting lists
+/// moved to flat arrays.
+#[test]
+fn blocking_reproduces_golden_candidates() {
+    use std::sync::Arc;
+    use wym::linalg::kernels::available;
+    use wym_block::{
+        block_entities_with_ann, generate, pair_checksum, AnnConfig, BlockConfig, SynthConfig,
+    };
+
+    let table = generate(&SynthConfig {
+        n_records: 1_500,
+        seed: 7,
+        ..Default::default()
+    });
+    let truncating = BlockConfig {
+        ann: AnnConfig {
+            bits: 6,
+            multiprobe: false,
+            probe_cap: 4,
+            ..AnnConfig::default()
+        },
+        ..BlockConfig::default()
+    };
+    for (name, config, want) in [
+        (
+            "default",
+            BlockConfig::default(),
+            (0x91c7_e3af_6803_eceb, 0x99d8_72e8_9c32_88d0),
+        ),
+        (
+            "truncating",
+            truncating,
+            (0x91c7_e3af_6803_eceb, 0xdcd0_f662_1231_79c9),
+        ),
+    ] {
+        for imp in available() {
+            for threads in [1, 3] {
+                let config = BlockConfig {
+                    threads,
+                    kernel: Some(imp),
+                    ..config.clone()
+                };
+                let rec = Arc::new(wym_obs::Recorder::new_enabled());
+                let (out, ann) = wym_obs::with_recorder(Arc::clone(&rec), || {
+                    block_entities_with_ann(&table.records, &config)
+                });
+                let ann_pairs: Vec<(u32, u32)> = (0u32..)
+                    .zip(ann.expect("the ANN pass is on").candidates(imp, threads))
+                    .flat_map(|(i, cands)| cands.into_iter().map(move |j| (i, j)))
+                    .collect();
+                let got = (out.checksum, pair_checksum(&ann_pairs));
+                assert_eq!(
+                    got, want,
+                    "{name} candidates changed under {imp:?} at {threads} threads: \
+                     merged {:016x}, ANN {:016x}",
+                    got.0, got.1
+                );
+                if name == "truncating" {
+                    let truncated = rec.snapshot().counter("block.ann.probe_truncated");
+                    assert!(truncated > Some(0), "config (b) must truncate probe lists");
+                }
+            }
+        }
+    }
+}
