@@ -4,7 +4,7 @@
 //! registry's LRU/byte-budget semantics.
 
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::OnceLock;
 use wym_artifact::{
     add_manifest, add_quantized, content_fnv, inspect, load_model, read_quantized, read_sketch,
@@ -30,9 +30,8 @@ fn fitted() -> &'static (WymModel, EmDataset, SplitIndices) {
     MODEL.get_or_init(|| {
         let dataset = magellan::generate_by_name("S-FZ", 42).unwrap().subsample(120, 0);
         let split = paper_split(&dataset, 0);
-        let mut cfg = WymConfig::default();
-        cfg.embed_dim = 24;
-        cfg.embedder_kind = EmbedderKind::Siamese;
+        let mut cfg =
+            WymConfig { embed_dim: 24, embedder_kind: EmbedderKind::Siamese, ..Default::default() };
         cfg.scorer.train =
             TrainConfig { epochs: 4, batch_size: 128, lr: 2e-3, ..Default::default() };
         cfg.matcher.kinds =

@@ -21,6 +21,9 @@ use wym_linalg::{Matrix, Rng64};
 use wym_strsim::jaro_winkler;
 use wym_tokenize::Tokenizer;
 
+/// One entity's tokens, per attribute.
+type AttrTokens = Vec<Vec<String>>;
+
 fn bench(c: &mut Criterion) {
     let mut rng = Rng64::new(0);
 
@@ -121,7 +124,7 @@ fn bench(c: &mut Criterion) {
         let dataset = bench_dataset_hard(10);
         let tok = Tokenizer::default();
         let emb = Embedder::new_static(64, 0);
-        let token_lists: Vec<(Vec<Vec<String>>, Vec<Vec<String>>)> = dataset
+        let token_lists: Vec<(AttrTokens, AttrTokens)> = dataset
             .pairs
             .iter()
             .map(|p| {
@@ -262,18 +265,32 @@ fn bench(c: &mut Criterion) {
         let b2 = Matrix::randn(64, 32, 1.0, &mut rng);
         g.bench_function("matmul_256x64x32", |bch| bch.iter(|| a2.matmul(&b2)));
         g.bench_function("matmul_256x64x32_ikj_axpy", |bch| bch.iter(|| ikj_axpy(&a2, &b2)));
+        // The scorer's 1-wide output layer: one `zmm` panel on AVX-512.
+        let a3 = Matrix::randn(256, 32, 1.0, &mut rng);
+        let b3 = Matrix::randn(32, 1, 1.0, &mut rng);
+        g.bench_function("matmul_256x32x1", |bch| bch.iter(|| a3.matmul(&b3)));
         let x = Matrix::randn(256, 128, 1.0, &mut rng);
         let w1 = Matrix::randn(128, 300, 0.1, &mut rng);
         let d1 = Matrix::randn(256, 300, 1.0, &mut rng);
         let d2 = Matrix::randn(256, 64, 1.0, &mut rng);
         let w2 = Matrix::randn(300, 64, 0.1, &mut rng);
         g.bench_function("matmul_256x128x300", |bch| bch.iter(|| x.matmul(&w1)));
+        // The first layer's training forward: bias and ReLU in the store.
+        let b1 = Matrix::randn(1, 300, 0.1, &mut rng);
+        let (mut pre, mut act) = (Matrix::zeros(0, 0), Matrix::zeros(256, 300));
+        g.bench_function("matmul_bias_relu_256x128x300", |bch| {
+            bch.iter(|| {
+                let relu = wym_linalg::kernels::Relu::Into(act.as_mut_slice());
+                x.matmul_bias_into(&w1, b1.as_slice(), &mut pre, relu)
+            })
+        });
         g.bench_function("t_matmul_256x128x300", |bch| bch.iter(|| x.t_matmul(&d1)));
         g.bench_function("matmul_t_256x64x300", |bch| bch.iter(|| d2.matmul_t(&w2)));
         g.finish();
 
         // One epoch of the scorer's training step at its paper shape:
-        // 1024 rows of 128-d features, 300-64-32-1, batch 256.
+        // 1024 rows of 128-d features, 300-64-32-1, batch 256; and its
+        // inference forward.
         let mut g = c.benchmark_group("nn");
         let x = Matrix::randn(1024, 128, 1.0, &mut rng);
         let y = Matrix::from_vec(1024, 1, x.iter_rows().map(|r| r[0].tanh()).collect());
@@ -282,6 +299,9 @@ fn bench(c: &mut Criterion) {
         g.bench_function("train_epoch_scorer", |bch| {
             bch.iter(|| wym_nn::train::fit(&mut mlp.clone(), &x, &y, &cfg))
         });
+        // The scorer's inference forward at one explained record's units.
+        let x25 = Matrix::randn(25, 128, 1.0, &mut rng);
+        g.bench_function("scorer_predict_25", |bch| bch.iter(|| mlp.predict(&x25)));
         g.finish();
     }
 

@@ -229,9 +229,7 @@ mod tests {
     fn fitted(kind: EmbedderKind) -> WymModel {
         let dataset = magellan::generate_by_name("S-FZ", 42).unwrap().subsample(120, 0);
         let split = paper_split(&dataset, 0);
-        let mut cfg = WymConfig::default();
-        cfg.embed_dim = 24;
-        cfg.embedder_kind = kind;
+        let mut cfg = WymConfig { embed_dim: 24, embedder_kind: kind, ..Default::default() };
         cfg.scorer.train =
             TrainConfig { epochs: 4, batch_size: 128, lr: 2e-3, ..Default::default() };
         cfg.matcher.kinds =

@@ -30,7 +30,8 @@
 //!   (`vfmadd231ps`), tails run scalar `mul_add` into the stored lanes.
 //! * **AVX-512** widens only the two GEMM tiles, where the scorer's
 //!   training spends its time: the [`gemm`] tile (each output element is
-//!   one independent fused chain, so it runs two `zmm` of columns) and the
+//!   one independent fused chain, so it runs one or two `zmm` of columns)
+//!   and the
 //!   [`gemm_nt`] dot tile (8-lane `ymm` chains, but AVX-512VL's 32
 //!   registers hold whole 4 × 4 tiles). Every other kernel runs the AVX2
 //!   body (every AVX-512 CPU has AVX2): widening the f32 reductions to 16
@@ -221,15 +222,85 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 /// Skipping is part of the recipe, not an optimisation: `fma(0, b, acc)`
 /// is not `acc` when `b` is infinite or `acc` is `-0.0`. The bodies keep a
 /// `GEMM_MR × NR` output tile in registers across the whole inner
-/// dimension (AVX-512: `NR = 32`, two `zmm` per row, a row's dead groups
-/// blended out; AVX2: `NR = 8`; scalar: one row at a time), so the result
-/// is bit-identical across implementations.
+/// dimension (AVX-512: `NR = 32`, two `zmm` per row, or one for a panel of
+/// at most 16 columns, a row's dead groups blended out; AVX2: `NR = 8`;
+/// scalar: one row at a time) and store it once, so the result is
+/// bit-identical across implementations.
 ///
 /// # Panics
 /// Panics when `b` or `c` is shorter than its shape.
 #[inline]
 pub fn gemm(a: StridedMat<'_>, b: &[f32], n: usize, c: &mut [f32]) {
-    gemm_impl(active(), a, b, n, c);
+    gemm_impl(active(), a, b, n, c, None, Relu::Off);
+}
+
+/// [`gemm`] with a dense layer's epilogue in the tile's single store: the
+/// pre-activation `pre[i][j] = acc + bias[j]`, one rounding — the
+/// `*z += b` a pass over the product would make — then `relu` decides
+/// what is stored (see [`Relu`]). `acc` runs [`gemm`]'s chain unchanged.
+///
+/// # Panics
+/// Panics when `b`, `c` or a [`Relu::Into`] buffer is shorter than its
+/// shape, or `bias` holds fewer than `n` values.
+#[inline]
+pub fn gemm_bias(
+    a: StridedMat<'_>,
+    b: &[f32],
+    n: usize,
+    bias: &[f32],
+    c: &mut [f32],
+    relu: Relu<'_>,
+) {
+    gemm_impl(active(), a, b, n, c, Some(bias), relu);
+}
+
+/// What a [`gemm_bias`] store writes, given the pre-activation `pre`.
+#[derive(Debug)]
+pub enum Relu<'a> {
+    /// `c = pre`: a layer that applies another activation afterwards.
+    Off,
+    /// `c = `[`relu`]`(pre)`: the inference forward, which never reads
+    /// `pre`.
+    InPlace,
+    /// `c = pre`, and `relu(pre)` into this buffer, laid out like `c`:
+    /// the training forward, whose backward pass differentiates at `pre`.
+    Into(&'a mut [f32]),
+}
+
+impl Relu<'_> {
+    /// The same epilogue for the output tile at offset `at` of `c`.
+    fn at(&mut self, at: usize) -> Relu<'_> {
+        match self {
+            Relu::Off => Relu::Off,
+            Relu::InPlace => Relu::InPlace,
+            Relu::Into(out) => Relu::Into(&mut out[at..]),
+        }
+    }
+
+    /// For a SIMD body's store: whether `c` gets `relu(pre)`, and where
+    /// a separate ReLU output starts.
+    #[cfg(target_arch = "x86_64")]
+    fn split(self) -> (bool, Option<*mut f32>) {
+        match self {
+            Relu::Off => (false, None),
+            Relu::InPlace => (true, None),
+            Relu::Into(out) => (false, Some(out.as_mut_ptr())),
+        }
+    }
+}
+
+/// ReLU as every [`gemm_bias`] body computes it: `x` when `x > 0`, else
+/// `+0.0`, so `-0.0` and NaN give `+0.0`. That is x86's `maxps(x, 0)` with
+/// `x` first, and what an optimised build makes of `f32::max(x, 0.0)`; an
+/// unoptimised one lowers `max` without the constant and returns `-0.0`
+/// for `-0.0`, so the select spells the result out.
+#[inline]
+pub fn relu(x: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        0.0
+    }
 }
 
 /// `c[i][j] = dot(a_i, b_j)` under the active implementation: the
@@ -378,7 +449,25 @@ pub fn cosine_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
 /// an operand is shorter than its shape.
 pub fn gemm_with(imp: KernelImpl, a: StridedMat<'_>, b: &[f32], n: usize, c: &mut [f32]) {
     assert_supported(imp);
-    gemm_impl(imp, a, b, n, c);
+    gemm_impl(imp, a, b, n, c, None, Relu::Off);
+}
+
+/// [`gemm_bias`] under an explicitly chosen implementation.
+///
+/// # Panics
+/// Panics when the host does not support `imp` ([`supported`]), or when
+/// an operand is shorter than its shape.
+pub fn gemm_bias_with(
+    imp: KernelImpl,
+    a: StridedMat<'_>,
+    b: &[f32],
+    n: usize,
+    bias: &[f32],
+    c: &mut [f32],
+    relu: Relu<'_>,
+) {
+    assert_supported(imp);
+    gemm_impl(imp, a, b, n, c, Some(bias), relu);
 }
 
 /// [`gemm_nt`] under an explicitly chosen implementation.
@@ -634,11 +723,26 @@ thread_local! {
     static PACKED: std::cell::RefCell<PackedTile> = std::cell::RefCell::default();
 }
 
-/// The body of [`gemm`] for `imp`.
-fn gemm_impl(imp: KernelImpl, a: StridedMat<'_>, b: &[f32], n: usize, c: &mut [f32]) {
+/// The body of [`gemm`] (no `bias`, [`Relu::Off`]) and [`gemm_bias`] for
+/// `imp`.
+fn gemm_impl(
+    imp: KernelImpl,
+    a: StridedMat<'_>,
+    b: &[f32],
+    n: usize,
+    c: &mut [f32],
+    bias: Option<&[f32]>,
+    mut relu: Relu<'_>,
+) {
     let (m, k) = (a.rows, a.cols);
     assert!(b.len() >= k * n, "gemm: b holds {} values, shape {k}x{n}", b.len());
     assert!(c.len() >= m * n, "gemm: c holds {} values, shape {m}x{n}", c.len());
+    if let Some(bias) = bias {
+        assert!(bias.len() >= n, "gemm: bias holds {} values, {n} columns", bias.len());
+    }
+    if let Relu::Into(out) = &relu {
+        assert!(out.len() >= m * n, "gemm: relu holds {} values, shape {m}x{n}", out.len());
+    }
     if m > 0 && k > 0 {
         let last = (m - 1) * a.row_stride + (k - 1) * a.col_stride;
         assert!(last < a.data.len(), "gemm: a is shorter than its {m}x{k} shape");
@@ -648,7 +752,10 @@ fn gemm_impl(imp: KernelImpl, a: StridedMat<'_>, b: &[f32], n: usize, c: &mut [f
     }
     if k == 0 {
         // No steps: every accumulator stays at its initial +0.0.
-        c[..m * n].fill(0.0);
+        for (i, row) in c[..m * n].chunks_exact_mut(n).enumerate() {
+            row.fill(0.0);
+            scalar::epilogue(row, bias, relu.at(i * n));
+        }
         return;
     }
     // Column-panel width: two `zmm` per tile row on AVX-512, one `ymm` on
@@ -667,25 +774,29 @@ fn gemm_impl(imp: KernelImpl, a: StridedMat<'_>, b: &[f32], n: usize, c: &mut [f
             for j0 in (0..n).step_by(nr) {
                 let cols = nr.min(n - j0);
                 let (vals, live) = (packed.vals.as_flattened(), packed.live.as_flattened());
-                let tile = Tile { a: vals, live, b: &b[j0..], ldb: n, rows, cols };
+                let bias = bias.map(|bias| &bias[j0..]);
+                let tile = Tile { a: vals, live, b: &b[j0..], ldb: n, rows, cols, bias };
                 let c = &mut c[i0 * n + j0..];
+                let relu = relu.at(i0 * n + j0);
                 // SAFETY: dispatch only selects these ISAs after CPUID
                 // detection, and the length asserts above give the panel
-                // `(k - 1) * n + cols` values of `b` and the tile
-                // `(rows - 1) * n + cols` values of `c` from its origin.
+                // `(k - 1) * n + cols` values of `b` and `cols` of `bias`,
+                // and the tile `(rows - 1) * n + cols` values of `c` and of
+                // a `Relu::Into` buffer from its origin.
                 match imp {
                     #[cfg(target_arch = "x86_64")]
-                    KernelImpl::Avx2Fma => unsafe { avx2::gemm_tile(&tile, c, n) },
+                    KernelImpl::Avx2Fma => unsafe { avx2::gemm_tile(&tile, c, relu, n) },
                     #[cfg(target_arch = "x86_64")]
-                    KernelImpl::Avx512 => unsafe { avx512::gemm_tile(&tile, c, n) },
-                    _ => scalar::gemm_tile(&tile, c, n),
+                    KernelImpl::Avx512 => unsafe { avx512::gemm_tile(&tile, c, relu, n) },
+                    _ => scalar::gemm_tile(&tile, c, relu, n),
                 }
             }
         }
     });
 }
 
-/// One `GEMM_MR`-row tile of [`gemm`] against a column panel of `b`.
+/// One `GEMM_MR`-row tile of [`gemm`] against a column panel of `b`, and
+/// the epilogue its store applies.
 struct Tile<'a> {
     /// Packed tile values, `a[p * GEMM_MR + r]`.
     a: &'a [f32],
@@ -697,6 +808,9 @@ struct Tile<'a> {
     /// Valid rows (`≤ GEMM_MR`) and panel columns.
     rows: usize,
     cols: usize,
+    /// [`gemm_bias`]'s bias from the panel's first column on; `None` for a
+    /// plain store.
+    bias: Option<&'a [f32]>,
 }
 
 /// The body of [`gemm_nt`] for `imp`.
@@ -823,7 +937,7 @@ macro_rules! dot_tile {
 /// FMA where one exists and to the correctly rounded soft-float `fmaf`
 /// otherwise — in both cases one rounding per update, like `vfmadd`.
 pub mod scalar {
-    use super::{reduce8, Tile, GEMM_MR, LANES};
+    use super::{reduce8, Relu, Tile, GEMM_MR, LANES};
 
     /// 8-lane dot product.
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -909,10 +1023,30 @@ pub mod scalar {
         }
     }
 
+    /// The epilogue of one stored row `pre` of [`super::gemm_bias`]:
+    /// `pre += bias` (one rounding), then the ReLU `relu` asks for. Without
+    /// a bias and with [`Relu::Off`] the row stays as stored.
+    pub(super) fn epilogue(pre: &mut [f32], bias: Option<&[f32]>, relu: Relu<'_>) {
+        if let Some(bias) = bias {
+            for (z, &b) in pre.iter_mut().zip(bias) {
+                *z += b;
+            }
+        }
+        match relu {
+            Relu::Off => {}
+            Relu::InPlace => pre.iter_mut().for_each(|z| *z = super::relu(*z)),
+            Relu::Into(out) => {
+                for (a, &z) in out.iter_mut().zip(pre.iter()) {
+                    *a = super::relu(z);
+                }
+            }
+        }
+    }
+
     /// One [`super::gemm`] tile, one row at a time: the row's `LANES`
     /// accumulators stay in locals across the whole inner dimension, and a
     /// dead group or tail step (see the live flags) is skipped.
-    pub(super) fn gemm_tile(t: &Tile<'_>, c: &mut [f32], ldc: usize) {
+    pub(super) fn gemm_tile(t: &Tile<'_>, c: &mut [f32], mut relu: Relu<'_>, ldc: usize) {
         let k = t.a.len() / GEMM_MR;
         let groups = k / 4;
         let b = |p: usize| &t.b[p * t.ldb..][..t.cols];
@@ -944,7 +1078,9 @@ pub mod scalar {
                     *o = a.mul_add(bv, *o);
                 }
             }
-            c[r * ldc..][..t.cols].copy_from_slice(acc);
+            let pre = &mut c[r * ldc..][..t.cols];
+            pre.copy_from_slice(acc);
+            epilogue(pre, t.bias, relu.at(r * ldc));
         }
     }
 }
@@ -961,12 +1097,12 @@ pub mod scalar {
 /// operation the vector body performs per lane.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::{reduce8, Tile, GEMM_MR, LANES};
+    use super::{reduce8, Relu, Tile, GEMM_MR, LANES};
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_andnot_ps, _mm256_blendv_ps, _mm256_castps256_ps128,
-        _mm256_castsi256_ps, _mm256_castsi256_si128, _mm256_cmpgt_epi32, _mm256_cvtepi8_epi16,
-        _mm256_cvtps_epi32, _mm256_extractf128_ps, _mm256_extracti128_si256, _mm256_fmadd_ps,
-        _mm256_hadd_ps, _mm256_loadu_ps, _mm256_madd_epi16, _mm256_maskload_ps,
+        __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_andnot_ps, _mm256_blendv_ps,
+        _mm256_castps256_ps128, _mm256_castsi256_ps, _mm256_castsi256_si128, _mm256_cmpgt_epi32,
+        _mm256_cvtepi8_epi16, _mm256_cvtps_epi32, _mm256_extractf128_ps, _mm256_extracti128_si256,
+        _mm256_fmadd_ps, _mm256_hadd_ps, _mm256_loadu_ps, _mm256_madd_epi16, _mm256_maskload_ps,
         _mm256_maskstore_ps, _mm256_max_epi32, _mm256_max_ps, _mm256_min_epi32, _mm256_mul_ps,
         _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps,
         _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps, _mm_add_ps,
@@ -1178,18 +1314,22 @@ pub mod avx2 {
     /// One [`super::gemm`] tile: `GEMM_MR` rows by one `ymm` of columns,
     /// the accumulators in registers across the whole inner dimension.
     /// Each group's four rows of `b` load once for all tile rows; a row
-    /// whose group is dead branches past it.
+    /// whose group is dead branches past it. The store adds the bias and
+    /// applies `relu` with `max(pre, 0)` (`pre` first: `-0.0` and NaN give
+    /// `+0.0`).
     ///
     /// # Safety
     /// The caller must have verified AVX2+FMA support; `t.b` must hold
-    /// `(k - 1) * t.ldb + t.cols` values and `c` `(t.rows - 1) * ldc +
-    /// t.cols`.
+    /// `(k - 1) * t.ldb + t.cols` values, `t.bias` `t.cols`, and `c` and a
+    /// `Relu::Into` buffer `(t.rows - 1) * ldc + t.cols`.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn gemm_tile(t: &Tile<'_>, c: &mut [f32], ldc: usize) {
+    pub(super) unsafe fn gemm_tile(t: &Tile<'_>, c: &mut [f32], relu: Relu<'_>, ldc: usize) {
         let k = t.a.len() / GEMM_MR;
         let groups = k / 4;
+        let len = (t.rows - 1) * ldc + t.cols;
         debug_assert!(k == 0 || t.b.len() >= (k - 1) * t.ldb + t.cols);
-        debug_assert!(c.len() >= (t.rows - 1) * ldc + t.cols);
+        debug_assert!(c.len() >= len && !matches!(&relu, Relu::Into(o) if o.len() < len));
+        debug_assert!(t.bias.is_none_or(|bias| bias.len() >= t.cols));
         let mask = lane_mask(t.cols);
         let (a, b) = (t.a.as_ptr(), t.b.as_ptr());
         let mut acc = [_mm256_setzero_ps(); GEMM_MR];
@@ -1226,8 +1366,19 @@ pub mod avx2 {
                 }
             }
         }
-        for (r, x) in acc.iter().enumerate().take(t.rows) {
-            _mm256_maskstore_ps(c.as_mut_ptr().add(r * ldc), mask, *x);
+        let bias = t.bias.map(|bias| _mm256_maskload_ps(bias.as_ptr(), mask));
+        let (in_place, act) = relu.split();
+        for (r, &x) in acc.iter().enumerate().take(t.rows) {
+            let pre = match bias {
+                Some(bias) => _mm256_add_ps(x, bias),
+                None => x,
+            };
+            let out = _mm256_max_ps(pre, _mm256_setzero_ps());
+            let z = if in_place { out } else { pre };
+            _mm256_maskstore_ps(c.as_mut_ptr().add(r * ldc), mask, z);
+            if let Some(act) = act {
+                _mm256_maskstore_ps(act.add(r * ldc), mask, out);
+            }
         }
     }
 
@@ -1241,8 +1392,8 @@ pub mod avx2 {
 /// scorer's training runs them):
 ///
 /// * the [`gemm`] tile — each output element is its own independent
-///   fused-multiply-add chain, so it widens to two `zmm` of columns with
-///   bit-identical results;
+///   fused-multiply-add chain, so it widens to two `zmm` of columns (one
+///   for a panel of at most 16) with bit-identical results;
 /// * the [`gemm_nt`] dot tile — still 8-lane `ymm` chains (the reduction
 ///   recipe is fixed), but AVX-512VL's 32 registers hold a whole 4 × 4
 ///   tile.
@@ -1251,14 +1402,14 @@ pub mod avx2 {
 /// body (every AVX-512 host also has AVX2+FMA).
 #[cfg(target_arch = "x86_64")]
 pub mod avx512 {
-    use super::{Tile, GEMM_MR, LANES};
+    use super::{Relu, Tile, GEMM_MR, LANES};
     use std::arch::x86_64::{
         __mmask16, _mm256_blendv_ps, _mm256_castps256_ps128, _mm256_castsi256_ps,
         _mm256_cmpgt_epi32, _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_hadd_ps,
         _mm256_loadu_ps, _mm256_maskload_ps, _mm256_set1_epi32, _mm256_setr_epi32,
-        _mm256_setzero_ps, _mm512_fmadd_ps, _mm512_mask3_fmadd_ps, _mm512_mask_blend_ps,
-        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm_add_ps, _mm_storeu_ps,
+        _mm256_setzero_ps, _mm512_add_ps, _mm512_fmadd_ps, _mm512_mask3_fmadd_ps,
+        _mm512_mask_blend_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps,
+        _mm512_set1_ps, _mm512_setzero_ps, _mm_add_ps, _mm_storeu_ps,
     };
 
     /// f32 elements per `zmm` register.
@@ -1275,38 +1426,60 @@ pub mod avx512 {
         }
     }
 
-    /// One [`super::gemm`] tile: `GEMM_MR` rows by two `zmm` of columns,
-    /// sixteen accumulators in registers across the whole inner dimension.
-    /// Each step's row of `b` loads once for all tile rows. A group live in
-    /// every row runs plain fused updates; a group dead in every row is not
-    /// run; a mixed group chains each row into a copy and keeps it only
-    /// where the row is live (its flag is the blend mask), which is exactly
-    /// the skip of the recipe. Mixed groups and tail steps run only the
-    /// tile's valid rows: a partial tile's padding rows are never stored,
-    /// so a one-row product (a projected vector) costs one row, not eight.
+    /// One [`super::gemm`] tile: one `zmm` of columns per row when the
+    /// panel has at most 16 (a 1-wide output layer, the last 12 columns
+    /// of a 300-wide product), two otherwise.
     ///
     /// # Safety
-    /// The caller must have verified AVX-512 F support; `t.b` must hold
-    /// `(k - 1) * t.ldb + t.cols` values and `c` `(t.rows - 1) * ldc +
-    /// t.cols`.
+    /// As for [`panel`].
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn gemm_tile(t: &Tile<'_>, c: &mut [f32], ldc: usize) {
-        const V: usize = 2;
+    pub(super) unsafe fn gemm_tile(t: &Tile<'_>, c: &mut [f32], relu: Relu<'_>, ldc: usize) {
+        if t.cols <= W {
+            panel::<1>(t, c, relu, ldc);
+        } else {
+            panel::<2>(t, c, relu, ldc);
+        }
+    }
+
+    /// The [`super::gemm`] tile body: `GEMM_MR` rows by `V` `zmm` of
+    /// columns, `8 × V` accumulators in registers across the whole inner
+    /// dimension. Each step's row of `b` loads once for all tile rows. A
+    /// group live in every row runs plain fused updates; a group dead in
+    /// every row is not run; a mixed group chains each row into a copy and
+    /// keeps it only where the row is live (its flag is the blend mask),
+    /// which is exactly the skip of the recipe. Mixed groups and tail steps
+    /// run only the tile's valid rows: a partial tile's padding rows are
+    /// never stored, so a one-row product (a projected vector) costs one
+    /// row, not eight. The store adds the bias and applies `relu` with
+    /// `max(pre, 0)` (`pre` first: `-0.0` and NaN give `+0.0`).
+    ///
+    /// # Safety
+    /// The caller must have verified AVX-512 F support; the panel must
+    /// need all `V` vectors (`t.cols > 16 * (V - 1)`); `t.b` must hold
+    /// `(k - 1) * t.ldb + t.cols` values, `t.bias` `t.cols`, and `c` and a
+    /// `Relu::Into` buffer `(t.rows - 1) * ldc + t.cols`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn panel<const V: usize>(t: &Tile<'_>, c: &mut [f32], relu: Relu<'_>, ldc: usize) {
         let k = t.a.len() / GEMM_MR;
         let groups = k / 4;
+        let len = (t.rows - 1) * ldc + t.cols;
+        debug_assert!(t.cols > W * (V - 1) && t.cols <= W * V);
         debug_assert!(k == 0 || t.b.len() >= (k - 1) * t.ldb + t.cols);
-        debug_assert!(c.len() >= (t.rows - 1) * ldc + t.cols);
-        let lm = [lane_mask(t.cols), lane_mask(t.cols.saturating_sub(W))];
+        debug_assert!(c.len() >= len && !matches!(&relu, Relu::Into(o) if o.len() < len));
+        debug_assert!(t.bias.is_none_or(|bias| bias.len() >= t.cols));
+        let mut lm = [0; V];
+        for (v, m) in lm.iter_mut().enumerate() {
+            *m = lane_mask(t.cols - v * W);
+        }
         let (a, b) = (t.a.as_ptr(), t.b.as_ptr());
-        // The second vector's address may lie past the panel when
-        // `cols <= 16`; its mask is then empty and nothing is read, so the
-        // address is formed with `wrapping_add`.
-        let load = |p: usize| {
-            let bp = b.add(p * t.ldb);
-            [
-                _mm512_maskz_loadu_ps(lm[0], bp),
-                _mm512_maskz_loadu_ps(lm[1], bp.wrapping_add(W)),
-            ]
+        // `V` vectors of the panel row starting at `p`; masked-off lanes
+        // are not read.
+        let load = |p: *const f32| {
+            let mut row = [_mm512_setzero_ps(); V];
+            for (v, x) in row.iter_mut().enumerate() {
+                *x = _mm512_maskz_loadu_ps(lm[v], p.add(v * W));
+            }
+            row
         };
         let mut acc = [[_mm512_setzero_ps(); V]; GEMM_MR];
         for g in 0..groups {
@@ -1314,7 +1487,7 @@ pub mod avx512 {
             let p = 4 * g;
             if live == [u16::MAX; GEMM_MR] {
                 for j in p..p + 4 {
-                    let bv = load(j);
+                    let bv = load(b.add(j * t.ldb));
                     for (r, row) in acc.iter_mut().enumerate() {
                         let ar = _mm512_set1_ps(*a.add(j * GEMM_MR + r));
                         for (x, &bj) in row.iter_mut().zip(&bv) {
@@ -1323,7 +1496,8 @@ pub mod avx512 {
                     }
                 }
             } else if live != [0; GEMM_MR] {
-                let bv = [load(p), load(p + 1), load(p + 2), load(p + 3)];
+                let row = |j: usize| load(b.add((p + j) * t.ldb));
+                let bv = [row(0), row(1), row(2), row(3)];
                 for (r, row) in acc.iter_mut().enumerate().take(t.rows) {
                     let mut y = *row;
                     for (j, bj) in bv.iter().enumerate() {
@@ -1340,7 +1514,7 @@ pub mod avx512 {
         }
         for s in groups..groups + k % 4 {
             let p = s + 3 * groups;
-            let bv = load(p);
+            let bv = load(b.add(p * t.ldb));
             for (r, row) in acc.iter_mut().enumerate().take(t.rows) {
                 let ar = _mm512_set1_ps(*a.add(p * GEMM_MR + r));
                 let kr = t.live[s * GEMM_MR + r];
@@ -1349,9 +1523,20 @@ pub mod avx512 {
                 }
             }
         }
+        let bias = t.bias.map(|bias| load(bias.as_ptr()));
+        let (in_place, act) = relu.split();
         for (r, row) in acc.iter().enumerate().take(t.rows) {
             for (v, &x) in row.iter().enumerate() {
-                _mm512_mask_storeu_ps(c.as_mut_ptr().wrapping_add(r * ldc + v * W), lm[v], x);
+                let pre = match &bias {
+                    Some(bias) => _mm512_add_ps(x, bias[v]),
+                    None => x,
+                };
+                let out = _mm512_max_ps(pre, _mm512_setzero_ps());
+                let (at, z) = (r * ldc + v * W, if in_place { out } else { pre });
+                _mm512_mask_storeu_ps(c.as_mut_ptr().add(at), lm[v], z);
+                if let Some(act) = act {
+                    _mm512_mask_storeu_ps(act.add(at), lm[v], out);
+                }
             }
         }
     }
@@ -1432,14 +1617,39 @@ mod tests {
         v
     }
 
+    /// Seeds `gemm_bias`'s special values into `rows × k` operand `a`,
+    /// `k × n` operand `b` and `bias`: in every fifth column a `-0.0` bias
+    /// meets the `-0.0` accumulator of one underflowing product (rows 0 and
+    /// `rows - 1` hold a lone `1e-25` at the last step, `b` a `-1e-25`
+    /// there), so `pre` is exactly `-0.0`; the next three columns' biases
+    /// are NaN, `+inf` and `-inf`.
+    fn seed_epilogue_specials(a: &mut [f32], b: &mut [f32], bias: &mut [f32], k: usize) {
+        let (rows, n) = (a.len() / k.max(1), bias.len());
+        for (j, v) in bias.iter_mut().enumerate() {
+            *v = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, *v][j % 5];
+        }
+        if k > 0 {
+            for r in [0, rows - 1] {
+                a[r * k..][..k].fill(0.0);
+                a[r * k + k - 1] = 1e-25;
+            }
+            for j in (0..n).step_by(5) {
+                b[(k - 1) * n + j] = -1e-25;
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The tile kernels under every available implementation equal the
         /// scalar bodies bit for bit — `gemm` through both operand layouts
-        /// (`matmul`'s row-major and `t_matmul`'s transposed strides) and
-        /// `gemm_nt` — on shapes straddling the row tiles, column panels,
-        /// four-step groups and 8-lane blocks.
+        /// (`matmul`'s row-major and `t_matmul`'s transposed strides),
+        /// `gemm_nt`, and `gemm_bias` under every `Relu` mode — on
+        /// shapes straddling the row tiles, column panels, four-step groups
+        /// and 8-lane blocks. `gemm_bias` also equals plain `gemm` followed
+        /// by a bias + ReLU pass, including where `pre` is `-0.0`, NaN or
+        /// infinite (see `seed_epilogue_specials`).
         #[test]
         fn gemm_tiles_bit_identical_across_impls(
             m in 1usize..20,
@@ -1448,27 +1658,53 @@ mod tests {
             seed in 0u64..1_000_000,
             scale in prop::sample::select(vec![1e-6f32, 1.0, 1e6]),
         ) {
-            let a = gemm_operand(m, k, seed, scale);
-            let b = gemm_operand(k, n, seed ^ 1, scale);
+            let mut a = gemm_operand(m, k, seed, scale);
+            let mut b = gemm_operand(k, n, seed ^ 1, scale);
+            let mut bias = gemm_operand(1, n, seed ^ 3, scale);
+            seed_epilogue_specials(&mut a, &mut b, &mut bias, k);
             let bt = gemm_operand(n, k, seed ^ 2, scale);
             let at: Vec<f32> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
             let row_major = StridedMat { data: &a, rows: m, cols: k, row_stride: k, col_stride: 1 };
             let transposed =
                 StridedMat { data: &at, rows: m, cols: k, row_stride: 1, col_stride: m };
             let run = |imp: KernelImpl| {
-                let mut c = [vec![0.0; m * n], vec![0.0; m * n], vec![0.0; m * n]];
-                gemm_with(imp, row_major, &b, n, &mut c[0]);
-                gemm_with(imp, transposed, &b, n, &mut c[1]);
-                gemm_nt_with(imp, &a, m, &bt, n, k, &mut c[2]);
+                let mut c: [Vec<f32>; 9] = std::array::from_fn(|_| vec![0.0; m * n]);
+                let [g, gt, nt, pre, act, pre_t, act_t, pre_only, in_place] = &mut c;
+                gemm_with(imp, row_major, &b, n, g);
+                gemm_with(imp, transposed, &b, n, gt);
+                gemm_nt_with(imp, &a, m, &bt, n, k, nt);
+                gemm_bias_with(imp, row_major, &b, n, &bias, pre, Relu::Into(act));
+                gemm_bias_with(imp, transposed, &b, n, &bias, pre_t, Relu::Into(act_t));
+                gemm_bias_with(imp, row_major, &b, n, &bias, pre_only, Relu::Off);
+                gemm_bias_with(imp, row_major, &b, n, &bias, in_place, Relu::InPlace);
                 c.map(|c| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
             };
             let want = run(KernelImpl::Scalar);
             prop_assert_eq!(&want[0], &want[1], "gemm layouts disagree");
+            prop_assert_eq!(&want[3], &want[5], "gemm_bias layouts disagree");
+            prop_assert_eq!(&want[3], &want[7], "gemm_bias pre depends on the ReLU output");
+            prop_assert_eq!(&want[4], &want[8], "gemm_bias in-place ReLU differs");
+            // Plain `gemm`, then the separate pass `*z += b; a = relu(z)`
+            // (`f32::max(z, 0.0)` as an optimised build computes it).
+            let mut z = vec![0.0; m * n];
+            gemm_with(KernelImpl::Scalar, row_major, &b, n, &mut z);
+            for row in z.chunks_mut(n) {
+                for (z, &b) in row.iter_mut().zip(&bias) {
+                    *z += b;
+                }
+            }
+            let relu_pass: Vec<u32> =
+                z.iter().map(|&z| (if z > 0.0 { z } else { 0.0 }).to_bits()).collect();
+            let z: Vec<u32> = z.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&want[3], &z, "gemm_bias pre vs gemm + bias pass");
+            prop_assert_eq!(&want[4], &relu_pass, "gemm_bias relu vs gemm + relu pass");
             for imp in available() {
                 let got = run(imp);
-                prop_assert_eq!(&got[0], &want[0], "gemm {} {}x{}x{}", imp.name(), m, k, n);
-                prop_assert_eq!(&got[1], &want[1], "t-gemm {} {}x{}x{}", imp.name(), m, k, n);
-                prop_assert_eq!(&got[2], &want[2], "gemm_nt {} {}x{}x{}", imp.name(), m, k, n);
+                let names =
+                    ["gemm", "t-gemm", "gemm_nt", "pre", "relu", "t-pre", "t-relu", "pre", "relu"];
+                for (i, name) in names.into_iter().enumerate() {
+                    prop_assert_eq!(&got[i], &want[i], "{} {} {}x{}x{}", name, imp.name(), m, k, n);
+                }
             }
         }
     }

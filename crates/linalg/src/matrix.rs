@@ -222,20 +222,46 @@ impl Matrix {
     /// # Panics
     /// Panics on an inner-dimension mismatch.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        out.resize(self.rows, other.cols);
+        kernels::gemm(self.matmul_lhs(other), &other.data, other.cols, &mut out.data);
+    }
+
+    /// A dense layer's forward product: `self * other + bias`, the bias
+    /// added per column at the GEMM's store (one rounding, as `*z += b`
+    /// after [`Matrix::matmul_into`]), with the ReLU `relu` asks for in
+    /// the same store — see [`kernels::gemm_bias`]. `out` is reshaped to
+    /// `self.rows() × other.cols()` and fully overwritten.
+    ///
+    /// # Panics
+    /// Panics on an inner-dimension mismatch, when `bias` is shorter than
+    /// `other.cols()`, or when a [`kernels::Relu::Into`] buffer is shorter
+    /// than `out`.
+    pub fn matmul_bias_into(
+        &self,
+        other: &Matrix,
+        bias: &[f32],
+        out: &mut Matrix,
+        relu: kernels::Relu<'_>,
+    ) {
+        out.resize(self.rows, other.cols);
+        let a = self.matmul_lhs(other);
+        kernels::gemm_bias(a, &other.data, other.cols, bias, &mut out.data, relu);
+    }
+
+    /// `self` as the row-major left operand of `self * other`.
+    fn matmul_lhs(&self, other: &Matrix) -> kernels::StridedMat<'_> {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        out.resize(self.rows, other.cols);
-        let a = kernels::StridedMat {
+        kernels::StridedMat {
             data: &self.data,
             rows: self.rows,
             cols: self.cols,
             row_stride: self.cols,
             col_stride: 1,
-        };
-        kernels::gemm(a, &other.data, other.cols, &mut out.data);
+        }
     }
 
     /// `self^T * other` without materializing the transpose.

@@ -22,7 +22,7 @@ impl Activation {
     pub fn apply(self, z: f32) -> f32 {
         match self {
             Activation::Identity => z,
-            Activation::Relu => z.max(0.0),
+            Activation::Relu => wym_linalg::kernels::relu(z),
             Activation::Tanh => z.tanh(),
             Activation::Sigmoid => sigmoid(z),
         }

@@ -2,6 +2,7 @@
 
 use crate::activation::Activation;
 use serde::{Deserialize, Serialize};
+use wym_linalg::kernels::Relu;
 use wym_linalg::{Matrix, Rng64};
 
 /// A dense layer `A = act(X · W + b)` with `W: in × out`.
@@ -41,30 +42,39 @@ impl Dense {
         self.w.cols()
     }
 
-    /// Forward pass without caching (inference).
+    /// Forward pass without caching (inference): the training step's layer
+    /// forward, keeping no pre-activation.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut out = x.matmul(&self.w);
-        let act = self.activation;
-        for row in out.as_mut_slice().chunks_exact_mut(self.out_dim().max(1)) {
-            for (z, b) in row.iter_mut().zip(&self.b) {
-                *z = act.apply(*z + b);
-            }
-        }
-        out
+        let mut act = Matrix::zeros(0, 0);
+        self.forward_into(x, &mut act, None);
+        act
     }
 
-    /// The training forward of one layer, after the GEMM has written
-    /// `pre = X·W`: adds the bias and applies the activation in one pass,
-    /// keeping the pre-activation `Z = X·W + b` in `pre` (the backward pass
-    /// differentiates at it) and writing `act(Z)` to `out`.
-    pub(crate) fn bias_activate(&self, pre: &mut Matrix, out: &mut Matrix) {
-        let act = self.activation;
-        let width = self.out_dim().max(1);
-        let rows = pre.as_mut_slice().chunks_exact_mut(width);
-        for (z_row, a_row) in rows.zip(out.as_mut_slice().chunks_exact_mut(width)) {
-            for ((z, a), b) in z_row.iter_mut().zip(a_row).zip(&self.b) {
-                *z += b;
-                *a = act.apply(*z);
+    /// The layer forward of training and inference: one GEMM whose store
+    /// adds the bias, `Z = X·W + b`, and writes `act = act(Z)` — the ReLU
+    /// in that store, another activation in a pass over the output (the
+    /// scorer's 1-wide tanh output, a classifier's logit). Training passes
+    /// `pre` to keep `Z`, which the backward pass differentiates at; the
+    /// same store writes it. Buffers are reshaped to `x.rows() × out_dim`
+    /// and reused.
+    pub(crate) fn forward_into(&self, x: &Matrix, act: &mut Matrix, pre: Option<&mut Matrix>) {
+        let (w, b) = (&self.w, &self.b[..]);
+        match (self.activation, pre) {
+            (Activation::Relu, None) => x.matmul_bias_into(w, b, act, Relu::InPlace),
+            (Activation::Relu, Some(pre)) => {
+                act.resize(x.rows(), self.out_dim());
+                x.matmul_bias_into(w, b, pre, Relu::Into(act.as_mut_slice()));
+            }
+            (f, None) => {
+                x.matmul_bias_into(w, b, act, Relu::Off);
+                act.map_inplace(|z| f.apply(z));
+            }
+            (f, Some(pre)) => {
+                x.matmul_bias_into(w, b, pre, Relu::Off);
+                act.resize(pre.rows(), pre.cols());
+                for (a, &z) in act.as_mut_slice().iter_mut().zip(pre.as_slice()) {
+                    *a = f.apply(z);
+                }
             }
         }
     }
@@ -104,15 +114,39 @@ mod tests {
         assert_eq!(out.row(1), &[7.0]);
     }
 
-    /// The training step's fused bias + activation pass matches inference
-    /// bit for bit.
+    /// The training step's forward matches inference bit for bit, and both
+    /// match the product followed by a separate `z += b; a = act(z)` pass,
+    /// for ReLU, Tanh and Identity layers — including pre-activations that
+    /// are exactly `-0.0` (a `-0.0` bias on row 0's underflowing product
+    /// `1e-25 × -1e-25`), NaN and ±inf. 40 outputs span a two-`zmm` and a
+    /// one-`zmm` AVX-512 panel.
     #[test]
     fn infer_matches_training_forward() {
         let mut rng = Rng64::new(1);
-        let layer = Dense::new(4, 3, Activation::Relu, &mut rng);
-        let x = Matrix::randn(5, 4, 1.0, &mut rng);
-        let (_, step) = step(std::slice::from_ref(&layer), &x, &Matrix::zeros(5, 3));
-        assert_eq!(step.act[0], layer.infer(&x));
+        let (rows, out) = (5, 40);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for act in [Activation::Relu, Activation::Tanh, Activation::Identity] {
+            let mut layer = Dense::new(4, out, act, &mut rng);
+            let mut x = Matrix::randn(rows, 4, 1.0, &mut rng);
+            x.row_mut(0).copy_from_slice(&[0.0, 0.0, 0.0, 1e-25]);
+            for j in 0..out {
+                layer.b[j] = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, layer.b[j]][j % 5];
+                if j % 5 == 0 {
+                    layer.w[(3, j)] = -1e-25;
+                }
+            }
+            let (_, step) = step(std::slice::from_ref(&layer), &x, &Matrix::zeros(rows, out));
+            let mut want = x.matmul(&layer.w);
+            for row in want.as_mut_slice().chunks_mut(out) {
+                for (z, b) in row.iter_mut().zip(&layer.b) {
+                    *z += b;
+                    *z = act.apply(*z);
+                }
+            }
+            assert_eq!(step.pre[0][(0, 0)].to_bits(), (-0.0f32).to_bits(), "{act:?}");
+            assert_eq!(bits(&step.act[0]), bits(&want), "{act:?}: training forward");
+            assert_eq!(bits(&layer.infer(&x)), bits(&want), "{act:?}: inference");
+        }
     }
 
     #[test]

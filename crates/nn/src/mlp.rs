@@ -131,13 +131,17 @@ impl Mlp {
         self.layers.last().expect("non-empty").out_dim()
     }
 
-    /// Forward pass returning raw network outputs (post output-activation).
+    /// Forward pass returning raw network outputs (post output-activation):
+    /// every layer runs the training step's layer forward
+    /// (`Dense::forward_into`, keeping no pre-activation) over two buffers
+    /// reused across layers.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut a = x.clone();
-        for layer in &self.layers {
-            a = layer.infer(&a);
+        let (mut act, mut next) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        for (l, layer) in self.layers.iter().enumerate() {
+            layer.forward_into(if l == 0 { x } else { &act }, &mut next, None);
+            std::mem::swap(&mut act, &mut next);
         }
-        a
+        act
     }
 
     /// Predicted values for single-output networks, applying the sigmoid when

@@ -1,6 +1,6 @@
 //! Mini-batch training loop.
 
-use crate::activation::sigmoid;
+use crate::activation::{sigmoid, Activation};
 use crate::layer::DenseGrad;
 use crate::mlp::{Loss, Mlp};
 use crate::optim::{Adam, AdamConfig};
@@ -143,7 +143,7 @@ pub fn fit(mlp: &mut Mlp, x: &Matrix, y: &Matrix, config: &TrainConfig) -> Train
 /// is one training path.
 pub(crate) struct Step {
     /// Per layer, the pre-activation `Z = X·W + b`.
-    pre: Vec<Matrix>,
+    pub(crate) pre: Vec<Matrix>,
     /// Per layer, the activation `act(Z)` (the next layer's input).
     pub(crate) act: Vec<Matrix>,
     /// Per layer, `∂L/∂A`, turned into `∂L/∂Z` in place by the backward
@@ -172,16 +172,14 @@ impl Step {
         }
     }
 
-    /// Forward pass over the batch `x`: per layer, one GEMM into `pre`,
-    /// then bias and activation in one pass.
+    /// Forward pass over the batch `x`: per layer, the layer forward
+    /// shared with inference (`Dense::forward_into`) into
+    /// `pre` and `act`.
     pub(crate) fn forward(&mut self, mlp: &Mlp, x: &Matrix) {
         for (l, layer) in mlp.layers().iter().enumerate() {
             let (done, rest) = self.act.split_at_mut(l);
             let input = if l == 0 { x } else { &done[l - 1] };
-            input.matmul_into(&layer.w, &mut self.pre[l]);
-            let out = &mut rest[0];
-            out.resize(input.rows(), layer.out_dim());
-            layer.bias_activate(&mut self.pre[l], out);
+            layer.forward_into(input, &mut rest[0], Some(&mut self.pre[l]));
         }
     }
 
@@ -195,12 +193,8 @@ impl Step {
         let loss = output_grad(mlp.loss_kind(), &self.act[last], y, &mut self.delta[last], n);
         for l in (0..layers.len()).rev() {
             let layer = &layers[l];
-            // δ = ∂L/∂Z = ∂L/∂A ⊙ act'(Z), in place.
-            let act = layer.activation;
             let delta = &mut self.delta[l];
-            for (d, &z) in delta.as_mut_slice().iter_mut().zip(self.pre[l].as_slice()) {
-                *d *= act.derivative(z);
-            }
+            mul_derivative(layer.activation, delta, &self.pre[l], &self.act[l]);
             let input = if l == 0 { x } else { &self.act[l - 1] };
             let grad = &mut self.grads[l];
             input.t_matmul_into(delta, &mut grad.dw);
@@ -216,6 +210,35 @@ impl Step {
             }
         }
         loss
+    }
+}
+
+/// `δ = ∂L/∂Z = ∂L/∂A ⊙ act'(Z)` in place over `delta`, from the layer's
+/// stored pre-activation `pre` and activation `a`: every product is
+/// `d * act.derivative(z)` bit for bit, but the activation is matched once
+/// per layer and nothing is recomputed. ReLU′ is a select on `z > 0`
+/// (`z >= 0` would differ at zero), Tanh′ `1 − a·a` and Sigmoid′
+/// `a·(1 − a)` read the activation `derivative` would recompute from `z`,
+/// and Identity′ = 1 leaves `delta` as it is.
+fn mul_derivative(act: Activation, delta: &mut Matrix, pre: &Matrix, a: &Matrix) {
+    let delta = delta.as_mut_slice();
+    match act {
+        Activation::Identity => {}
+        Activation::Relu => {
+            for (d, &z) in delta.iter_mut().zip(pre.as_slice()) {
+                *d *= if z > 0.0 { 1.0 } else { 0.0 };
+            }
+        }
+        Activation::Tanh => {
+            for (d, &a) in delta.iter_mut().zip(a.as_slice()) {
+                *d *= 1.0 - a * a;
+            }
+        }
+        Activation::Sigmoid => {
+            for (d, &a) in delta.iter_mut().zip(a.as_slice()) {
+                *d *= a * (1.0 - a);
+            }
+        }
     }
 }
 
@@ -367,6 +390,40 @@ mod tests {
         assert!(grads.min() > 0.0, "gradients should be nonzero while learning");
         assert_eq!(snap.gauge("nn.final_loss"), Some(report.final_loss as f64));
         assert_eq!(snap.span_count("nn_fit"), 1);
+    }
+
+    /// The backward's `∂L/∂Z` is `∂L/∂A ⊙ Activation::derivative(z)` bit
+    /// for bit under every activation, on pre-activations of `+0.0`,
+    /// `-0.0`, NaN, ±inf, tiny, ordinary and saturating magnitudes. One
+    /// 2 → 1 layer with `w = [1, 1e-25]` and a `-0.0` bias makes them: a
+    /// row `[z, 0]` gives `Z = z`, `[0, 0]` gives `+0.0`, and `[0, -1e-25]`
+    /// an underflowing product, `-0.0`. The targets make `∂L/∂A` nonzero
+    /// where the activation is 0.
+    #[test]
+    fn backward_multiplies_by_the_activation_derivative() {
+        let zs = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-30, -1e-30, 0.5, -0.5, 3.0];
+        let zs = zs.into_iter().chain([-3.0, 20.0, -20.0, 100.0, -100.0, 1e30]);
+        let mut rows: Vec<[f32; 2]> = zs.map(|z| [z, 0.0]).collect();
+        rows.extend([[0.0, 0.0], [0.0, -1e-25]]);
+        let x = Matrix::from_row_vecs(rows.iter().map(|r| r.to_vec()).collect());
+        let y = Matrix::filled(x.rows(), 1, 0.25);
+        for act in [Activation::Relu, Activation::Tanh, Activation::Sigmoid, Activation::Identity] {
+            let w = Matrix::from_rows(&[&[1.0], &[1e-25]]);
+            let layer = crate::Dense { w, b: vec![-0.0], activation: act };
+            let mlp = Mlp::from_parts(vec![layer], Loss::Mse);
+            let mut step = Step::new(&mlp, x.rows());
+            step.forward(&mlp, &x);
+            step.backward(&mlp, &x, &y);
+            let pre = step.pre[0].as_slice();
+            let zero_bits: Vec<u32> = pre[pre.len() - 2..].iter().map(|z| z.to_bits()).collect();
+            assert_eq!(zero_bits, [0.0f32.to_bits(), (-0.0f32).to_bits()], "{act:?}");
+            let mut da = Matrix::zeros(0, 0);
+            output_grad(Loss::Mse, &step.act[0], &y, &mut da, x.rows() as f32);
+            for ((&dz, &da), &z) in step.delta[0].as_slice().iter().zip(da.as_slice()).zip(pre) {
+                let want = da * act.derivative(z);
+                assert_eq!(dz.to_bits(), want.to_bits(), "{act:?} at z = {z:?}: {dz} vs {want}");
+            }
+        }
     }
 
     #[test]

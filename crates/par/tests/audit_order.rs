@@ -16,7 +16,7 @@ fn emit_item(log: &AuditLog, i: usize) {
     log.emit(
         KIND_CLASSIFY,
         1000 + i as u64,
-        i % 2 == 0,
+        i.is_multiple_of(2),
         (i as f32 / 64.0).min(1.0),
         4,
         3,

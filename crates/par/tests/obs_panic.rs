@@ -79,7 +79,7 @@ fn aborted_map_never_double_counts_spans_or_counters() {
     // unwind), and none twice.
     let entered = snap.counter("items_entered").expect("some items ran");
     assert_eq!(snap.span_count("outer/item"), entered, "span/counter mismatch");
-    assert!(entered >= 1 && entered <= 64);
+    assert!((1..=64).contains(&entered));
     assert_eq!(
         snap.spans.iter().filter(|s| s.path.contains("item")).count(),
         1,

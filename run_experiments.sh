@@ -9,7 +9,8 @@
 # not record a kernel.dispatch.* counter, (c) the two runs' deterministic
 # relevance-score checksums differ, which would break the kernel layer's
 # bit-identity guarantee (see DESIGN.md §8–9), (d) `cargo clippy --workspace
-# -- -D warnings` reports anything, or (e) the obs_diff regression sentinel
+# --all-targets -- -D warnings` (tests, benches and examples included)
+# reports anything, or (e) the obs_diff regression sentinel
 # finds either kernel variant's snapshot drifting from its committed
 # baseline (results/OBS_baseline_smoke*.json; wall times ignored — only the
 # deterministic structure, counters, gauges, and histograms gate; see
@@ -89,8 +90,8 @@ if [ "${1:-}" = "--smoke" ]; then
   OBS_AUTO=results/OBS_smoke.json
   OBS_SCALAR=results/OBS_smoke_scalar.json
   rm -f "$OBS_AUTO" "$OBS_SCALAR"
-  echo "=== smoke: clippy (workspace, -D warnings) ==="
-  if ! cargo clippy --workspace -- -D warnings; then
+  echo "=== smoke: clippy (workspace, all targets, -D warnings) ==="
+  if ! cargo clippy --workspace --all-targets -- -D warnings; then
     echo "SMOKE FAILED: clippy warnings" >&2
     exit 1
   fi

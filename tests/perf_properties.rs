@@ -276,10 +276,13 @@ proptest! {
     /// The register-tiled GEMM kernels under every supported
     /// implementation equal a chain-order reference bit for bit: `gemm`
     /// (zero accumulator, aligned four-step `fma` groups skipped when all
-    /// four coefficients are zero, zero-skipped tail steps) and `gemm_nt`
-    /// (`dot`'s 8 lane chains and `reduce8` tree), on shapes straddling
-    /// the row tiles, column panels and lane blocks, with ReLU-style zero
-    /// groups and `-0.0` entries.
+    /// four coefficients are zero, zero-skipped tail steps), `gemm_nt`
+    /// (`dot`'s 8 lane chains and `reduce8` tree) and `gemm_bias` with a
+    /// separate and an in-place ReLU (the `gemm` reference, then `z += b`
+    /// and a ReLU pass, like the scalar body), on shapes straddling the row tiles, column panels and lane
+    /// blocks, with ReLU-style zero groups and `-0.0` entries, and
+    /// pre-activations of `-0.0` (a `-0.0` bias on the underflowing
+    /// `1e-25 × -1e-25`), NaN and ±inf.
     #[test]
     fn gemm_tiles_bit_identical_across_dispatch(
         m in 1usize..19,
@@ -287,13 +290,16 @@ proptest! {
         n in 1usize..40,
         a_vals in prop::collection::vec(-1.0f32..1.0, 19 * 40),
         b_vals in prop::collection::vec(-1.0f32..1.0, 40 * 40),
+        bias_vals in prop::collection::vec(-1.0f32..1.0, 40),
         zero_groups in prop::collection::vec(any::<bool>(), 19 * 10),
         s in scale(),
     ) {
-        use wym::linalg::kernels::{available, gemm_nt_with, gemm_with, StridedMat};
+        use wym::linalg::kernels::{
+            available, gemm_bias_with, gemm_nt_with, gemm_with, KernelImpl, Relu, StridedMat,
+        };
         // ReLU-style operand: whole zero four-groups, plus `-0.0` where the
         // draw lands near zero.
-        let a: Vec<f32> = (0..m * k)
+        let mut a: Vec<f32> = (0..m * k)
             .map(|idx| {
                 let (i, p) = (idx / k, idx % k);
                 let v = a_vals[i * 40 + p];
@@ -306,8 +312,21 @@ proptest! {
                 }
             })
             .collect();
-        let b: Vec<f32> =
+        let mut b: Vec<f32> =
             b_vals[..k * n].iter().map(|&v| if v.abs() < 0.05 { -0.0 } else { v * s }).collect();
+        // Epilogue specials, by column mod 5: a `-0.0` bias (row 0's lone
+        // product `1e-25 × -1e-25` underflows to a `-0.0` accumulator
+        // there), NaN, +inf, -inf, an ordinary value.
+        let bias: Vec<f32> = (0..n)
+            .map(|j| [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, bias_vals[j] * s][j % 5])
+            .collect();
+        if k > 0 {
+            a[..k].fill(0.0);
+            a[k - 1] = 1e-25;
+            for j in (0..n).step_by(5) {
+                b[(k - 1) * n + j] = -1e-25;
+            }
+        }
         let mut want = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
@@ -341,8 +360,18 @@ proptest! {
                     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
             }
         }
+        // The layer pass the epilogue replaces: `z += b`, then ReLU as an
+        // optimised build computes `f32::max(z, 0.0)` (`-0.0` and NaN give
+        // `+0.0`; an unoptimised `max` returns `-0.0` for `-0.0`).
+        let want_pre: Vec<f32> =
+            want.iter().enumerate().map(|(idx, &z)| z + bias[idx % n]).collect();
+        let want_relu: Vec<f32> =
+            want_pre.iter().map(|&z| if z > 0.0 { z } else { 0.0 }).collect();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let lhs = StridedMat { data: &a, rows: m, cols: k, row_stride: k, col_stride: 1 };
+        let mut scalar = [vec![f32::NAN; m * n], vec![f32::NAN; m * n]];
+        let [scalar_pre, scalar_relu] = &mut scalar;
+        gemm_bias_with(KernelImpl::Scalar, lhs, &b, n, &bias, scalar_pre, Relu::Into(scalar_relu));
         for imp in available() {
             let mut c = vec![f32::NAN; m * n];
             gemm_with(imp, lhs, &b, n, &mut c);
@@ -355,6 +384,24 @@ proptest! {
                 bits(&c), bits(&want_nt),
                 "gemm_nt diverged for {:?} at {}x{}x{}", imp, m, k, n
             );
+            let (mut relu, mut in_place) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+            gemm_bias_with(imp, lhs, &b, n, &bias, &mut c, Relu::Into(&mut relu));
+            gemm_bias_with(imp, lhs, &b, n, &bias, &mut in_place, Relu::InPlace);
+            for (got, scalar, want, what) in [
+                (&c, &scalar[0], &want_pre, "pre"),
+                (&relu, &scalar[1], &want_relu, "relu"),
+                (&in_place, &scalar[1], &want_relu, "in-place relu"),
+            ] {
+                prop_assert_eq!(
+                    bits(got), bits(scalar),
+                    "gemm_bias {} diverged from scalar for {:?} at {}x{}x{}", what, imp, m, k, n
+                );
+                prop_assert_eq!(
+                    bits(got), bits(want),
+                    "gemm_bias {} diverged from the layer pass for {:?} at {}x{}x{}",
+                    what, imp, m, k, n
+                );
+            }
         }
     }
 }
