@@ -10,6 +10,7 @@ use wym_artifact::{
     add_manifest, add_quantized, content_fnv, inspect, load_model, read_quantized, read_sketch,
     save_model, save_model_with_sketch, save_state, Artifact, ArtifactWriter, LoadMode,
 };
+use wym_core::scorer::ScorerKind;
 use wym_core::state::WymModelState;
 use wym_core::{WymConfig, WymModel};
 use wym_data::{magellan, split::paper_split, EmDataset, SplitIndices};
@@ -208,6 +209,45 @@ fn hostile_sketch_bounds_are_an_error_not_a_panic() {
     let artifact = Artifact::open(&path, LoadMode::Read).expect("checksums are valid");
     let err = read_sketch(&artifact).expect_err("decreasing bounds must be refused").to_string();
     assert!(err.contains("strictly increasing"), "{err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn zero_embedding_dimension_is_an_error_not_a_panic() {
+    // A Static embedder with the Binary scorer has no tensors, so nothing
+    // else in the artifact checks the head's hashed dimension; before it
+    // was checked, dim 0 loaded and the first prediction divided by zero.
+    let dataset = magellan::generate_by_name("S-FZ", 42)
+        .unwrap()
+        .subsample(60, 0);
+    let split = paper_split(&dataset, 0);
+    let mut cfg = WymConfig {
+        embed_dim: 16,
+        embedder_kind: EmbedderKind::Static,
+        ..Default::default()
+    };
+    cfg.scorer.kind = ScorerKind::Binary;
+    cfg.matcher.kinds = vec![ClassifierKind::LogisticRegression];
+    let state = WymModelState::from_model(&WymModel::fit(&dataset, &split, cfg));
+    assert!(state.tensors.is_empty());
+    let head = serde_json::to_string(&state.head).expect("serialize head");
+    let edited = head.replace(r#""hashed":{"dim":16"#, r#""hashed":{"dim":0"#);
+    assert_ne!(edited, head, "the head names its hashed dim");
+
+    // The writer computes every checksum, so only the head is hostile.
+    let mut w = ArtifactWriter::new();
+    add_manifest(&mut w, &manifest());
+    w.add_json(wym_artifact::model::SECTION_HEAD, edited.as_bytes());
+    let path = scratch("dim0.wyma");
+    w.write_to(&path).expect("write");
+    let err = load_model(&path, LoadMode::Read)
+        .err()
+        .expect("a zero embedding dimension must be refused")
+        .to_string();
+    assert!(
+        err.contains("dim") && err.contains("at least 8, got 0"),
+        "{err}"
+    );
     let _ = std::fs::remove_file(&path);
 }
 

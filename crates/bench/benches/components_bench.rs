@@ -38,12 +38,21 @@ fn bench(c: &mut Criterion) {
         c.bench_function("strsim_jaro_winkler", |bch| {
             bch.iter(|| jaro_winkler("exchange server external", "exch srvr external"))
         });
+        // Each text bench has a non-ASCII twin: every benchmark dataset is
+        // ASCII, and non-ASCII text takes other branches (`to_lowercase`,
+        // character-boundary n-gram windows).
         let tok = Tokenizer::default();
         c.bench_function("tokenize_product_title", |bch| {
             bch.iter(|| tok.tokenize("sony digital camera with lens kit dslra200w 37.63"))
         });
+        c.bench_function("tokenize_product_title_unicode", |bch| {
+            bch.iter(|| tok.tokenize("Café Zürich straße ΣΟΦΙΑ 37,63"))
+        });
         let emb = Embedder::new_static(64, 0);
         c.bench_function("embed_token", |bch| bch.iter(|| emb.embed_token_static("dslra200w")));
+        c.bench_function("embed_token_unicode", |bch| {
+            bch.iter(|| emb.embed_token_static("zürich"))
+        });
     }
 
     // Kernel-layer dispatch: every implementation the host supports —

@@ -30,6 +30,7 @@
 
 use crate::csr::Csr;
 use std::cell::RefCell;
+use std::sync::Mutex;
 use wym_embed::{HashedNgramEmbedder, QuantizedTable};
 use wym_linalg::kernels::{self, KernelImpl};
 use wym_linalg::Rng64;
@@ -94,6 +95,21 @@ pub struct AnnIndex {
     tables: Vec<Csr>,
 }
 
+/// Rows per work item of [`fill_rows`].
+const FILL_CHUNK: usize = 256;
+
+/// Fills the `dim`-wide rows of `out` on `threads` workers, [`FILL_CHUNK`]
+/// rows per work item: `fill(first, rows)` writes the rows from index
+/// `first` on. Each chunk's rows are one disjoint slice, locked once by the
+/// worker that claims it.
+fn fill_rows(out: &mut [f32], dim: usize, threads: usize, fill: impl Fn(usize, &mut [f32]) + Sync) {
+    let chunks: Vec<Mutex<&mut [f32]>> = out.chunks_mut(FILL_CHUNK * dim).map(Mutex::new).collect();
+    wym_par::map_indexed(&chunks, threads, |c, rows| {
+        let mut rows = rows.lock().expect("each chunk is claimed by one worker");
+        fill(c * FILL_CHUNK, &mut rows);
+    });
+}
+
 impl AnnIndex {
     /// Builds record vectors, their quantized twin, and the LSH tables.
     ///
@@ -120,32 +136,40 @@ impl AnnIndex {
         let n = record_tokens.len();
         let (vectors, quant) = {
             let _span = wym_obs::span("block_embed");
-            // One embedding per vocabulary entry, not per token instance.
+            // One embedding per vocabulary entry, not per token instance,
+            // into one `vocab × dim` table.
             let embedder = HashedNgramEmbedder::new(dim, config.seed);
-            let token_vecs: Vec<Vec<f32>> =
-                wym_par::map_indexed(vocab, threads, |_, token| embedder.embed_token(token));
+            let mut token_vecs = vec![0.0f32; vocab.len() * dim];
+            fill_rows(&mut token_vecs, dim, threads, |first, rows| {
+                let (mut pad, mut bounds) = (Vec::new(), Vec::new());
+                for (token, row) in vocab[first..].iter().zip(rows.chunks_exact_mut(dim)) {
+                    embedder.embed_token_into(token, row, &mut pad, &mut bounds);
+                }
+            });
             wym_obs::counter_add("block.ann.embedded_tokens", vocab.len() as u64);
 
-            let rows: Vec<Vec<f32>> = wym_par::map_indexed(record_tokens, threads, |_, ids| {
-                let mut acc = vec![0.0f32; dim];
-                for &t in ids {
-                    kernels::axpy_with(imp, 1.0, &token_vecs[t as usize], &mut acc);
-                }
-                let norm_sq = kernels::dot_with(imp, &acc, &acc);
-                let norm = norm_sq.sqrt();
-                if norm > f32::EPSILON {
-                    let inv = 1.0 / norm;
-                    for v in &mut acc {
-                        *v *= inv;
+            let mut vectors = vec![0.0f32; n * dim];
+            fill_rows(&mut vectors, dim, threads, |first, rows| {
+                for (ids, acc) in record_tokens[first..]
+                    .iter()
+                    .zip(rows.chunks_exact_mut(dim))
+                {
+                    for &t in ids {
+                        let t = t as usize;
+                        kernels::axpy_with(imp, 1.0, &token_vecs[t * dim..(t + 1) * dim], acc);
+                    }
+                    let norm_sq = kernels::dot_with(imp, acc, acc);
+                    let norm = norm_sq.sqrt();
+                    if norm > f32::EPSILON {
+                        let inv = 1.0 / norm;
+                        for v in acc.iter_mut() {
+                            *v *= inv;
+                        }
                     }
                 }
-                acc
             });
+            let rows: Vec<&[f32]> = vectors.chunks_exact(dim).collect();
             let quant = QuantizedTable::from_rows(&rows, dim);
-            let mut vectors = Vec::with_capacity(n * dim);
-            for row in &rows {
-                vectors.extend_from_slice(row);
-            }
             (vectors, quant)
         };
 

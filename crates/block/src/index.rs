@@ -37,37 +37,84 @@ pub struct TokenIndex {
     pub pruned_tokens: usize,
 }
 
-/// Tokenizes every record (in parallel) and interns tokens into ids.
-/// Returns per-record sorted unique ids and the id-ordered vocabulary.
+/// Records per tokenizing work item of [`intern_tokens`].
+const TOKENIZE_CHUNK: usize = 256;
+
+/// The tokens of one chunk of records: each record's sorted unique tokens
+/// as byte ranges of one arena.
+struct ChunkTokens {
+    arena: String,
+    /// `(start, end)` of every token in `arena`, record after record.
+    spans: Vec<(usize, usize)>,
+    /// Per record, the end of its tokens in `spans`.
+    record_ends: Vec<usize>,
+}
+
+impl ChunkTokens {
+    /// Tokenizes `texts`, then sorts and dedups each record's tokens as
+    /// byte strings (the order `String` sorts in).
+    fn build(texts: &[String], tokenizer: &wym_tokenize::Tokenizer) -> ChunkTokens {
+        let (mut arena, mut spans, mut record_ends) = (String::new(), Vec::new(), Vec::new());
+        let (mut buf, mut record) = (String::new(), Vec::new());
+        for text in texts {
+            record.clear();
+            tokenizer.for_each_token(text, &mut buf, |t| {
+                let start = arena.len();
+                arena.push_str(t);
+                record.push((start, arena.len()));
+            });
+            record.sort_unstable_by(|&a, &b| span(&arena, a).cmp(span(&arena, b)));
+            record.dedup_by(|a, b| span(&arena, *a) == span(&arena, *b));
+            spans.extend_from_slice(&record);
+            record_ends.push(spans.len());
+        }
+        ChunkTokens {
+            arena,
+            spans,
+            record_ends,
+        }
+    }
+}
+
+/// The token at byte range `(start, end)` of `arena`.
+fn span(arena: &str, (start, end): (usize, usize)) -> &str {
+    &arena[start..end]
+}
+
+/// Tokenizes every record (in parallel, [`TOKENIZE_CHUNK`] records per work
+/// item) and interns tokens into ids. Returns per-record sorted unique ids
+/// and the id-ordered vocabulary.
+///
+/// Ids go to tokens in order of first appearance, where a record's tokens
+/// appear in sorted order, so they do not depend on the thread count. The
+/// interner keys its map by slices of the chunks' arenas and allocates only
+/// for new vocabulary entries.
 fn intern_tokens(texts: &[String], threads: usize) -> (Vec<Vec<u32>>, Vec<String>) {
     let tokenizer = wym_tokenize::Tokenizer::default();
-    let token_lists: Vec<Vec<String>> = wym_par::map_indexed(texts, threads, |_, text| {
-        let mut tokens = tokenizer.tokenize(text);
-        tokens.sort_unstable();
-        tokens.dedup();
-        tokens
+    let chunks: Vec<&[String]> = texts.chunks(TOKENIZE_CHUNK).collect();
+    let chunks: Vec<ChunkTokens> = wym_par::map_indexed(&chunks, threads, |_, texts| {
+        ChunkTokens::build(texts, &tokenizer)
     });
-    let mut ids_of: HashMap<String, u32> = HashMap::new();
+    let mut ids_of: HashMap<&str, u32> = HashMap::new();
     let mut vocab: Vec<String> = Vec::new();
-    let mut record_tokens = Vec::with_capacity(token_lists.len());
-    for tokens in token_lists {
-        let mut ids: Vec<u32> = tokens
-            .into_iter()
-            .map(|t| match ids_of.get(&t) {
-                Some(&id) => id,
-                None => {
-                    let id = vocab.len() as u32;
-                    ids_of.insert(t.clone(), id);
-                    vocab.push(t);
-                    id
-                }
-            })
-            .collect();
-        ids.sort_unstable();
-        // The collect above reuses the Vec<String> allocation (24 B → 4 B
-        // elements ⇒ 6× capacity); these lists live for the whole run.
-        ids.shrink_to_fit();
-        record_tokens.push(ids);
+    let mut record_tokens = Vec::with_capacity(texts.len());
+    for chunk in &chunks {
+        let mut first = 0;
+        for &end in &chunk.record_ends {
+            let mut ids: Vec<u32> = chunk.spans[first..end]
+                .iter()
+                .map(|&s| {
+                    let token = span(&chunk.arena, s);
+                    *ids_of.entry(token).or_insert_with(|| {
+                        vocab.push(token.to_owned());
+                        vocab.len() as u32 - 1
+                    })
+                })
+                .collect();
+            ids.sort_unstable();
+            record_tokens.push(ids);
+            first = end;
+        }
     }
     (record_tokens, vocab)
 }
@@ -271,6 +318,73 @@ mod tests {
         for threads in [2usize, 4, 7] {
             let got = TokenIndex::build(&t, 0.5, 1, threads).top_candidates(6, threads);
             assert_eq!(got, reference, "thread count {threads}");
+        }
+    }
+
+    /// The `String` interner that [`intern_tokens`] replaced: owned tokens
+    /// per record, sorted and deduped as strings, ids by first appearance.
+    fn intern_reference(texts: &[String]) -> (Vec<Vec<u32>>, Vec<String>) {
+        let tokenizer = wym_tokenize::Tokenizer::default();
+        let mut ids_of: HashMap<String, u32> = HashMap::new();
+        let mut vocab: Vec<String> = Vec::new();
+        let mut record_tokens = Vec::new();
+        for text in texts {
+            let mut tokens = tokenizer.tokenize(text);
+            tokens.sort_unstable();
+            tokens.dedup();
+            let mut ids: Vec<u32> = tokens
+                .into_iter()
+                .map(|t| match ids_of.get(&t) {
+                    Some(&id) => id,
+                    None => {
+                        let id = vocab.len() as u32;
+                        ids_of.insert(t.clone(), id);
+                        vocab.push(t);
+                        id
+                    }
+                })
+                .collect();
+            ids.sort_unstable();
+            record_tokens.push(ids);
+        }
+        (record_tokens, vocab)
+    }
+
+    #[test]
+    fn interning_matches_the_string_interner_at_any_thread_count() {
+        // Four tokenizing chunks and a partial fifth; records repeat tokens,
+        // list them out of order, and mix case, non-ASCII letters and
+        // decimal numbers, so sorted ids differ from appearance order.
+        let t: Vec<String> = (0..1_100)
+            .map(|i| {
+                format!(
+                    "Zeta{} model{} the ÜBER{} alpha{} Zeta{} straße{} 1,{:03} émile{} alpha{}",
+                    i % 97,
+                    i % 13,
+                    i % 5,
+                    i % 41,
+                    i % 97,
+                    i % 3,
+                    i % 17,
+                    i % 29,
+                    i % 41
+                )
+            })
+            .collect();
+        assert!(t.len() > 4 * TOKENIZE_CHUNK);
+        let (want_ids, want_vocab) = intern_reference(&t);
+        for threads in [1usize, 2, 3] {
+            let index = TokenIndex::build(&t, 1.0, usize::MAX, threads);
+            assert_eq!(
+                index.vocab(),
+                &want_vocab[..],
+                "vocabulary at {threads} threads"
+            );
+            assert_eq!(
+                index.all_record_tokens(),
+                &want_ids[..],
+                "ids at {threads} threads"
+            );
         }
     }
 

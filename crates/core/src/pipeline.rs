@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use wym_data::{EmDataset, RecordPair, SplitIndices};
 use wym_embed::{Embedder, EmbedderKind};
 use wym_ml::{f1_score, ClassifierKind};
+use wym_nn::{Mlp, SiameseProjection};
 use wym_tokenize::Tokenizer;
 
 /// The canonical pipeline stages, in execution order. Each name matches the
@@ -215,6 +216,20 @@ pub struct SavedWymModel {
     pub matcher: SavedMatcher,
     /// Schema attribute names.
     pub attr_names: Vec<String>,
+}
+
+impl SavedWymModel {
+    /// Checks that the snapshot's weights fit its embedding dimension, with
+    /// the checks [`crate::state::WymModelState::into_model`] runs on an
+    /// artifact, so an edited or foreign model file is refused before it
+    /// runs.
+    pub fn check_shapes(&self) -> Result<(), String> {
+        crate::state::check_shapes(
+            self.embedder.dim(),
+            self.scorer.model().map(Mlp::layers),
+            self.embedder.projection().map(SiameseProjection::matrix),
+        )
+    }
 }
 
 /// Tokenize → embed → Algorithm 1 for one record pair: a processed record

@@ -134,71 +134,37 @@ impl WymModelState {
             })
         };
 
-        let scorer_model = match &head.scorer_net {
+        let layers = match &head.scorer_net {
             None => None,
             Some(spec) => {
                 let mut layers = Vec::with_capacity(spec.activations.len());
                 for (i, &activation) in spec.activations.iter().enumerate() {
                     let w = take(&format!("scorer.layer{i}.w"))?.data.clone();
                     let b = take(&format!("scorer.layer{i}.b"))?;
-                    if b.data.rows() != 1 || b.data.cols() != w.cols() {
+                    if b.data.rows() != 1 {
                         return Err(format!(
-                            "tensor `scorer.layer{i}.b` has shape {:?}, expected (1, {})",
-                            b.data.shape(),
-                            w.cols()
+                            "tensor `scorer.layer{i}.b` has shape {:?}, expected one row",
+                            b.data.shape()
                         ));
-                    }
-                    if let Some(prev_out) = layers.last().map(|l: &Dense| l.out_dim()) {
-                        if w.rows() != prev_out {
-                            return Err(format!(
-                                "tensor `scorer.layer{i}.w` has {} input rows but \
-                                 layer {} produces {prev_out} outputs",
-                                w.rows(),
-                                i - 1
-                            ));
-                        }
                     }
                     layers.push(Dense { w, b: b.data.as_slice().to_vec(), activation });
                 }
-                let (Some(first), Some(last)) = (layers.first(), layers.last()) else {
-                    return Err("scorer_net promises a network but lists no layers".into());
-                };
-                // The scorer reads one `[mean | |diff|]` row of two
-                // embeddings per unit and emits one relevance logit.
-                let dim = head.embedder.hashed.dim();
-                if first.in_dim() != 2 * dim {
-                    return Err(format!(
-                        "tensor `scorer.layer0.w` has {} input rows, expected {} \
-                         (2 × embedding dim {dim})",
-                        first.in_dim(),
-                        2 * dim
-                    ));
-                }
-                if last.out_dim() != 1 {
-                    return Err(format!(
-                        "tensor `scorer.layer{}.w` has {} output columns, expected 1",
-                        layers.len() - 1,
-                        last.out_dim()
-                    ));
-                }
-                Some(Mlp::from_parts(layers, spec.loss))
+                Some((layers, spec.loss))
             }
         };
-
         let projection = match head.embedder.kind {
             EmbedderKind::Static => None,
             EmbedderKind::FineTuned | EmbedderKind::Siamese => {
-                let t = take("embed.projection")?;
-                let dim = head.embedder.hashed.dim();
-                if t.data.shape() != (dim, dim) {
-                    return Err(format!(
-                        "tensor `embed.projection` has shape {:?}, expected ({dim}, {dim})",
-                        t.data.shape()
-                    ));
-                }
-                Some(SiameseProjection::from_matrix(t.data.clone()))
+                Some(take("embed.projection")?.data.clone())
             }
         };
+        check_shapes(
+            head.embedder.hashed.dim(),
+            layers.as_ref().map(|(layers, _)| layers.as_slice()),
+            projection.as_ref(),
+        )?;
+        let scorer_model = layers.map(|(layers, loss)| Mlp::from_parts(layers, loss));
+        let projection = projection.map(SiameseProjection::from_matrix);
 
         Ok(WymModel::from_saved(SavedWymModel {
             config: head.config,
@@ -209,6 +175,67 @@ impl WymModelState {
             attr_names: head.attr_names,
         }))
     }
+}
+
+/// Checks that a model's weights fit its embedding dimension `dim`, naming
+/// the offending tensor: the scorer's layers chain, its first layer reads
+/// one `[mean | |diff|]` row of two embeddings per unit (`2 × dim`
+/// inputs) and its last emits one relevance logit, and a trained
+/// projection is `dim × dim`. Both model formats run this one check before
+/// a model is built: [`WymModelState::into_model`] for artifacts and
+/// [`SavedWymModel::check_shapes`] for JSON snapshots.
+pub(crate) fn check_shapes(
+    dim: usize,
+    scorer: Option<&[Dense]>,
+    projection: Option<&Matrix>,
+) -> Result<(), String> {
+    if let Some(layers) = scorer {
+        let (Some(first), Some(last)) = (layers.first(), layers.last()) else {
+            return Err("the scorer network lists no layers".into());
+        };
+        for (i, layer) in layers.iter().enumerate() {
+            if layer.b.len() != layer.w.cols() {
+                return Err(format!(
+                    "tensor `scorer.layer{i}.b` has {} entries, expected {}",
+                    layer.b.len(),
+                    layer.w.cols()
+                ));
+            }
+        }
+        for (i, pair) in layers.windows(2).enumerate() {
+            if pair[1].in_dim() != pair[0].out_dim() {
+                return Err(format!(
+                    "tensor `scorer.layer{}.w` has {} input rows but layer {i} produces {} outputs",
+                    i + 1,
+                    pair[1].in_dim(),
+                    pair[0].out_dim()
+                ));
+            }
+        }
+        if first.in_dim() != 2 * dim {
+            return Err(format!(
+                "tensor `scorer.layer0.w` has {} input rows, expected {} (2 × embedding dim {dim})",
+                first.in_dim(),
+                2 * dim
+            ));
+        }
+        if last.out_dim() != 1 {
+            return Err(format!(
+                "tensor `scorer.layer{}.w` has {} output columns, expected 1",
+                layers.len() - 1,
+                last.out_dim()
+            ));
+        }
+    }
+    if let Some(p) = projection {
+        if p.shape() != (dim, dim) {
+            return Err(format!(
+                "tensor `embed.projection` has shape {:?}, expected ({dim}, {dim})",
+                p.shape()
+            ));
+        }
+    }
+    Ok(())
 }
 
 impl WymModelHead {
@@ -273,6 +300,37 @@ mod tests {
         let err = state.into_model().err().expect("must reject missing tensor");
         assert!(err.contains("embed.projection"), "{err}");
         assert!(err.contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn json_snapshot_with_an_unusable_dimension_is_refused() {
+        let model = fitted(EmbedderKind::Siamese);
+        let json = serde_json::to_string(&model.to_saved()).expect("serialize");
+        let with_dim = |dim: usize| {
+            let edited = json.replace(
+                r#""hashed":{"dim":24"#,
+                &format!(r#""hashed":{{"dim":{dim}"#),
+            );
+            assert_ne!(edited, json, "the snapshot names its hashed dim");
+            serde_json::from_str::<SavedWymModel>(&edited)
+        };
+
+        // A zero dimension used to load, then divide by zero when the
+        // first token was hashed.
+        let err = with_dim(0).err().expect("dim 0 must not parse").to_string();
+        assert!(
+            err.contains("dim") && err.contains("at least 8, got 0"),
+            "{err}"
+        );
+
+        // Half the trained dimension parses, but the 24 × 24 projection
+        // and the 48-input scorer no longer fit it.
+        let saved = with_dim(12).expect("dim 12 parses");
+        let err = saved
+            .check_shapes()
+            .expect_err("dim 12 does not fit the weights");
+        assert!(err.contains("embedding dim 12"), "{err}");
+        assert!(model.to_saved().check_shapes().is_ok());
     }
 
     #[test]

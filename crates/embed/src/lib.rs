@@ -209,8 +209,8 @@ impl Embedder {
                     self.hashed.embed_token_into(
                         t,
                         &mut s.statics[r * dim..(r + 1) * dim],
-                        &mut s.chars,
-                        &mut s.gram,
+                        &mut s.pad,
+                        &mut s.bounds,
                     );
                     r += 1;
                 }

@@ -138,10 +138,10 @@ pub struct EmbedScratch {
     pub(crate) attr_centroid: Vec<f32>,
     /// Neighbour accumulator, `dim`.
     pub(crate) nbr: Vec<f32>,
-    /// Boundary-padded character buffer for n-gram hashing.
-    pub(crate) chars: Vec<char>,
-    /// Feature-string buffer for n-gram hashing.
-    pub(crate) gram: String,
+    /// The boundary-padded token bytes for n-gram hashing.
+    pub(crate) pad: Vec<u8>,
+    /// Character byte offsets of `pad` (non-ASCII tokens).
+    pub(crate) bounds: Vec<usize>,
     /// Recycled `(attr_offsets, data)` buffers from dropped matrices.
     pub(crate) pool: Vec<(Vec<usize>, Vec<f32>)>,
 }

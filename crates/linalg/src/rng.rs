@@ -98,7 +98,13 @@ impl Rng64 {
 /// Stable 64-bit FNV-1a hash of a byte string; used wherever a *value*
 /// (a token, a dataset name) must be turned into a reproducible seed.
 pub fn hash64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    hash64_extend(0xCBF2_9CE4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`:
+/// `hash64_extend(hash64(a), b) == hash64(a ++ b)`, so a feature made of
+/// two parts hashes without concatenating them.
+pub fn hash64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);

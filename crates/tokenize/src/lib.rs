@@ -43,29 +43,63 @@ impl Tokenizer {
     /// `,` flanked by digits stays inside the token so prices like `37.63`
     /// survive as one token (matching the paper's running example).
     pub fn tokenize(&self, text: &str) -> Vec<String> {
-        let source: String = if self.lowercase { text.to_lowercase() } else { text.to_string() };
-        let chars: Vec<char> = source.chars().collect();
         let mut tokens = Vec::new();
-        let mut cur = String::new();
-        for (i, &c) in chars.iter().enumerate() {
+        self.for_each_token(text, &mut String::new(), |t| tokens.push(t.to_owned()));
+        tokens
+    }
+
+    /// Calls `f` on each token of `text`, in order — the one tokenizing
+    /// loop behind [`Tokenizer::tokenize`], for callers that copy tokens
+    /// somewhere cheaper than one `String` each.
+    ///
+    /// With `lowercase` on, `text` is lower-cased into `buf` (reused across
+    /// calls) and each token is a slice of `buf`; otherwise a slice of
+    /// `text`. The characters are walked once: a `.` or `,` joins the
+    /// current token when the token's last character and the next
+    /// character are ASCII digits. `min_len` counts characters.
+    pub fn for_each_token(&self, text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+        let source: &str = if !self.lowercase {
+            text
+        } else if text.is_ascii() {
+            buf.clear();
+            buf.push_str(text);
+            buf.make_ascii_lowercase();
+            buf
+        } else {
+            // `str::to_lowercase` knows the context rules (a word-final
+            // `Σ` becomes `ς`) that per-character lowering does not.
+            *buf = text.to_lowercase();
+            buf
+        };
+        let mut emit = |token: &str, n_chars: usize| {
+            if n_chars >= self.min_len && !(self.remove_stopwords && stopwords::is_stopword(token))
+            {
+                f(token);
+            }
+        };
+        // The current token: its byte start, character count, last char.
+        let mut start = None;
+        let (mut n_chars, mut last) = (0usize, '\0');
+        let mut chars = source.char_indices().peekable();
+        while let Some((i, c)) = chars.next() {
             let digit_separator = (c == '.' || c == ',')
-                && !cur.is_empty()
-                && cur.chars().last().is_some_and(|p| p.is_ascii_digit())
-                && chars.get(i + 1).is_some_and(|n| n.is_ascii_digit());
+                && start.is_some()
+                && last.is_ascii_digit()
+                && chars.peek().is_some_and(|&(_, next)| next.is_ascii_digit());
             if c.is_alphanumeric() || digit_separator {
-                cur.push(c);
-            } else if !cur.is_empty() {
-                tokens.push(std::mem::take(&mut cur));
+                if start.is_none() {
+                    start = Some(i);
+                    n_chars = 0;
+                }
+                n_chars += 1;
+                last = c;
+            } else if let Some(s) = start.take() {
+                emit(&source[s..i], n_chars);
             }
         }
-        if !cur.is_empty() {
-            tokens.push(cur);
+        if let Some(s) = start {
+            emit(&source[s..], n_chars);
         }
-        tokens.retain(|t| {
-            t.chars().count() >= self.min_len
-                && !(self.remove_stopwords && stopwords::is_stopword(t))
-        });
-        tokens
     }
 
     /// Tokenizes each attribute value separately, returning one token list
@@ -87,6 +121,71 @@ impl Tokenizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The char-vector tokenizer that [`Tokenizer::for_each_token`]
+    /// replaced, kept as the reference it must reproduce.
+    fn tokenize_reference(t: &Tokenizer, text: &str) -> Vec<String> {
+        let source: String = if t.lowercase {
+            text.to_lowercase()
+        } else {
+            text.to_string()
+        };
+        let chars: Vec<char> = source.chars().collect();
+        let mut tokens = Vec::new();
+        let mut cur = String::new();
+        for (i, &c) in chars.iter().enumerate() {
+            let digit_separator = (c == '.' || c == ',')
+                && !cur.is_empty()
+                && cur.chars().last().is_some_and(|p| p.is_ascii_digit())
+                && chars.get(i + 1).is_some_and(|n| n.is_ascii_digit());
+            if c.is_alphanumeric() || digit_separator {
+                cur.push(c);
+            } else if !cur.is_empty() {
+                tokens.push(std::mem::take(&mut cur));
+            }
+        }
+        if !cur.is_empty() {
+            tokens.push(cur);
+        }
+        tokens.retain(|tok| {
+            tok.chars().count() >= t.min_len && !(t.remove_stopwords && stopwords::is_stopword(tok))
+        });
+        tokens
+    }
+
+    /// Text fragments glued together without separators, so digits meet
+    /// `.` and `,` on either side and words meet punctuation and
+    /// non-ASCII letters: a word-final `Σ`, `İ` (which lower-cases to two
+    /// chars), `ß`, a ligature, combining marks and non-Latin digits.
+    fn text() -> impl Strategy<Value = String> {
+        let fragments: Vec<&str> = "Sony|camera|THE|a|with|Of|x|dslra200w|37|4|1|000|.|,|.5|1,000|\
+            42.| |  |-|/|(|)|!|\t|ΣΟΦΙΑΣ|Σ|σ|ΌΣΟΣ|İstanbul|İ|straße|ß|ﬁne|e\u{301}|\u{301}|Café|\
+            Zürich|٣|日本|ǅ"
+            .split('|')
+            .collect();
+        prop::collection::vec(prop::sample::select(fragments), 0..24).prop_map(|f| f.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn one_loop_matches_the_char_vector_tokenizer(s in text()) {
+            let mut buf = String::from("stale contents");
+            for lowercase in [true, false] {
+                for remove_stopwords in [true, false] {
+                    for min_len in 1..=3 {
+                        let t = Tokenizer { lowercase, remove_stopwords, min_len };
+                        let want = tokenize_reference(&t, &s);
+                        prop_assert_eq!(&t.tokenize(&s), &want, "{:?}", t);
+                        let mut got = Vec::new();
+                        t.for_each_token(&s, &mut buf, |tok| got.push(tok.to_string()));
+                        prop_assert_eq!(&got, &want, "{:?}", t);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn splits_on_punctuation_and_lowercases() {

@@ -49,7 +49,9 @@
 # results/smoke_hostile_* (a snapshot whose windows section declares a
 # 10^12-frame ring, one whose histogram bounds decrease, and 100,000
 # nested '[') must make `obs_diff` exit 2 (a file error) and `wym obs
-# flight` exit 1, and `wym classify` of a T-AB CSV with the S-FZ smoke
+# flight` exit 1, `wym apply` of the smoke's own `wym train --model` JSON
+# edited to hashed dim 0 and to dim 32 must exit 1 with an error naming
+# the dimension, and `wym classify` of a T-AB CSV with the S-FZ smoke
 # model must exit 1 with an error naming both attribute lists — never
 # abort or panic, or (n) the smoke run changed a tracked file: it
 # fingerprints `git diff HEAD --binary` at its start and at its end and
@@ -497,6 +499,35 @@ if [ "${1:-}" = "--smoke" ]; then
     cat results/smoke_hostile.log >&2
     exit 1
   fi
+  # Model files are outside bytes too. Two edits of a JSON model from
+  # `wym train --model`: hashed dim 0 (it used to load, then divide by
+  # zero on the first token) and dim 32 (the 64 × 64 projection and the
+  # 128-input scorer no longer fit it). `wym apply` must refuse both with
+  # an error naming the dimension (exit 1), never panic (exit 101).
+  SMOKE_JSON_MODEL=results/smoke_model.json
+  if ! ./target/release/wym train --data "$SMOKE_DATA" --model "$SMOKE_JSON_MODEL" \
+      --epochs 4 > results/smoke_train_json.log 2>&1; then
+    echo "SMOKE FAILED: wym train --model" >&2
+    cat results/smoke_train_json.log >&2
+    exit 1
+  fi
+  for dim in 0 32; do
+    HOSTILE_MODEL="results/smoke_hostile_model_dim${dim}.json"
+    sed "s/\"hashed\":{\"dim\":64,/\"hashed\":{\"dim\":${dim},/" "$SMOKE_JSON_MODEL" \
+      > "$HOSTILE_MODEL"
+    if cmp -s "$SMOKE_JSON_MODEL" "$HOSTILE_MODEL"; then
+      echo "SMOKE FAILED: $SMOKE_JSON_MODEL has no 64-d hashed embedder to edit" >&2
+      exit 1
+    fi
+    ./target/release/wym apply --model "$HOSTILE_MODEL" --data "$SMOKE_DATA" \
+      > /dev/null 2> results/smoke_hostile.log
+    RC=$?
+    if [ "$RC" -ne 1 ] || ! grep -qE "dim.*\b${dim}\b" results/smoke_hostile.log; then
+      echo "SMOKE FAILED: wym apply exited $RC on $HOSTILE_MODEL (want 1, naming dim $dim)" >&2
+      cat results/smoke_hostile.log >&2
+      exit 1
+    fi
+  done
   # Flight-recorder gate (DESIGN.md §15). Three drills: (1) a run with an
   # injected panic in score_train must die nonzero AND leave a post-mortem
   # dump pair whose Chrome trace parses via `wym obs flight` and names the

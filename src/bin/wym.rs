@@ -579,6 +579,9 @@ fn run(args: &Args) -> Result<(), String> {
                 .map_err(|e| format!("cannot read {model_path}: {e}"))?;
             let saved: SavedWymModel = serde_json::from_slice(&bytes)
                 .map_err(|e| format!("cannot parse model: {e}"))?;
+            saved
+                .check_shapes()
+                .map_err(|e| format!("unusable model {model_path}: {e}"))?;
             let model = WymModel::from_saved(saved);
             let dataset = load(args.require("data")?)?;
             check_schema(&dataset.schema.attributes, model.attr_names())?;

@@ -481,6 +481,51 @@ fn discovery_reproduces_golden_units() {
     );
 }
 
+/// Golden text layers: the FNV-1a over every token of every attribute
+/// value of the 12 synthetic datasets (seed 7, both sides of every pair;
+/// 2,774,965 tokens), each followed by the bits of its 64-d static vector.
+/// Recorded with the char-vector tokenizer and the string-building n-gram
+/// hasher that the byte paths replaced. A token's vector is a pure
+/// function of the token, so each distinct token is embedded once.
+#[test]
+fn text_layers_reproduce_golden_tokens_and_vectors() {
+    use std::collections::HashMap;
+    let tok = wym::tokenize::Tokenizer::default();
+    let emb = Embedder::new_static(64, 7);
+    let mut fnv = 0xCBF2_9CE4_8422_2325u64;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            fnv = (fnv ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    let mut vector_bytes: HashMap<String, Vec<u8>> = HashMap::new();
+    let mut n_tokens = 0usize;
+    for cfg in magellan::all_configs() {
+        let dataset = magellan::generate_by_name(cfg.name, 7).unwrap();
+        for pair in &dataset.pairs {
+            for value in pair.left.values.iter().chain(&pair.right.values) {
+                for token in tok.tokenize(value) {
+                    feed(&(token.len() as u64).to_le_bytes());
+                    feed(token.as_bytes());
+                    let bits = vector_bytes.entry(token).or_insert_with_key(|t| {
+                        emb.embed_token_static(t)
+                            .iter()
+                            .flat_map(|x| x.to_bits().to_le_bytes())
+                            .collect()
+                    });
+                    feed(bits);
+                    n_tokens += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(
+        (n_tokens, fnv),
+        (2_774_965, 0xced9_2faa_e8df_db97),
+        "tokens or static vectors changed: {n_tokens} tokens, fnv {fnv:016x}"
+    );
+}
+
 /// One shared fitted model for the `process_batch` equivalence properties —
 /// fitting is the expensive part and its determinism is covered by the
 /// end-to-end suite, so fit once and probe `process_batch` against it.
