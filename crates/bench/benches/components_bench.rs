@@ -311,6 +311,68 @@ fn bench(c: &mut Criterion) {
         // The scorer's inference forward at one explained record's units.
         let x25 = Matrix::randn(25, 128, 1.0, &mut rng);
         g.bench_function("scorer_predict_25", |bch| bch.iter(|| mlp.predict(&x25)));
+        // The Siamese embedder's training at its default shape: 300 pairs
+        // of 64-d unit vectors (half matches, half unrelated), 10 epochs.
+        let unit = |rng: &mut Rng64| {
+            let mut v: Vec<f32> = (0..64).map(|_| rng.normal() as f32).collect();
+            wym_linalg::vector::normalize(&mut v);
+            v
+        };
+        let pairs: Vec<(Vec<f32>, Vec<f32>, bool)> = (0..300)
+            .map(|i| {
+                let left = unit(&mut rng);
+                let right = if i % 2 == 0 {
+                    let mut near: Vec<f32> =
+                        left.iter().map(|v| v + 0.2 * rng.normal() as f32).collect();
+                    wym_linalg::vector::normalize(&mut near);
+                    near
+                } else {
+                    unit(&mut rng)
+                };
+                (left, right, i % 2 == 0)
+            })
+            .collect();
+        let siamese = wym_nn::SiameseConfig::default();
+        g.bench_function("siamese_train", |bch| {
+            bch.iter(|| wym_nn::SiameseProjection::new(64, &siamese).train(&pairs, &siamese))
+        });
+        g.finish();
+    }
+
+    // The classifier pool at the `fit` workload's pool-input shape: 60
+    // training rows × 81 engineered features, most of them count-like
+    // columns full of ties (the rest quarter steps), plus 20 validation
+    // rows for the selection.
+    {
+        let mut g = c.benchmark_group("pool");
+        let mut rng = Rng64::new(81);
+        let mut pool_rows = |n: usize| {
+            let mut x = Matrix::zeros(0, 81);
+            let mut y = Vec::with_capacity(n);
+            for _ in 0..n {
+                let row: Vec<f32> = (0..81)
+                    .map(|j| match j % 3 {
+                        0 | 1 => rng.gen_range(2 + j % 5) as f32,
+                        _ => rng.gen_range(9) as f32 * 0.25 - 1.0,
+                    })
+                    .collect();
+                let score = row[0] + row[2] - row[3] + 2.0 * row[5];
+                y.push(u8::from(score + rng.normal() as f32 > 2.0));
+                x.push_row(&row);
+            }
+            (x, y)
+        };
+        let (x, y) = pool_rows(60);
+        let (xv, yv) = pool_rows(20);
+        use wym_ml::Classifier;
+        g.bench_function("gbm_fit", |bch| {
+            bch.iter(|| wym_ml::boost::GradientBoosting::new(7).fit(&x, &y))
+        });
+        g.bench_function("adaboost_fit", |bch| {
+            bch.iter(|| wym_ml::boost::AdaBoost::new(7).fit(&x, &y))
+        });
+        let pool = wym_ml::ClassifierPool { seed: 7, n_threads: 1, ..Default::default() };
+        g.bench_function("fit_select", |bch| bch.iter(|| pool.fit_select(&x, &y, &xv, &yv).val_f1));
         g.finish();
     }
 

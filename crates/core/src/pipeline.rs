@@ -219,15 +219,16 @@ pub struct SavedWymModel {
 }
 
 impl SavedWymModel {
-    /// Checks that the snapshot's weights fit its embedding dimension, with
-    /// the checks [`crate::state::WymModelState::into_model`] runs on an
-    /// artifact, so an edited or foreign model file is refused before it
-    /// runs.
+    /// Checks that the snapshot's weights fit its embedding dimension and
+    /// its matcher's classifier fits its features, with the checks
+    /// [`crate::state::WymModelState::into_model`] runs on an artifact, so
+    /// an edited or foreign model file is refused before it runs.
     pub fn check_shapes(&self) -> Result<(), String> {
         crate::state::check_shapes(
             self.embedder.dim(),
             self.scorer.model().map(Mlp::layers),
             self.embedder.projection().map(SiameseProjection::matrix),
+            &self.matcher,
         )
     }
 }

@@ -162,6 +162,7 @@ impl WymModelState {
             head.embedder.hashed.dim(),
             layers.as_ref().map(|(layers, _)| layers.as_slice()),
             projection.as_ref(),
+            &head.matcher,
         )?;
         let scorer_model = layers.map(|(layers, loss)| Mlp::from_parts(layers, loss));
         let projection = projection.map(SiameseProjection::from_matrix);
@@ -181,13 +182,17 @@ impl WymModelState {
 /// the offending tensor: the scorer's layers chain, its first layer reads
 /// one `[mean | |diff|]` row of two embeddings per unit (`2 × dim`
 /// inputs) and its last emits one relevance logit, and a trained
-/// projection is `dim × dim`. Both model formats run this one check before
-/// a model is built: [`WymModelState::into_model`] for artifacts and
-/// [`SavedWymModel::check_shapes`] for JSON snapshots.
+/// projection is `dim × dim`. The matcher's scaler and selected
+/// classifier must read its feature specs' width, and the classifier must
+/// predict without panicking or looping (see [`wym_ml::AnyClassifier::check`]);
+/// those errors name the field. Both model formats run this one check
+/// before a model is built: [`WymModelState::into_model`] for artifacts
+/// and [`SavedWymModel::check_shapes`] for JSON snapshots.
 pub(crate) fn check_shapes(
     dim: usize,
     scorer: Option<&[Dense]>,
     projection: Option<&Matrix>,
+    matcher: &SavedMatcher,
 ) -> Result<(), String> {
     if let Some(layers) = scorer {
         let (Some(first), Some(last)) = (layers.first(), layers.last()) else {
@@ -235,7 +240,17 @@ pub(crate) fn check_shapes(
             ));
         }
     }
-    Ok(())
+    let n_features = matcher.specs.len();
+    let scaler = &matcher.selected.scaler;
+    for (field, len) in [("mean", scaler.means().len()), ("std", scaler.scales().len())] {
+        if len != n_features {
+            return Err(format!(
+                "`matcher.selected.scaler.{field}.len()` is {len}, expected {n_features} \
+                 (one per feature spec)"
+            ));
+        }
+    }
+    matcher.selected.model.check("matcher.selected.model", n_features)
 }
 
 impl WymModelHead {
@@ -254,13 +269,16 @@ mod tests {
     use wym_nn::TrainConfig;
 
     fn fitted(kind: EmbedderKind) -> WymModel {
+        fitted_with(kind, vec![ClassifierKind::LogisticRegression, ClassifierKind::DecisionTree])
+    }
+
+    fn fitted_with(kind: EmbedderKind, classifiers: Vec<ClassifierKind>) -> WymModel {
         let dataset = magellan::generate_by_name("S-FZ", 42).unwrap().subsample(120, 0);
         let split = paper_split(&dataset, 0);
         let mut cfg = WymConfig { embed_dim: 24, embedder_kind: kind, ..Default::default() };
         cfg.scorer.train =
             TrainConfig { epochs: 4, batch_size: 128, lr: 2e-3, ..Default::default() };
-        cfg.matcher.kinds =
-            vec![ClassifierKind::LogisticRegression, ClassifierKind::DecisionTree];
+        cfg.matcher.kinds = classifiers;
         WymModel::fit(&dataset, &split, cfg)
     }
 
@@ -330,6 +348,38 @@ mod tests {
             .check_shapes()
             .expect_err("dim 12 does not fit the weights");
         assert!(err.contains("embedding dim 12"), "{err}");
+        assert!(model.to_saved().check_shapes().is_ok());
+    }
+
+    #[test]
+    fn malformed_classifier_snapshot_is_refused() {
+        let model = fitted_with(EmbedderKind::Static, vec![ClassifierKind::DecisionTree]);
+        let json = serde_json::to_string(&model.to_saved()).expect("serialize");
+        // The snapshot with the number after the first `prefix` set to
+        // `value`, checked: returns the error.
+        let refuse = |prefix: &str, value: &str| -> String {
+            let at = json.find(prefix).unwrap_or_else(|| panic!("no {prefix} in the snapshot"));
+            let start = at + prefix.len();
+            let len = json[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
+            let mut edited = json.clone();
+            edited.replace_range(start..start + len, value);
+            let saved: SavedWymModel = serde_json::from_str(&edited).expect("edit parses");
+            saved.check_shapes().expect_err("malformed classifier must be refused")
+        };
+        let tree = "`matcher.selected.model.Dt.tree";
+
+        // The root split's left child pointing back at the root used to
+        // make `predict_proba` loop forever.
+        assert!(json.contains(r#""nodes":[{"Split":"#), "the tree's root is a split");
+        let err = refuse(r#""left":"#, "0");
+        assert!(err.contains(&format!("{tree}.nodes[0].left` is 0")), "{err}");
+        let err = refuse(r#""right":"#, "99999");
+        assert!(err.contains(".right` is 99999"), "{err}");
+        let err = refuse(r#"{"Split":{"feature":"#, "4096");
+        assert!(err.contains(&format!("{tree}.nodes[0].feature` is 4096")), "{err}");
+        let n = model.matcher().specs().len();
+        let err = refuse(r#""n_features":"#, &(n + 1).to_string());
+        assert!(err.contains(&format!("{tree}.n_features` is {}, expected {n}", n + 1)), "{err}");
         assert!(model.to_saved().check_shapes().is_ok());
     }
 

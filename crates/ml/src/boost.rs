@@ -1,7 +1,7 @@
 //! Boosted ensembles: AdaBoost over stumps and gradient boosting.
 
-use crate::tree::{Tree, TreeParams};
-use crate::{apply_signs, label_correlations, Classifier, ClassifierKind};
+use crate::tree::{SortedColumns, Tree, TreeParams};
+use crate::{apply_signs, check_eq, label_correlations, Classifier, ClassifierKind};
 use serde::{Deserialize, Serialize};
 use wym_linalg::{Matrix, Rng64};
 
@@ -52,20 +52,53 @@ impl AdaBoost {
         Self { rounds: 50, seed, stumps: Vec::new(), signs: Vec::new(), n_features: 0 }
     }
 
+    /// See [`crate::AnyClassifier::check`].
+    pub(crate) fn check(&self, field: &str, n_features: usize) -> Result<(), String> {
+        check_eq(&format!("{field}.n_features"), self.n_features, n_features)?;
+        check_eq(&format!("{field}.signs.len()"), self.signs.len(), n_features)?;
+        if self.stumps.is_empty() {
+            return Err(format!("`{field}.stumps` is empty"));
+        }
+        match self.stumps.iter().position(|s| s.feature >= n_features) {
+            Some(i) => Err(format!(
+                "`{field}.stumps[{i}].feature` is {}, expected below {n_features}",
+                self.stumps[i].feature
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The row order [`AdaBoost::best_stump`] scans for each feature:
+    /// feature 0's is the identity sorted stably by `total_cmp`, and each
+    /// further feature's is the previous one sorted stably again, so ties
+    /// keep the previous feature's order. It depends on `x` alone; a fit
+    /// computes it once for all its rounds. Flat: feature `f`'s rows are
+    /// `[f * rows..][..rows]`.
+    fn feature_orders(x: &Matrix) -> Vec<usize> {
+        let n = x.rows();
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut orders = Vec::with_capacity(n * x.cols());
+        for f in 0..x.cols() {
+            order.sort_by(|&a, &b| x[(a, f)].total_cmp(&x[(b, f)]));
+            orders.extend_from_slice(&order);
+        }
+        orders
+    }
+
     /// Weighted error-minimizing stump over all features and thresholds.
     ///
-    /// For each feature, sorting the values lets the weighted error of every
+    /// For each feature, walking the rows in sorted order (`orders`, from
+    /// [`AdaBoost::feature_orders`]) lets the weighted error of every
     /// threshold be computed in one scan: start from "predict all +1"
     /// (error = Σ w over negatives) and flip samples as the threshold passes
     /// them.
-    fn best_stump(x: &Matrix, targets: &[f32], w: &[f32]) -> Stump {
+    fn best_stump(x: &Matrix, orders: &[usize], targets: &[f32], w: &[f32]) -> Stump {
         let n = targets.len();
         let mut best =
             Stump { feature: 0, threshold: f32::NEG_INFINITY, polarity: 1.0, alpha: 0.0 };
         let mut best_err = f32::INFINITY;
-        let mut order: Vec<usize> = (0..n).collect();
         for f in 0..x.cols() {
-            order.sort_by(|&a, &b| x[(a, f)].total_cmp(&x[(b, f)]));
+            let order = &orders[f * n..][..n];
             // err(+1 side right of threshold): threshold below all values
             // means everything predicted +1.
             let mut err_pos: f32 = (0..n).filter(|&i| targets[i] < 0.0).map(|i| w[i]).sum();
@@ -113,8 +146,9 @@ impl Classifier for AdaBoost {
         self.stumps.clear();
         let targets: Vec<f32> = y.iter().map(|&v| if v == 1 { 1.0 } else { -1.0 }).collect();
         let mut w = vec![1.0 / n as f32; n];
+        let orders = Self::feature_orders(x);
         for _ in 0..self.rounds {
-            let mut stump = Self::best_stump(x, &targets, &w);
+            let mut stump = Self::best_stump(x, &orders, &targets, &w);
             let mut err: f32 = 0.0;
             let preds: Vec<f32> = x.iter_rows().map(|r| stump.predict_one(r)).collect();
             for i in 0..n {
@@ -217,6 +251,15 @@ impl GradientBoosting {
     }
 }
 
+impl GradientBoosting {
+    /// See [`crate::AnyClassifier::check`].
+    pub(crate) fn check(&self, field: &str, n_features: usize) -> Result<(), String> {
+        check_eq(&format!("{field}.n_features"), self.n_features, n_features)?;
+        check_eq(&format!("{field}.signs.len()"), self.signs.len(), n_features)?;
+        Tree::check_all(&format!("{field}.trees"), &self.trees, n_features)
+    }
+}
+
 impl Classifier for GradientBoosting {
     fn fit(&mut self, x: &Matrix, y: &[u8]) {
         assert_eq!(x.rows(), y.len(), "x / y length mismatch");
@@ -239,11 +282,13 @@ impl Classifier for GradientBoosting {
         };
         let mut rng = Rng64::new(self.seed);
         let mut residual = vec![0.0f32; n];
+        // Every round's tree splits the same matrix: sort it once.
+        let sorted = SortedColumns::new(x);
         for _ in 0..self.rounds {
             for i in 0..n {
                 residual[i] = y[i] as f32 - sigmoid(f[i]);
             }
-            let tree = Tree::fit(x, &residual, &idx, &params, &mut rng);
+            let tree = Tree::fit_sorted(&sorted, &residual, &idx, &params, &mut rng);
             let update = tree.predict(x);
             for i in 0..n {
                 f[i] += self.learning_rate * update[i];
@@ -286,6 +331,80 @@ impl Classifier for GradientBoosting {
 mod tests {
     use super::*;
     use crate::test_data::{blobs, single_feature, xor};
+
+    /// The stump search before [`AdaBoost::feature_orders`]: every call
+    /// chains its stable sorts from the identity. Kept as the reference.
+    fn reference_best_stump(x: &Matrix, targets: &[f32], w: &[f32]) -> Stump {
+        let n = targets.len();
+        let mut best =
+            Stump { feature: 0, threshold: f32::NEG_INFINITY, polarity: 1.0, alpha: 0.0 };
+        let mut best_err = f32::INFINITY;
+        let mut order: Vec<usize> = (0..n).collect();
+        for f in 0..x.cols() {
+            order.sort_by(|&a, &b| x[(a, f)].total_cmp(&x[(b, f)]));
+            let mut err_pos: f32 = (0..n).filter(|&i| targets[i] < 0.0).map(|i| w[i]).sum();
+            let mut eval = |err_pos: f32, thr: f32| {
+                if err_pos < best_err {
+                    best_err = err_pos;
+                    best = Stump { feature: f, threshold: thr, polarity: 1.0, alpha: 0.0 };
+                }
+                let err_neg = 1.0 - err_pos;
+                if err_neg < best_err {
+                    best_err = err_neg;
+                    best = Stump { feature: f, threshold: thr, polarity: -1.0, alpha: 0.0 };
+                }
+            };
+            eval(err_pos, x[(order[0], f)] - 1.0);
+            for k in 0..n {
+                let i = order[k];
+                if targets[i] > 0.0 {
+                    err_pos += w[i];
+                } else {
+                    err_pos -= w[i];
+                }
+                let v = x[(i, f)];
+                let next = if k + 1 < n { x[(order[k + 1], f)] } else { v + 1.0 };
+                if next > v + 1e-12 {
+                    eval(err_pos, 0.5 * (v + next));
+                }
+            }
+        }
+        best
+    }
+
+    /// The stumps searched over orders computed once per fit are the
+    /// reference's, bit for bit, on a tie-heavy matrix (count columns,
+    /// `±0.0`, repeated rows) under many weightings.
+    #[test]
+    fn fixed_orders_match_the_reference_stump_search() {
+        let mut rng = wym_linalg::Rng64::new(23);
+        let (n, d) = (40, 6);
+        let mut x = Matrix::zeros(0, d);
+        for i in 0..n {
+            let row: Vec<f32> = if i >= 30 {
+                x.row(i - 30).to_vec()
+            } else {
+                (0..d)
+                    .map(|j| match j % 2 {
+                        0 => rng.gen_range(3) as f32,
+                        _ => [-1.0, -0.0, 0.0, 1.0][rng.gen_range(4)],
+                    })
+                    .collect()
+            };
+            x.push_row(&row);
+        }
+        let targets: Vec<f32> =
+            (0..n).map(|_| if rng.gen_range(2) == 1 { 1.0 } else { -1.0 }).collect();
+        let orders = AdaBoost::feature_orders(&x);
+        let bits = |s: Stump| (s.feature, s.threshold.to_bits(), s.polarity.to_bits());
+        for _ in 0..50 {
+            let mut w: Vec<f32> = (0..n).map(|_| rng.gen_f32() + 0.01).collect();
+            let total: f32 = w.iter().sum();
+            w.iter_mut().for_each(|wi| *wi /= total);
+            let got = AdaBoost::best_stump(&x, &orders, &targets, &w);
+            assert_eq!(bits(got), bits(reference_best_stump(&x, &targets, &w)));
+        }
+    }
 
     #[test]
     fn adaboost_learns_blobs() {

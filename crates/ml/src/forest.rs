@@ -1,7 +1,7 @@
 //! Bagged tree ensembles: Random Forest and Extra Trees.
 
-use crate::tree::{Tree, TreeParams};
-use crate::{apply_signs, label_correlations, Classifier, ClassifierKind};
+use crate::tree::{SortedColumns, Tree, TreeParams};
+use crate::{apply_signs, check_eq, label_correlations, Classifier, ClassifierKind};
 use serde::{Deserialize, Serialize};
 use wym_linalg::{Matrix, Rng64};
 
@@ -44,6 +44,7 @@ impl Ensemble {
         };
         let mut rng = Rng64::new(seed);
         let mut trees = Vec::with_capacity(params.n_trees);
+        let sorted = SortedColumns::new(x);
         for t in 0..params.n_trees {
             let mut tree_rng = rng.fork(t as u64);
             let idx: Vec<usize> = if params.bootstrap {
@@ -51,9 +52,18 @@ impl Ensemble {
             } else {
                 (0..n).collect()
             };
-            trees.push(Tree::fit(x, &yf, &idx, &tree_params, &mut tree_rng));
+            trees.push(Tree::fit_sorted(&sorted, &yf, &idx, &tree_params, &mut tree_rng));
         }
         Self { trees, signs: label_correlations(x, y), n_features: d }
+    }
+
+    /// See [`crate::AnyClassifier::check`]; `field` names the model.
+    fn check(ensemble: Option<&Self>, field: &str, n_features: usize) -> Result<(), String> {
+        let e = ensemble.ok_or_else(|| format!("`{field}.ensemble` is missing"))?;
+        let field = format!("{field}.ensemble");
+        check_eq(&format!("{field}.n_features"), e.n_features, n_features)?;
+        check_eq(&format!("{field}.signs.len()"), e.signs.len(), n_features)?;
+        Tree::check_all(&format!("{field}.trees"), &e.trees, n_features)
     }
 
     fn predict_proba(&self, x: &Matrix) -> Vec<f32> {
@@ -109,6 +119,13 @@ impl RandomForest {
     }
 }
 
+impl RandomForest {
+    /// See [`crate::AnyClassifier::check`].
+    pub(crate) fn check(&self, field: &str, n_features: usize) -> Result<(), String> {
+        Ensemble::check(self.ensemble.as_ref(), field, n_features)
+    }
+}
+
 impl Classifier for RandomForest {
     fn fit(&mut self, x: &Matrix, y: &[u8]) {
         self.ensemble = Some(Ensemble::fit(x, y, &self.params, self.seed));
@@ -155,6 +172,13 @@ impl ExtraTrees {
             seed,
             ensemble: None,
         }
+    }
+}
+
+impl ExtraTrees {
+    /// See [`crate::AnyClassifier::check`].
+    pub(crate) fn check(&self, field: &str, n_features: usize) -> Result<(), String> {
+        Ensemble::check(self.ensemble.as_ref(), field, n_features)
     }
 }
 

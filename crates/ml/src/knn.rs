@@ -1,6 +1,6 @@
 //! K-nearest-neighbors classifier (brute force).
 
-use crate::{apply_signs, label_correlations, Classifier, ClassifierKind};
+use crate::{apply_signs, check_eq, label_correlations, Classifier, ClassifierKind};
 use serde::{Deserialize, Serialize};
 use wym_linalg::vector::dist_sq;
 use wym_linalg::Matrix;
@@ -21,6 +21,21 @@ pub struct KNearestNeighbors {
 impl Default for KNearestNeighbors {
     fn default() -> Self {
         Self { k: 5, train_x: Matrix::zeros(0, 0), train_y: Vec::new(), signs: Vec::new() }
+    }
+}
+
+impl KNearestNeighbors {
+    /// See [`crate::AnyClassifier::check`].
+    pub(crate) fn check(&self, field: &str, n_features: usize) -> Result<(), String> {
+        let (rows, cols) = self.train_x.shape();
+        if cols != n_features || self.train_x.as_slice().len() != rows * cols {
+            return Err(format!("`{field}.train_x` is not a {rows} × {n_features} matrix"));
+        }
+        if rows == 0 {
+            return Err(format!("`{field}.train_x` holds no training rows"));
+        }
+        check_eq(&format!("{field}.train_y.len()"), self.train_y.len(), rows)?;
+        check_eq(&format!("{field}.signs.len()"), self.signs.len(), n_features)
     }
 }
 

@@ -144,6 +144,16 @@ pub(crate) fn apply_signs(importance: &[f32], signs: &[f32]) -> Vec<f32> {
     importance.iter().zip(signs).map(|(m, s)| m * s.signum()).collect()
 }
 
+/// `Err` naming `field` unless its value `got` is `want`: the width
+/// checks of [`AnyClassifier::check`].
+pub(crate) fn check_eq(field: &str, got: usize, want: usize) -> Result<(), String> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(format!("`{field}` is {got}, expected {want}"))
+    }
+}
+
 /// Point-biserial correlation of each feature with the binary label,
 /// used as the sign source for models without native coefficients.
 pub(crate) fn label_correlations(x: &Matrix, y: &[u8]) -> Vec<f32> {

@@ -1,6 +1,6 @@
 //! Gaussian Naive Bayes.
 
-use crate::{apply_signs, label_correlations, Classifier, ClassifierKind};
+use crate::{apply_signs, check_eq, label_correlations, Classifier, ClassifierKind};
 use serde::{Deserialize, Serialize};
 use wym_linalg::Matrix;
 
@@ -13,6 +13,17 @@ pub struct GaussianNaiveBayes {
     var: [Vec<f32>; 2],
     log_prior: [f32; 2],
     signs: Vec<f32>,
+}
+
+impl GaussianNaiveBayes {
+    /// See [`crate::AnyClassifier::check`].
+    pub(crate) fn check(&self, field: &str, n_features: usize) -> Result<(), String> {
+        for c in 0..2 {
+            check_eq(&format!("{field}.mean[{c}].len()"), self.mean[c].len(), n_features)?;
+            check_eq(&format!("{field}.var[{c}].len()"), self.var[c].len(), n_features)?;
+        }
+        check_eq(&format!("{field}.signs.len()"), self.signs.len(), n_features)
+    }
 }
 
 impl Classifier for GaussianNaiveBayes {

@@ -57,6 +57,31 @@ impl AnyClassifier {
         }
     }
 
+    /// Checks a deserialized snapshot (named `field` in errors) before it
+    /// predicts for a matcher of `n_features` engineered features: every
+    /// width is `n_features`, every feature index is below it, every tree
+    /// has nodes whose splits point to later nodes inside the list, and
+    /// GBM and the forests hold at least one tree and AdaBoost at least
+    /// one stump. A snapshot that passes predicts without panicking or
+    /// looping.
+    pub fn check(&self, field: &str, n_features: usize) -> Result<(), String> {
+        let coef = |variant: &str, coef: Vec<f32>| {
+            crate::check_eq(&format!("{field}.{variant}.coef.len()"), coef.len(), n_features)
+        };
+        match self {
+            AnyClassifier::Lr(m) => coef("Lr", m.signed_importance()),
+            AnyClassifier::Lda(m) => coef("Lda", m.signed_importance()),
+            AnyClassifier::Svm(m) => coef("Svm", m.signed_importance()),
+            AnyClassifier::Knn(m) => m.check(&format!("{field}.Knn"), n_features),
+            AnyClassifier::Dt(m) => m.check(&format!("{field}.Dt"), n_features),
+            AnyClassifier::Nb(m) => m.check(&format!("{field}.Nb"), n_features),
+            AnyClassifier::Ab(m) => m.check(&format!("{field}.Ab"), n_features),
+            AnyClassifier::Gbm(m) => m.check(&format!("{field}.Gbm"), n_features),
+            AnyClassifier::Rf(m) => m.check(&format!("{field}.Rf"), n_features),
+            AnyClassifier::Et(m) => m.check(&format!("{field}.Et"), n_features),
+        }
+    }
+
     /// Rehydrates the snapshot into a boxed trait object.
     pub fn into_boxed(self) -> Box<dyn Classifier> {
         match self {

@@ -5,9 +5,10 @@
 //! using relu … trained with 40 epochs, 256 elements per batch, and a
 //! learning rate equal to 3·10⁻⁵" (§4.2). This crate implements exactly that
 //! kind of model from scratch: dense layers with manual backpropagation,
-//! MSE / binary-cross-entropy losses, SGD and Adam optimizers, a mini-batch
+//! MSE / binary-cross-entropy losses, the Adam optimizer, a mini-batch
 //! training loop, and the siamese contrastive trainer used by the
-//! SBERT-substitute embedding variant.
+//! SBERT-substitute embedding variant (which takes its plain SGD step in
+//! place on its projection; no separate SGD optimizer exists).
 
 pub mod activation;
 pub mod layer;

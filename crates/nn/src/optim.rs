@@ -1,4 +1,5 @@
-//! Optimizers: Adam (default, as used for the relevance scorer) and plain SGD.
+//! The Adam optimizer of the relevance scorer. (The siamese trainer takes
+//! its plain SGD step in place; see `siamese`.)
 
 use crate::layer::{Dense, DenseGrad};
 use serde::{Deserialize, Serialize};
@@ -110,19 +111,6 @@ impl AdamConfig {
     }
 }
 
-/// Plain SGD step (used by the siamese trainer, where Adam's adaptivity is
-/// unnecessary and determinism across refactors is more valuable).
-pub fn sgd_step(layers: &mut [Dense], grads: &[DenseGrad], lr: f32) {
-    for (layer, grad) in layers.iter_mut().zip(grads) {
-        for (w, g) in layer.w.as_mut_slice().iter_mut().zip(grad.dw.as_slice()) {
-            *w -= lr * g;
-        }
-        for (b, g) in layer.b.iter_mut().zip(&grad.db) {
-            *b -= lr * g;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,17 +150,5 @@ mod tests {
             adam.step(&mut layers, &[grad]);
         }
         assert!(layers[0].w[(0, 0)].abs() < 0.5, "decay should pull weight toward 0");
-    }
-
-    #[test]
-    fn sgd_step_moves_against_gradient() {
-        let mut rng = Rng64::new(2);
-        let mut layers = vec![Dense::new(1, 1, Activation::Identity, &mut rng)];
-        layers[0].w[(0, 0)] = 1.0;
-        layers[0].b[0] = 1.0;
-        let grad = DenseGrad { dw: Matrix::from_rows(&[&[2.0]]), db: vec![-4.0] };
-        sgd_step(&mut layers, &[grad], 0.5);
-        assert_eq!(layers[0].w[(0, 0)], 0.0);
-        assert_eq!(layers[0].b[0], 3.0);
     }
 }

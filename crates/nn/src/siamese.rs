@@ -8,9 +8,6 @@
 //! Initializing `P` near the identity means an untrained projection degrades
 //! gracefully to the static embeddings.
 
-use crate::layer::{Dense, DenseGrad};
-use crate::optim::sgd_step;
-use crate::Activation;
 use serde::{Deserialize, Serialize};
 use wym_linalg::{kernels, vector, Matrix, Rng64};
 
@@ -133,15 +130,10 @@ impl SiameseProjection {
         let mut rng = Rng64::new(config.seed ^ 0xDEAD_BEEF);
         let mut order: Vec<usize> = (0..pairs.len()).collect();
 
-        // Reuse Dense as the parameter container so sgd_step applies.
-        let mut layer = Dense {
-            w: self.p.clone(),
-            b: vec![0.0; dim],
-            activation: Activation::Identity,
-        };
-
-        // Both sides of a pair project in one two-row product.
+        // Both sides of a pair project in one two-row product; the
+        // buffers serve every pair.
         let (mut xy, mut uv) = (vec![0.0f32; 2 * dim], vec![0.0f32; 2 * dim]);
+        let mut d = vec![0.0f32; dim];
         let mut epoch_losses = Vec::with_capacity(config.epochs);
         for _ in 0..config.epochs {
             rng.shuffle(&mut order);
@@ -149,13 +141,14 @@ impl SiameseProjection {
             for &i in &order {
                 let (x, y, is_match) = &pairs[i];
                 debug_assert_eq!(x.len(), dim);
-                // u = Pᵀ… careful: project uses rows as input index, i.e.
                 // out = Σ_k v_k · row_k(P) = vᵀP, matching Dense's X·W.
                 xy[..dim].copy_from_slice(x);
                 xy[dim..].copy_from_slice(y);
-                vt_times(&layer.w, &xy, &mut uv);
+                vt_times(&self.p, &xy, &mut uv);
                 let (u, v) = uv.split_at(dim);
-                let mut d: Vec<f32> = u.iter().zip(v).map(|(a, b)| a - b).collect();
+                for ((di, a), b) in d.iter_mut().zip(u).zip(v) {
+                    *di = a - b;
+                }
                 let dist = vector::norm(&d);
                 let (loss, scale_u) = if *is_match {
                     // L = dist², dL/du = 2 d
@@ -172,21 +165,19 @@ impl SiameseProjection {
                     for di in &mut d {
                         *di *= scale_u;
                     }
-                    // dL/dP = x · dᵀ  +  y · (−d)ᵀ  (outer products).
-                    let mut dw = Matrix::zeros(dim, dim);
+                    // SGD on dL/dP = x · dᵀ  +  y · (−d)ᵀ (outer products),
+                    // one row of P at a time. `0.0 + g` is the gradient as
+                    // a zeroed buffer would hold it: a `-0.0` product
+                    // becomes `+0.0`, so a `-0.0` weight keeps its bits.
                     for (k, (&xk, &yk)) in x.iter().zip(y).enumerate() {
-                        let row = dw.row_mut(k);
-                        for (j, &dj) in d.iter().enumerate() {
-                            row[j] += xk * dj - yk * dj;
+                        for (w, &dj) in self.p.row_mut(k).iter_mut().zip(&d) {
+                            *w -= config.lr * (0.0 + (xk * dj - yk * dj));
                         }
                     }
-                    let grad = DenseGrad { dw, db: vec![0.0; dim] };
-                    sgd_step(std::slice::from_mut(&mut layer), &[grad], config.lr);
                 }
             }
             epoch_losses.push((total / pairs.len() as f64) as f32);
         }
-        self.p = layer.w;
         epoch_losses
     }
 }
@@ -210,6 +201,89 @@ fn vt_times(m: &Matrix, rows: &[f32], out: &mut [f32]) {
 mod tests {
     use super::*;
     use wym_linalg::vector::cosine;
+
+    /// The trainer before the in-place step: each step allocates a zeroed
+    /// `dim × dim` gradient, accumulates the outer products into it and
+    /// takes an SGD step on the weights (and on a zero bias nothing
+    /// reads). Kept as the reference the in-place step must reproduce.
+    fn reference_train(
+        p: &mut Matrix,
+        pairs: &[(Vec<f32>, Vec<f32>, bool)],
+        config: &SiameseConfig,
+    ) {
+        let dim = p.rows();
+        let mut rng = Rng64::new(config.seed ^ 0xDEAD_BEEF);
+        let mut order: Vec<usize> = (0..pairs.len()).collect();
+        let (mut xy, mut uv) = (vec![0.0f32; 2 * dim], vec![0.0f32; 2 * dim]);
+        for _ in 0..config.epochs {
+            rng.shuffle(&mut order);
+            for &i in &order {
+                let (x, y, is_match) = &pairs[i];
+                xy[..dim].copy_from_slice(x);
+                xy[dim..].copy_from_slice(y);
+                vt_times(p, &xy, &mut uv);
+                let (u, v) = uv.split_at(dim);
+                let mut d: Vec<f32> = u.iter().zip(v).map(|(a, b)| a - b).collect();
+                let dist = vector::norm(&d);
+                let scale_u = if *is_match {
+                    2.0
+                } else if dist < config.margin && dist > 1e-9 {
+                    -2.0 * (config.margin - dist) / dist
+                } else {
+                    0.0
+                };
+                if scale_u != 0.0 {
+                    for di in &mut d {
+                        *di *= scale_u;
+                    }
+                    let mut dw = Matrix::zeros(dim, dim);
+                    for (k, (&xk, &yk)) in x.iter().zip(y).enumerate() {
+                        let row = dw.row_mut(k);
+                        for (j, &dj) in d.iter().enumerate() {
+                            row[j] += xk * dj - yk * dj;
+                        }
+                    }
+                    for (w, g) in p.as_mut_slice().iter_mut().zip(dw.as_slice()) {
+                        *w -= config.lr * g;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The in-place step trains the reference's projection bit for bit on
+    /// random pairs whose coordinates include `±0.0` (so some gradient
+    /// products are `-0.0`), from a projection with `-0.0` weights.
+    #[test]
+    fn in_place_step_matches_the_reference_trainer() {
+        let mut rng = Rng64::new(5);
+        let dim = 6;
+        let coordinate = |rng: &mut Rng64| match rng.gen_range(4) {
+            0 => -0.0,
+            1 => 0.0,
+            _ => rng.normal() as f32,
+        };
+        let pairs: Vec<(Vec<f32>, Vec<f32>, bool)> = (0..40)
+            .map(|i| {
+                let x = (0..dim).map(|_| coordinate(&mut rng)).collect();
+                let y = (0..dim).map(|_| coordinate(&mut rng)).collect();
+                (x, y, i % 3 == 0)
+            })
+            .collect();
+        let mut p = Matrix::randn(dim, dim, 0.5, &mut rng);
+        for w in p.as_mut_slice().iter_mut().step_by(3) {
+            *w = -0.0;
+        }
+        let config = SiameseConfig { epochs: 4, ..SiameseConfig::default() };
+        let mut want = p.clone();
+        reference_train(&mut want, &pairs, &config);
+        let mut got = SiameseProjection::from_matrix(p);
+        got.train(&pairs, &config);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.matrix()), bits(&want));
+        let negative_zeros = want.as_slice().iter().filter(|v| v.to_bits() == 0x8000_0000).count();
+        assert!(negative_zeros > 0, "some `-0.0` weights must survive training");
+    }
 
     fn unit(v: Vec<f32>) -> Vec<f32> {
         let mut v = v;

@@ -51,9 +51,12 @@
 # nested '[') must make `obs_diff` exit 2 (a file error) and `wym obs
 # flight` exit 1, `wym apply` of the smoke's own `wym train --model` JSON
 # edited to hashed dim 0 and to dim 32 must exit 1 with an error naming
-# the dimension, and `wym classify` of a T-AB CSV with the S-FZ smoke
-# model must exit 1 with an error naming both attribute lists — never
-# abort or panic, or (n) the smoke run changed a tracked file: it
+# the dimension, the same JSON with its classifier replaced by a decision
+# tree whose root split points back at itself must make `wym apply` exit 1
+# naming the node under `timeout` (it used to predict forever), and `wym
+# classify` of a T-AB CSV with the S-FZ smoke model must exit 1 with an
+# error naming both attribute lists — never abort or panic, or (n) the
+# smoke run changed a tracked file: it
 # fingerprints `git diff HEAD --binary` at its start and at its end and
 # fails if the two differ (SKIP outside a git checkout), or (o) the
 # subset-results drill fails: `figure4 --datasets S-FZ --cap 40` without
@@ -63,9 +66,13 @@
 # WYM_KERNEL=auto and =scalar in a temporary directory so it cannot
 # replace any results/smoke_* file, must export span `fit` with count 2
 # (one per dataset) and a score checksum over both datasets — equal
-# across the two kernels, and not the S-FZ-only checksum. Every output it
-# writes is gitignored (results/smoke*, OBS_smoke*, OBS_blocking_smoke*,
-# model_*.wyma, ann_tables*.wyma, FLIGHT_*).
+# across the two kernels, and not the S-FZ-only checksum, or (q) a golden
+# test of `tests/perf_properties.rs` or `tests/learning_properties.rs`
+# (`cargo test --release ... golden`) fails under any explicitly
+# requestable kernel this host supports (scalar, avx2, avx512; the rest
+# SKIP, as in (j)): their constants must hold under every WYM_KERNEL.
+# Every output it writes is gitignored (results/smoke*, OBS_smoke*,
+# OBS_blocking_smoke*, model_*.wyma, ann_tables*.wyma, FLIGHT_*).
 #
 # --quick: the full suite at smoke scale. Each binary writes its results to
 # results/smoke_<exp>.json and its log to results/smoke_<exp>.log, so the
@@ -528,6 +535,30 @@ if [ "${1:-}" = "--smoke" ]; then
       exit 1
     fi
   done
+  # The selected classifier is outside bytes as well. The smoke model's
+  # LDA snapshot becomes a decision tree of the same width whose root
+  # split's left child is the root itself: predicting with it never
+  # returned. `wym apply` must refuse it naming the node (exit 1) well
+  # inside the timeout (exit 124).
+  HOSTILE_TREE=results/smoke_hostile_model_cyclic_tree.json
+  N_FEATURES=$(grep -o '"model":{"Lda":{[^}]*}}' "$SMOKE_JSON_MODEL" | grep -o '"coef":\[[^]]*\]' \
+    | tr -cd ',' | wc -c)
+  N_FEATURES=$((N_FEATURES + 1))
+  ZEROS=$(printf '0.0,%.0s' $(seq "$N_FEATURES") | sed 's/,$//')
+  CYCLIC="{\"Dt\":{\"params\":{\"max_depth\":12,\"min_samples_split\":2,\"min_samples_leaf\":1,\"max_features\":null,\"random_threshold\":false},\"tree\":{\"nodes\":[{\"Split\":{\"feature\":0,\"threshold\":0.5,\"left\":0,\"right\":1}},{\"Leaf\":{\"value\":1.0}}],\"importances\":[$ZEROS],\"n_features\":$N_FEATURES},\"signs\":[$ZEROS]}}"
+  sed "s/\"model\":{\"Lda\":{[^}]*}}/\"model\":$CYCLIC/" "$SMOKE_JSON_MODEL" > "$HOSTILE_TREE"
+  if ! grep -q '"left":0,' "$HOSTILE_TREE"; then
+    echo "SMOKE FAILED: $SMOKE_JSON_MODEL has no LDA classifier snapshot to replace" >&2
+    exit 1
+  fi
+  timeout 60 ./target/release/wym apply --model "$HOSTILE_TREE" --data "$SMOKE_DATA" \
+    > /dev/null 2> results/smoke_hostile.log
+  RC=$?
+  if [ "$RC" -ne 1 ] || ! grep -qF 'nodes[0].left' results/smoke_hostile.log; then
+    echo "SMOKE FAILED: wym apply exited $RC on $HOSTILE_TREE (want 1, naming nodes[0].left; 124 is the timeout)" >&2
+    cat results/smoke_hostile.log >&2
+    exit 1
+  fi
   # Flight-recorder gate (DESIGN.md §15). Three drills: (1) a run with an
   # injected panic in score_train must die nonzero AND leave a post-mortem
   # dump pair whose Chrome trace parses via `wym obs flight` and names the
@@ -644,6 +675,23 @@ if [ "${1:-}" = "--smoke" ]; then
     CK_DRILL=$CK_K
   done
   rm -rf "$DRILL_DIR"
+  # Golden constants under every kernel: the golden tests assert that
+  # their FNV constants hold under any WYM_KERNEL, so run them under each
+  # requestable backend this host supports.
+  for K in scalar avx2 avx512; do
+    KNAME=$K
+    [ "$K" = avx2 ] && KNAME=avx2_fma
+    if ! echo "$SUPPORTED_KERNELS" | grep -qx "$KNAME"; then
+      echo "=== smoke: golden tests WYM_KERNEL=$K — SKIP (unsupported) ==="
+      continue
+    fi
+    echo "=== smoke: golden tests (WYM_KERNEL=$K) ==="
+    if ! WYM_KERNEL=$K cargo test --release -q --test perf_properties \
+        --test learning_properties golden; then
+      echo "SMOKE FAILED: a golden test failed under WYM_KERNEL=$K" >&2
+      exit 1
+    fi
+  done
   # Clean-tree gate: every output above is gitignored, so the tracked
   # files must be exactly as the run found them.
   if [ -z "$TREE_START" ]; then
@@ -654,7 +702,7 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 1
   fi
   DISPATCHED=$(grep -oE '"kernel\.dispatch\.[a-z0-9_]+"' "$OBS_AUTO" | head -1)
-  echo "SMOKE OK: all stages traced, $DISPATCHED == scalar checksum $CK_AUTO, blocking checksum $BCK_AUTO (also at 3 threads), dev-scale blocking kept to smoke output, bad flag exit 2, artifact fnv $AFNV_AUTO, audit cksum $AUDIT_REF_CK, obs_diff clean ($OBS_AUTO, $OBS_SCALAR, $BLOCK_SCALAR, $OBS_DECISIONS), flight drills clean (panic, stall, chrome export), hostile files refused, subset run kept to smoke output, two-dataset trace exported fit x2 and checksum $CK_DRILL under auto and scalar, tracked files unchanged"
+  echo "SMOKE OK: all stages traced, $DISPATCHED == scalar checksum $CK_AUTO, blocking checksum $BCK_AUTO (also at 3 threads), dev-scale blocking kept to smoke output, bad flag exit 2, artifact fnv $AFNV_AUTO, audit cksum $AUDIT_REF_CK, obs_diff clean ($OBS_AUTO, $OBS_SCALAR, $BLOCK_SCALAR, $OBS_DECISIONS), flight drills clean (panic, stall, chrome export), hostile files refused, subset run kept to smoke output, two-dataset trace exported fit x2 and checksum $CK_DRILL under auto and scalar, golden tests pass under every supported kernel, tracked files unchanged"
   exit 0
 fi
 

@@ -700,6 +700,116 @@ fn explain_path_reproduces_golden() {
     assert_eq!(fnv, 0xc174_3b49_ba8e_f5a6, "explain-path features, impacts or embeddings changed: fnv {fnv:016x}");
 }
 
+/// A 60-row, tie-heavy pool input for [`pool_reproduces_golden_models`]:
+/// `style` 0 holds integer-valued count columns, 1 repeats 15 distinct
+/// rows four times over (with a few conflicting labels), and 2 mixes
+/// `-0.0`, `+0.0` and `±1` in balanced columns. Returns train and
+/// validation halves.
+fn tie_heavy(style: u64) -> (Matrix, Vec<u8>, Matrix, Vec<u8>) {
+    let (n, d) = (60, 10);
+    let mut rng = Rng64::new(40 + style);
+    let mut rows: Vec<Vec<f32>> = Vec::with_capacity(n);
+    let mut labels = Vec::with_capacity(n);
+    for i in 0..n {
+        let row: Vec<f32> = match style {
+            0 => (0..d).map(|_| rng.gen_range(4) as f32).collect(),
+            1 if i >= 15 => rows[i % 15].clone(),
+            1 => (0..d).map(|_| rng.gen_range(3) as f32).collect(),
+            _ => (0..d).map(|_| [-1.0, -0.0, 0.0, 1.0][rng.gen_range(4)]).collect(),
+        };
+        let score = row[0] + row[1] - row[2];
+        labels.push(u8::from(score > 0.5) ^ u8::from(rng.gen_range(9) == 0));
+        rows.push(row);
+    }
+    let half = |range: std::ops::Range<usize>| {
+        (Matrix::from_row_vecs(rows[range.clone()].to_vec()), labels[range].to_vec())
+    };
+    let ((xt, yt), (xv, yv)) = (half(0..40), half(40..n));
+    (xt, yt, xv, yv)
+}
+
+/// Golden classifier pool: the FNV-1a over
+/// (a) five pool inputs — the S-FZ and T-AB matcher inputs of
+/// [`explain_path_reproduces_golden`] (cap 40, seed 7, the full feature
+/// specs over the processed train and validation records) and the three
+/// [`tie_heavy`] matrices — each hashed as: the pool's validation F1 of
+/// all ten kinds and its winner's validation probabilities and raw signed
+/// importances at 1 and 3 threads, then each kind's validation
+/// probabilities and signed importances when fitted alone on the raw
+/// matrix; and
+/// (b) the bits of both trained Siamese projections.
+/// Recorded before the tree pool moved to presorted split search and the
+/// Siamese trainer to an in-place step. The pool runs no dispatched
+/// kernel and the projection runs bit-identical ones, so the constant
+/// holds under every `WYM_KERNEL`.
+#[test]
+fn pool_reproduces_golden_models() {
+    use wym::core::features::{featurize, full_specs};
+    use wym::ml::ClassifierPool;
+
+    let mut bytes = Vec::new();
+    let push_f32s = |bytes: &mut Vec<u8>, values: &[f32]| {
+        bytes.extend_from_slice(&(values.len() as u64).to_le_bytes());
+        for v in values {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    };
+    let mut inputs = Vec::new();
+    for name in ["S-FZ", "T-AB"] {
+        let dataset = magellan::generate_by_name(name, 7).unwrap().subsample(40, 7);
+        let split = paper_split(&dataset, 7);
+        let mut cfg = WymConfig::default().with_seed(7);
+        cfg.n_threads = 1;
+        cfg.embed_dim = 32;
+        cfg.embedder_kind = EmbedderKind::Siamese;
+        cfg.scorer.train =
+            TrainConfig { epochs: 8, batch_size: 128, lr: 2e-3, ..TrainConfig::default() };
+        // The pool below is fitted explicitly; the model's own matcher
+        // does not shape its processed records.
+        cfg.matcher.kinds = vec![ClassifierKind::LogisticRegression];
+        let model = WymModel::fit(&dataset, &split, cfg);
+        let projection = model.embedder().projection().expect("Siamese embedder");
+        push_f32s(&mut bytes, projection.matrix().as_slice());
+
+        let specs = full_specs(dataset.schema.len());
+        let build = |idx: &[usize]| {
+            let pairs: Vec<RecordPair> = idx.iter().map(|&i| dataset.pairs[i].clone()).collect();
+            let mut x = Matrix::zeros(0, specs.len());
+            let mut y = Vec::new();
+            for p in model.process_batch(&pairs, 1) {
+                x.push_row(&featurize(&specs, &p.units, &p.relevances));
+                y.push(u8::from(p.record.label.unwrap_or(false)));
+            }
+            (x, y)
+        };
+        let ((xt, yt), (xv, yv)) = (build(&split.train), build(&split.val));
+        inputs.push((xt, yt, xv, yv));
+    }
+    inputs.extend((0..3).map(tie_heavy));
+
+    for (xt, yt, xv, yv) in &inputs {
+        for n_threads in [1, 3] {
+            let pool = ClassifierPool { seed: 7, n_threads, ..ClassifierPool::default() };
+            let selected = pool.fit_select(xt, yt, xv, yv);
+            let f1s: Vec<f32> = selected.all_scores.iter().map(|&(_, f1)| f1).collect();
+            push_f32s(&mut bytes, &f1s);
+            push_f32s(&mut bytes, &selected.predict_proba(xv));
+            push_f32s(&mut bytes, &selected.raw_signed_importance());
+        }
+        for kind in ClassifierKind::ALL {
+            let mut model = kind.build(7);
+            model.fit(xt, yt);
+            push_f32s(&mut bytes, &model.predict_proba(xv));
+            push_f32s(&mut bytes, &model.signed_importance());
+        }
+    }
+    let fnv = wym_obs::manifest::fnv1a(&bytes);
+    assert_eq!(
+        fnv, 0xc244_3b95_3013_d960,
+        "pool models or Siamese projections changed: fnv {fnv:016x}"
+    );
+}
+
 /// Golden candidate sets of `wym-block` on a seed-7, 1,500-record
 /// synthetic table, under every available kernel at 1 and 3 threads, for
 /// (a) the default configuration and (b) a 6-bit, single-probe ANN layer
