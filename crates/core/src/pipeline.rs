@@ -11,12 +11,11 @@ use serde::{Deserialize, Serialize};
 use wym_data::{EmDataset, RecordPair, SplitIndices};
 use wym_embed::{Embedder, EmbedderKind};
 use wym_ml::{f1_score, ClassifierKind};
-use wym_nn::{Mlp, SiameseProjection};
 use wym_tokenize::Tokenizer;
 
 /// The canonical pipeline stages, in execution order. Each name matches the
-/// span the corresponding subsystem opens, so registering them (see
-/// [`ObsOptions::apply`]) makes every stage appear in observability
+/// span the corresponding subsystem opens, so registering them (as
+/// [`WymModel::fit`] does) makes every stage appear in observability
 /// snapshots — with a span count of 0 when it silently never ran, which is
 /// what the smoke check greps for.
 pub const PIPELINE_STAGES: &[&str] =
@@ -29,65 +28,6 @@ pub const PIPELINE_STAGES: &[&str] =
 /// still balances chunks across worker threads. Chunk boundaries never
 /// affect output bits (GEMM rows are independent).
 pub const SCORE_CHUNK_RECORDS: usize = 16;
-
-/// Observability section of [`WymConfig`].
-///
-/// Deserialization treats a missing section as the default (everything
-/// off), so configs and model snapshots saved before this section existed
-/// keep loading.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ObsOptions {
-    /// Record spans and metrics while this model runs (the `--trace` flag).
-    pub enabled: bool,
-    /// Where to write the JSON metrics export (`--metrics-out`); `None`
-    /// leaves the choice to the caller (the CLI defaults to
-    /// `results/OBS_run.json`).
-    pub metrics_out: Option<String>,
-}
-
-#[allow(clippy::derivable_impls)]
-impl Default for ObsOptions {
-    fn default() -> Self {
-        Self { enabled: false, metrics_out: None }
-    }
-}
-
-impl serde::Deserialize for ObsOptions {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        // Null means the config predates the observability section.
-        if matches!(v, serde::Value::Null) {
-            return Ok(Self::default());
-        }
-        Ok(Self {
-            enabled: Option::<bool>::from_value(v.field("enabled"))
-                .map_err(|e| e.in_field("enabled"))?
-                .unwrap_or(false),
-            metrics_out: Option::<String>::from_value(v.field("metrics_out"))
-                .map_err(|e| e.in_field("metrics_out"))?,
-        })
-    }
-}
-
-impl ObsOptions {
-    /// Applies the section to the active recorder: registers the
-    /// [`PIPELINE_STAGES`] and enables recording when `enabled` is set.
-    /// Never *disables* a recorder the caller already enabled (e.g. via
-    /// `--trace` with a config that doesn't mention observability).
-    pub fn apply(&self) {
-        wym_obs::register_stages(PIPELINE_STAGES);
-        if self.enabled {
-            wym_obs::set_enabled(true);
-        }
-        // Record which kernel implementation this process dispatched to
-        // (resolved once from CPUID + `WYM_KERNEL`). Every fit funnels
-        // through here after recording is switched on, so the counter is
-        // present in any traced run — the smoke gate asserts it is nonzero.
-        wym_obs::counter_add(
-            &format!("kernel.dispatch.{}", wym_linalg::kernels::active_name()),
-            1,
-        );
-    }
-}
 
 /// Full configuration of a WYM model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -114,8 +54,6 @@ pub struct WymConfig {
     pub n_threads: usize,
     /// Global seed.
     pub seed: u64,
-    /// Observability: structured tracing and metrics recording.
-    pub obs: ObsOptions,
 }
 
 impl Default for WymConfig {
@@ -130,7 +68,6 @@ impl Default for WymConfig {
             rules: Vec::new(),
             n_threads: 0,
             seed: 0,
-            obs: ObsOptions::default(),
         }
     }
 }
@@ -200,9 +137,12 @@ impl EmPredictor for WymModel {
     }
 }
 
-/// Serializable form of a fitted [`WymModel`]; produced by
-/// [`WymModel::to_saved`] and consumed by [`WymModel::from_saved`].
-#[derive(Serialize, Deserialize)]
+/// A fitted [`WymModel`] as plain parts; produced by [`WymModel::to_saved`]
+/// and consumed by [`WymModel::from_saved`]. It serializes (its JSON bytes
+/// compare two models) but is never read back: a model file is a WYMA
+/// artifact (`wym-artifact`), whose loader checks every shape before the
+/// model is built (see [`crate::state`]).
+#[derive(Serialize)]
 pub struct SavedWymModel {
     /// Model configuration.
     pub config: WymConfig,
@@ -216,21 +156,6 @@ pub struct SavedWymModel {
     pub matcher: SavedMatcher,
     /// Schema attribute names.
     pub attr_names: Vec<String>,
-}
-
-impl SavedWymModel {
-    /// Checks that the snapshot's weights fit its embedding dimension and
-    /// its matcher's classifier fits its features, with the checks
-    /// [`crate::state::WymModelState::into_model`] runs on an artifact, so
-    /// an edited or foreign model file is refused before it runs.
-    pub fn check_shapes(&self) -> Result<(), String> {
-        crate::state::check_shapes(
-            self.embedder.dim(),
-            self.scorer.model().map(Mlp::layers),
-            self.embedder.projection().map(SiameseProjection::matrix),
-            &self.matcher,
-        )
-    }
 }
 
 /// Tokenize → embed → Algorithm 1 for one record pair: a processed record
@@ -288,7 +213,14 @@ impl WymModel {
     /// Panics when the training split is empty.
     pub fn fit(dataset: &EmDataset, split: &SplitIndices, config: WymConfig) -> WymModel {
         assert!(!split.train.is_empty(), "training split is empty");
-        config.obs.apply();
+        wym_obs::register_stages(PIPELINE_STAGES);
+        // Record which kernel implementation this process dispatched to
+        // (resolved once from CPUID + `WYM_KERNEL`), so the counter is
+        // present in any traced run — the smoke gate asserts it is nonzero.
+        wym_obs::counter_add(
+            &format!("kernel.dispatch.{}", wym_linalg::kernels::active_name()),
+            1,
+        );
         let _span = wym_obs::span("fit");
         let tokenizer = Tokenizer::default();
 
@@ -700,25 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn config_without_obs_section_still_deserializes() {
-        use serde::{Deserialize, Serialize, Value};
-        // Simulate a config serialized before the observability section
-        // existed by deleting the `obs` key from a fresh serialization.
-        let mut v = fast_config().to_value();
-        if let Value::Object(pairs) = &mut v {
-            pairs.retain(|(k, _)| k != "obs");
-        }
-        let cfg = WymConfig::from_value(&v).expect("old config must load");
-        assert_eq!(cfg.obs, ObsOptions::default());
-
-        // And a round trip with the section present preserves it.
-        let mut cfg2 = fast_config();
-        cfg2.obs = ObsOptions { enabled: true, metrics_out: Some("x.json".into()) };
-        let back = WymConfig::from_value(&cfg2.to_value()).unwrap();
-        assert_eq!(back.obs, cfg2.obs);
-    }
-
-    #[test]
     fn traced_fit_and_explain_cover_every_pipeline_stage() {
         use std::sync::Arc;
         let dataset = beer_subset();
@@ -726,7 +639,6 @@ mod tests {
         let obs = Arc::new(wym_obs::Recorder::new_enabled());
         wym_obs::with_recorder(Arc::clone(&obs), || {
             let mut cfg = fast_config();
-            cfg.obs.enabled = true;
             cfg.n_threads = 2;
             let model = WymModel::fit(&dataset, &split, cfg);
             let _ = model.explain(&dataset.pairs[split.test[0]]);

@@ -132,7 +132,7 @@ pub fn eq2_target(unit: &DecisionUnit, label: bool, alpha: f32, beta: f32) -> f3
 }
 
 /// The fitted relevance scorer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RelevanceScorer {
     config: ScorerConfig,
     model: Option<Mlp>,

@@ -185,10 +185,9 @@ impl WymModelState {
 /// projection is `dim × dim`. The matcher's scaler and selected
 /// classifier must read its feature specs' width, and the classifier must
 /// predict without panicking or looping (see [`wym_ml::AnyClassifier::check`]);
-/// those errors name the field. Both model formats run this one check
-/// before a model is built: [`WymModelState::into_model`] for artifacts
-/// and [`SavedWymModel::check_shapes`] for JSON snapshots.
-pub(crate) fn check_shapes(
+/// those errors name the field. [`WymModelState::into_model`] runs it
+/// before a model is built.
+fn check_shapes(
     dim: usize,
     scorer: Option<&[Dense]>,
     projection: Option<&Matrix>,
@@ -320,57 +319,65 @@ mod tests {
         assert!(err.contains("truncated"), "{err}");
     }
 
+    /// The model's state with its head re-read from its JSON as `edit`
+    /// rewrites it (the edit must change it); `Err` when the edited head
+    /// does not parse.
+    fn edited_state(
+        model: &WymModel,
+        edit: impl FnOnce(&str) -> String,
+    ) -> Result<WymModelState, String> {
+        let WymModelState { head, tensors } = WymModelState::from_model(model);
+        let json = serde_json::to_string(&head).expect("serialize head");
+        let edited = edit(&json);
+        assert_ne!(edited, json, "the edit must change the head");
+        let head = serde_json::from_str(&edited).map_err(|e| e.to_string())?;
+        Ok(WymModelState { head, tensors })
+    }
+
     #[test]
-    fn json_snapshot_with_an_unusable_dimension_is_refused() {
+    fn head_with_an_unusable_dimension_is_refused() {
         let model = fitted(EmbedderKind::Siamese);
-        let json = serde_json::to_string(&model.to_saved()).expect("serialize");
         let with_dim = |dim: usize| {
-            let edited = json.replace(
-                r#""hashed":{"dim":24"#,
-                &format!(r#""hashed":{{"dim":{dim}"#),
-            );
-            assert_ne!(edited, json, "the snapshot names its hashed dim");
-            serde_json::from_str::<SavedWymModel>(&edited)
+            edited_state(&model, |json| {
+                json.replace(r#""hashed":{"dim":24"#, &format!(r#""hashed":{{"dim":{dim}"#))
+            })
         };
 
         // A zero dimension used to load, then divide by zero when the
         // first token was hashed.
-        let err = with_dim(0).err().expect("dim 0 must not parse").to_string();
-        assert!(
-            err.contains("dim") && err.contains("at least 8, got 0"),
-            "{err}"
-        );
+        let err = with_dim(0).err().expect("dim 0 must not parse");
+        assert!(err.contains("dim") && err.contains("at least 8, got 0"), "{err}");
 
         // Half the trained dimension parses, but the 24 × 24 projection
         // and the 48-input scorer no longer fit it.
-        let saved = with_dim(12).expect("dim 12 parses");
-        let err = saved
-            .check_shapes()
-            .expect_err("dim 12 does not fit the weights");
+        let state = with_dim(12).expect("dim 12 parses");
+        let err = state.into_model().err().expect("dim 12 does not fit the weights");
         assert!(err.contains("embedding dim 12"), "{err}");
-        assert!(model.to_saved().check_shapes().is_ok());
     }
 
     #[test]
     fn malformed_classifier_snapshot_is_refused() {
         let model = fitted_with(EmbedderKind::Static, vec![ClassifierKind::DecisionTree]);
-        let json = serde_json::to_string(&model.to_saved()).expect("serialize");
-        // The snapshot with the number after the first `prefix` set to
-        // `value`, checked: returns the error.
+        // The state with the number after the first `prefix` of its head
+        // set to `value`, reassembled: returns the error.
         let refuse = |prefix: &str, value: &str| -> String {
-            let at = json.find(prefix).unwrap_or_else(|| panic!("no {prefix} in the snapshot"));
-            let start = at + prefix.len();
-            let len = json[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
-            let mut edited = json.clone();
-            edited.replace_range(start..start + len, value);
-            let saved: SavedWymModel = serde_json::from_str(&edited).expect("edit parses");
-            saved.check_shapes().expect_err("malformed classifier must be refused")
+            let state = edited_state(&model, |json| {
+                let at = json.find(prefix).unwrap_or_else(|| panic!("no {prefix} in the head"));
+                let start = at + prefix.len();
+                let len = json[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
+                let mut edited = json.to_string();
+                edited.replace_range(start..start + len, value);
+                edited
+            })
+            .expect("edit parses");
+            state.into_model().err().expect("malformed classifier must be refused")
         };
         let tree = "`matcher.selected.model.Dt.tree";
 
         // The root split's left child pointing back at the root used to
         // make `predict_proba` loop forever.
-        assert!(json.contains(r#""nodes":[{"Split":"#), "the tree's root is a split");
+        let head = serde_json::to_string(&WymModelState::from_model(&model).head).unwrap();
+        assert!(head.contains(r#""nodes":[{"Split":"#), "the tree's root is a split");
         let err = refuse(r#""left":"#, "0");
         assert!(err.contains(&format!("{tree}.nodes[0].left` is 0")), "{err}");
         let err = refuse(r#""right":"#, "99999");
@@ -380,7 +387,28 @@ mod tests {
         let n = model.matcher().specs().len();
         let err = refuse(r#""n_features":"#, &(n + 1).to_string());
         assert!(err.contains(&format!("{tree}.n_features` is {}, expected {n}", n + 1)), "{err}");
-        assert!(model.to_saved().check_shapes().is_ok());
+        assert!(WymModelState::from_model(&model).into_model().is_ok());
+    }
+
+    #[test]
+    fn head_with_the_retired_obs_section_still_loads() {
+        // Heads saved while `WymConfig` had an `obs` section carry it; the
+        // reader skips the key.
+        let model = fitted(EmbedderKind::Static);
+        let state = edited_state(&model, |json| {
+            json.replacen(
+                r#"{"config":{"#,
+                r#"{"config":{"obs":{"enabled":false,"metrics_out":null},"#,
+                1,
+            )
+        })
+        .expect("a head with an obs section parses");
+        let back = state.into_model().expect("and reassembles");
+        let dataset = magellan::generate_by_name("S-FZ", 42).unwrap().subsample(120, 0);
+        for pair in dataset.pairs.iter().take(10) {
+            let (a, b) = (model.predict(pair), back.predict(pair));
+            assert_eq!(a.probability.to_bits(), b.probability.to_bits(), "pair {}", pair.id);
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! match rates, schemas and failure modes — see DESIGN.md §2 for the full
 //! substitution argument.
 
-pub mod blocking;
 pub mod csv;
 pub mod ditto_format;
 pub mod magellan;

@@ -56,7 +56,7 @@ pub enum EmbedderKind {
 
 /// The full embedding pipeline: static hashing → contextualization →
 /// optional trained projection.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Embedder {
     kind: EmbedderKind,
     hashed: HashedNgramEmbedder,

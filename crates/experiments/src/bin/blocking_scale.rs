@@ -28,7 +28,7 @@ use serde::{Serialize, Value};
 use std::time::Instant;
 use wym_block::{BlockConfig, SynthConfig, BLOCK_STAGES};
 use wym_experiments::{flag_number, flag_value, usage_error};
-use wym_obs::{JsonFileSink, Manifest, Sink, Snapshot};
+use wym_obs::{JsonFileSink, Manifest, Snapshot};
 
 wym_obs::install_tracking_alloc!();
 
@@ -293,7 +293,7 @@ fn main() {
         let _ = wym_obs::StderrSink.emit(&snap);
     }
     if let Some(path) = &opts.metrics_out {
-        let mut sink = JsonFileSink::new(path).with_manifest(opts.manifest());
+        let sink = JsonFileSink::new(path).with_manifest(opts.manifest());
         match sink.emit(&snap) {
             Ok(()) => eprintln!("→ metrics saved to {path}"),
             Err(e) => eprintln!("warning: cannot write metrics to {path}: {e}"),

@@ -221,7 +221,7 @@ impl HarnessOpts {
     /// and folded-stack flamegraphs under `--flame`. Call once at the end
     /// of an experiment binary; a no-op when no obs flag was given.
     pub fn flush_obs(&self, name: &str) {
-        use wym_obs::{JsonFileSink, Sink};
+        use wym_obs::JsonFileSink;
         // The chrome-trace export reads the flight recorder, not the
         // metrics recorder, so it works even for fully untraced runs.
         if let Some(path) = &self.chrome_trace {
@@ -241,7 +241,7 @@ impl HarnessOpts {
             .metrics_out
             .clone()
             .unwrap_or_else(|| format!("results/OBS_{name}.json"));
-        let mut sink = JsonFileSink::new(&path).with_manifest(self.manifest(name));
+        let sink = JsonFileSink::new(&path).with_manifest(self.manifest(name));
         match sink.emit(&snap) {
             Ok(()) => eprintln!("→ metrics saved to {path}"),
             Err(e) => eprintln!("warning: cannot write metrics to {path}: {e}"),

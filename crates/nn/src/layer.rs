@@ -1,12 +1,12 @@
 //! A dense (fully connected) layer with manual backpropagation.
 
 use crate::activation::Activation;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wym_linalg::kernels::Relu;
 use wym_linalg::{Matrix, Rng64};
 
 /// A dense layer `A = act(X · W + b)` with `W: in × out`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Dense {
     /// Weight matrix, `in_dim × out_dim`.
     pub w: Matrix,

@@ -59,7 +59,7 @@ impl MlpConfig {
 }
 
 /// A fully connected feed-forward network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Mlp {
     layers: Vec<Dense>,
     loss: Loss,

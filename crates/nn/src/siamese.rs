@@ -33,7 +33,7 @@ impl Default for SiameseConfig {
 }
 
 /// A learned shared projection `v ↦ P v`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SiameseProjection {
     p: Matrix,
 }

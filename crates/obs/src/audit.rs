@@ -259,13 +259,6 @@ impl AuditLog {
         records
     }
 
-    /// Removes and returns all records, sorted by sequence number.
-    pub fn drain_sorted(&self) -> Vec<DecisionRecord> {
-        let mut records = std::mem::take(&mut *self.lock());
-        records.sort_by_key(|r| r.seq);
-        records
-    }
-
     /// The log as JSONL (one compact object per line, sequence order).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -466,14 +459,6 @@ mod tests {
             active().unwrap().emit(KIND_CLASSIFY, 1, true, 0.8, 1, 1, Vec::new(), None);
         });
         assert_eq!(log.len(), 1);
-    }
-
-    #[test]
-    fn drain_empties_the_log() {
-        let log = AuditLog::new(AuditOptions::default());
-        emit_plain(&log, 0, 0, 0.6);
-        assert_eq!(log.drain_sorted().len(), 1);
-        assert!(log.is_empty());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!    last-value gauges ([`gauge_set`]), and fixed-bucket histograms
 //!    ([`hist_observe`] / [`hist_observe_with`], see [`Histogram`] for the
 //!    bucket-boundary contract).
-//! 3. **Sinks** ([`sink`]) — a human-readable stderr summary, a
-//!    machine-readable JSON file export, and a no-op sink. Recording itself
+//! 3. **Sinks** ([`sink`]) — a human-readable stderr summary and a
+//!    machine-readable JSON file export. Recording itself
 //!    is off by default: every instrumentation point first checks
 //!    [`enabled`], so an un-traced run pays one thread-local read plus one
 //!    relaxed atomic load per call site and allocates nothing.
@@ -54,7 +54,7 @@ pub use manifest::Manifest;
 pub use prof::{MemStat, TrackingAlloc};
 pub use recorder::{MemorySection, Recorder, Snapshot, SpanStat};
 pub use ring::{Flight, FlightDump};
-pub use sink::{pretty_json, JsonFileSink, NoopSink, Sink, StderrSink};
+pub use sink::{pretty_json, JsonFileSink, StderrSink};
 pub use sketch::{DriftReport, ModelSketch, DRIFT_TRIP_PSI};
 pub use window::{WindowFrame, Windowed};
 

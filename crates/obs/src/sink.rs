@@ -16,18 +16,13 @@ pub fn pretty_json(v: &Value) -> String {
     text
 }
 
-/// A destination for a finished [`Snapshot`].
-pub trait Sink {
-    /// Emits `snap` to the sink's destination.
-    fn emit(&mut self, snap: &Snapshot) -> io::Result<()>;
-}
-
 /// Prints the human-readable summary (span tree + metric tables) to stderr.
 #[derive(Debug, Default)]
 pub struct StderrSink;
 
-impl Sink for StderrSink {
-    fn emit(&mut self, snap: &Snapshot) -> io::Result<()> {
+impl StderrSink {
+    /// Prints `snap`'s summary.
+    pub fn emit(&self, snap: &Snapshot) -> io::Result<()> {
         let mut err = io::stderr().lock();
         err.write_all(snap.render_text().as_bytes())
     }
@@ -61,10 +56,9 @@ impl JsonFileSink {
     pub fn path(&self) -> &std::path::Path {
         &self.path
     }
-}
 
-impl Sink for JsonFileSink {
-    fn emit(&mut self, snap: &Snapshot) -> io::Result<()> {
+    /// Writes `snap` (after the manifest, when one is attached).
+    pub fn emit(&self, snap: &Snapshot) -> io::Result<()> {
         if let Some(parent) = self.path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
@@ -75,16 +69,6 @@ impl Sink for JsonFileSink {
             sections.insert(0, ("manifest".to_string(), m.to_value()));
         }
         std::fs::write(&self.path, pretty_json(&out))
-    }
-}
-
-/// Discards snapshots.
-#[derive(Debug, Default)]
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    fn emit(&mut self, _snap: &Snapshot) -> io::Result<()> {
-        Ok(())
     }
 }
 
@@ -129,12 +113,5 @@ mod tests {
         assert_eq!(sections[0].0, "manifest");
         assert_eq!(snap.span_count("fit"), 1);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn noop_sink_accepts_anything() {
-        let rec = Recorder::new_enabled();
-        rec.counter_add("c", 1);
-        NoopSink.emit(&rec.snapshot()).unwrap();
     }
 }

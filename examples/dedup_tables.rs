@@ -3,8 +3,10 @@
 //!
 //! The paper's benchmarks start from pre-blocked pairs; this example shows
 //! the full workflow a practitioner runs on raw tables: generate candidate
-//! pairs with token-overlap blocking, score them with a fitted WYM model,
-//! and inspect the explanations of the accepted matches.
+//! pairs with `wym-block` (a TF-IDF token index plus an ANN recall pass)
+//! over both tables at once, keep the pairs that cross from one table to
+//! the other, score them with a fitted WYM model, and inspect the
+//! explanations of the accepted matches.
 //!
 //! Run with:
 //! ```sh
@@ -12,7 +14,6 @@
 //! ```
 
 use wym::core::pipeline::{WymConfig, WymModel};
-use wym::data::blocking::{block_candidates, blocking_recall, BlockingConfig};
 use wym::data::split::paper_split;
 use wym::data::{magellan, Entity, RecordPair};
 use wym::ml::ClassifierKind;
@@ -43,10 +44,23 @@ fn main() {
         .map(|(i, _)| (i, i))
         .collect();
 
-    // 3. Blocking: candidate pairs via token overlap.
-    let blocking = BlockingConfig { min_shared_tokens: 2, ..BlockingConfig::default() };
-    let candidates = block_candidates(&left_table, &right_table, &blocking);
-    let recall = blocking_recall(&candidates, &gold);
+    // 3. Blocking: candidate pairs of the two tables stacked into one,
+    //    where right entity `j` is record `left_table.len() + j`. A pair
+    //    `(i, j)` with `i < j` crosses the tables when only `i` is a left
+    //    entity; pairs within one table are dropped.
+    let n_left = left_table.len();
+    let stacked: Vec<Entity> = left_table.iter().chain(&right_table).cloned().collect();
+    let blocked = wym_block::block_entities(&stacked, &wym_block::BlockConfig::default());
+    let candidates: Vec<(usize, usize)> = blocked
+        .pairs
+        .iter()
+        .map(|&(i, j)| (i as usize, j as usize))
+        .filter(|&(i, j)| i < n_left && j >= n_left)
+        .map(|(i, j)| (i, j - n_left))
+        .collect();
+    let stacked_gold: Vec<(u32, u32)> =
+        gold.iter().map(|&(i, j)| (i as u32, (n_left + j) as u32)).collect();
+    let recall = wym_block::recall(&blocked.pairs, &stacked_gold);
     println!(
         "blocking: {} candidates out of {} possible pairs ({:.1}% reduction), gold recall {:.2}",
         candidates.len(),

@@ -49,11 +49,10 @@
 # results/smoke_hostile_* (a snapshot whose windows section declares a
 # 10^12-frame ring, one whose histogram bounds decrease, and 100,000
 # nested '[') must make `obs_diff` exit 2 (a file error) and `wym obs
-# flight` exit 1, `wym apply` of the smoke's own `wym train --model` JSON
-# edited to hashed dim 0 and to dim 32 must exit 1 with an error naming
-# the dimension, the same JSON with its classifier replaced by a decision
-# tree whose root split points back at itself must make `wym apply` exit 1
-# naming the node under `timeout` (it used to predict forever), and `wym
+# flight` exit 1, `wym classify --load-model` of a truncated copy and of
+# a schema-version-99 copy of the smoke's own WYMA model must exit 1
+# naming "corrupt or truncated" and "upgrade the tools" (edited model
+# heads are refused by tier-1 tests in tests/serialization.rs), and `wym
 # classify` of a T-AB CSV with the S-FZ smoke model must exit 1 with an
 # error naming both attribute lists — never abort or panic, or (n) the
 # smoke run changed a tracked file: it
@@ -506,59 +505,29 @@ if [ "${1:-}" = "--smoke" ]; then
     cat results/smoke_hostile.log >&2
     exit 1
   fi
-  # Model files are outside bytes too. Two edits of a JSON model from
-  # `wym train --model`: hashed dim 0 (it used to load, then divide by
-  # zero on the first token) and dim 32 (the 64 × 64 projection and the
-  # 128-input scorer no longer fit it). `wym apply` must refuse both with
-  # an error naming the dimension (exit 1), never panic (exit 101).
-  SMOKE_JSON_MODEL=results/smoke_model.json
-  if ! ./target/release/wym train --data "$SMOKE_DATA" --model "$SMOKE_JSON_MODEL" \
-      --epochs 4 > results/smoke_train_json.log 2>&1; then
-    echo "SMOKE FAILED: wym train --model" >&2
-    cat results/smoke_train_json.log >&2
-    exit 1
-  fi
-  for dim in 0 32; do
-    HOSTILE_MODEL="results/smoke_hostile_model_dim${dim}.json"
-    sed "s/\"hashed\":{\"dim\":64,/\"hashed\":{\"dim\":${dim},/" "$SMOKE_JSON_MODEL" \
-      > "$HOSTILE_MODEL"
-    if cmp -s "$SMOKE_JSON_MODEL" "$HOSTILE_MODEL"; then
-      echo "SMOKE FAILED: $SMOKE_JSON_MODEL has no 64-d hashed embedder to edit" >&2
-      exit 1
-    fi
-    ./target/release/wym apply --model "$HOSTILE_MODEL" --data "$SMOKE_DATA" \
+  # Model files are outside bytes too. A truncated copy of the smoke's
+  # WYMA model and a copy claiming schema version 99 must each make `wym
+  # classify` exit 1 with the loader's error, never panic (exit 101). The
+  # refusals of edited heads (a hashed dim of 0 or one the weights do not
+  # fit, a cyclic or out-of-range decision tree) are tier-1 tests in
+  # tests/serialization.rs.
+  HOSTILE_TRUNCATED=results/smoke_hostile_model_truncated.wyma
+  HOSTILE_VERSION=results/smoke_hostile_model_v99.wyma
+  head -c 5000 "$SMOKE_MODEL" > "$HOSTILE_TRUNCATED"
+  { head -c 4 "$SMOKE_MODEL"; printf '\143\000\000\000'; tail -c +9 "$SMOKE_MODEL"; } \
+    > "$HOSTILE_VERSION"
+  for drill in "$HOSTILE_TRUNCATED:corrupt or truncated" "$HOSTILE_VERSION:upgrade the tools"; do
+    f="${drill%%:*}"
+    want="${drill#*:}"
+    ./target/release/wym classify --load-model "$f" --data "$SMOKE_DATA" \
       > /dev/null 2> results/smoke_hostile.log
     RC=$?
-    if [ "$RC" -ne 1 ] || ! grep -qE "dim.*\b${dim}\b" results/smoke_hostile.log; then
-      echo "SMOKE FAILED: wym apply exited $RC on $HOSTILE_MODEL (want 1, naming dim $dim)" >&2
+    if [ "$RC" -ne 1 ] || ! grep -qF "$want" results/smoke_hostile.log; then
+      echo "SMOKE FAILED: wym classify exited $RC on $f (want 1, naming \"$want\")" >&2
       cat results/smoke_hostile.log >&2
       exit 1
     fi
   done
-  # The selected classifier is outside bytes as well. The smoke model's
-  # LDA snapshot becomes a decision tree of the same width whose root
-  # split's left child is the root itself: predicting with it never
-  # returned. `wym apply` must refuse it naming the node (exit 1) well
-  # inside the timeout (exit 124).
-  HOSTILE_TREE=results/smoke_hostile_model_cyclic_tree.json
-  N_FEATURES=$(grep -o '"model":{"Lda":{[^}]*}}' "$SMOKE_JSON_MODEL" | grep -o '"coef":\[[^]]*\]' \
-    | tr -cd ',' | wc -c)
-  N_FEATURES=$((N_FEATURES + 1))
-  ZEROS=$(printf '0.0,%.0s' $(seq "$N_FEATURES") | sed 's/,$//')
-  CYCLIC="{\"Dt\":{\"params\":{\"max_depth\":12,\"min_samples_split\":2,\"min_samples_leaf\":1,\"max_features\":null,\"random_threshold\":false},\"tree\":{\"nodes\":[{\"Split\":{\"feature\":0,\"threshold\":0.5,\"left\":0,\"right\":1}},{\"Leaf\":{\"value\":1.0}}],\"importances\":[$ZEROS],\"n_features\":$N_FEATURES},\"signs\":[$ZEROS]}}"
-  sed "s/\"model\":{\"Lda\":{[^}]*}}/\"model\":$CYCLIC/" "$SMOKE_JSON_MODEL" > "$HOSTILE_TREE"
-  if ! grep -q '"left":0,' "$HOSTILE_TREE"; then
-    echo "SMOKE FAILED: $SMOKE_JSON_MODEL has no LDA classifier snapshot to replace" >&2
-    exit 1
-  fi
-  timeout 60 ./target/release/wym apply --model "$HOSTILE_TREE" --data "$SMOKE_DATA" \
-    > /dev/null 2> results/smoke_hostile.log
-  RC=$?
-  if [ "$RC" -ne 1 ] || ! grep -qF 'nodes[0].left' results/smoke_hostile.log; then
-    echo "SMOKE FAILED: wym apply exited $RC on $HOSTILE_TREE (want 1, naming nodes[0].left; 124 is the timeout)" >&2
-    cat results/smoke_hostile.log >&2
-    exit 1
-  fi
   # Flight-recorder gate (DESIGN.md §15). Three drills: (1) a run with an
   # injected panic in score_train must die nonzero AND leave a post-mortem
   # dump pair whose Chrome trace parses via `wym obs flight` and names the

@@ -5,9 +5,7 @@
 //! wym eval     --data restaurants.csv [--epochs 15] [--seed 42]
 //! wym explain  --data restaurants.csv --id 12 [--epochs 15]
 //! wym match    --data restaurants.csv --left "a|b|c" --right "x|y|z"
-//! wym train    --data restaurants.csv --model model.json
 //! wym train    --data restaurants.csv --save-model model.wym
-//! wym apply    --model model.json --data more.csv [--explain]
 //! wym classify --load-model model.wym --data more.csv [--explain] [--mmap]
 //! wym model inspect model.wym
 //! wym model diff old.wym new.wym
@@ -15,11 +13,13 @@
 //! wym kernels
 //! ```
 //!
-//! `train --save-model` writes a binary WYMA artifact (see `wym-artifact`
-//! and DESIGN.md §12): schema-versioned, checksummed, with the provenance
-//! manifest embedded and tensors page-aligned for memory-mapped loading.
-//! `classify` reloads such an artifact (`--mmap` maps instead of reading)
-//! and reproduces the in-memory model's verdicts bit-for-bit.
+//! `train --save-model` writes the one saved-model format, a binary WYMA
+//! artifact (see `wym-artifact` and DESIGN.md §12): schema-versioned,
+//! checksummed, with the provenance manifest embedded and tensors
+//! page-aligned for memory-mapped loading. `classify` reloads such an
+//! artifact (`--mmap` maps instead of reading), refuses a truncated,
+//! newer-version or malformed one with an error naming the fault, and
+//! reproduces the in-memory model's verdicts bit-for-bit.
 //!
 //! Every command additionally accepts `--trace` (print a per-stage span
 //! tree and metric summary to stderr at exit), `--metrics-out FILE`
@@ -45,11 +45,11 @@
 use std::path::Path;
 use std::process::ExitCode;
 use wym::artifact;
-use wym::core::pipeline::{SavedWymModel, WymConfig, WymModel, PIPELINE_STAGES};
+use wym::core::pipeline::{WymConfig, WymModel, PIPELINE_STAGES};
 use wym::data::split::paper_split;
 use wym::data::{csv, magellan, DatasetType, EmDataset, Entity, RecordPair};
 use wym::nn::TrainConfig;
-use wym_obs::{JsonFileSink, Sink, StderrSink};
+use wym_obs::{JsonFileSink, StderrSink};
 
 // Route every allocation through the tracking wrapper so `--profile-mem` /
 // `--flame` can attribute it; with profiling off the wrapper is one relaxed
@@ -122,8 +122,7 @@ fn usage() -> &'static str {
      wym eval     --data <FILE> [--epochs N] [--seed N]\n  \
      wym explain  --data <FILE> --id <RECORD_ID> [--epochs N]\n  \
      wym match    --data <FILE> --left \"a|b|c\" --right \"x|y|z\"\n  \
-     wym train    --data <FILE> --model <OUT.json> | --save-model <OUT.wym> [--epochs N]\n  \
-     wym apply    --model <MODEL.json> --data <FILE> [--explain]\n  \
+     wym train    --data <FILE> --save-model <OUT.wym> [--epochs N]\n  \
      wym classify --load-model <MODEL.wym> --data <FILE> [--explain] [--mmap] [--threads N]\n           \
      [--audit-log <FILE.jsonl>] [--audit-sample N] [--audit-cost]\n  \
      wym kernels\n  \
@@ -539,74 +538,25 @@ fn run(args: &Args) -> Result<(), String> {
         }
         "train" => {
             let dataset = load(args.require("data")?)?;
-            let json_out = args.get("model").filter(|v| !v.is_empty());
-            let artifact_out = args.get("save-model").filter(|v| !v.is_empty());
-            if json_out.is_none() && artifact_out.is_none() {
-                return Err("train needs --model <OUT.json> and/or --save-model <OUT.wym>".into());
-            }
+            let out = args.require("save-model")?;
             let (model, test) = fit(&dataset, args);
             println!("test F1: {:.3} ({:?})", model.f1_on(&test), model.classifier());
-            if let Some(out) = json_out {
-                let json = serde_json::to_vec(&model.to_saved())
-                    .map_err(|e| format!("cannot serialize model: {e}"))?;
-                std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-                println!("model saved to {out}");
-            }
-            if let Some(out) = artifact_out {
-                // Freeze the train-time behaviour sketch into the artifact:
-                // the drift baseline `classify` compares live traffic to.
-                let split = paper_split(&dataset, args.num("seed", 42u64));
-                let train_pairs: Vec<RecordPair> =
-                    split.train.iter().map(|&i| dataset.pairs[i].clone()).collect();
-                let sketch = model.sketch_on(&train_pairs);
-                let bytes = artifact::save_model_with_sketch(
-                    Path::new(out),
-                    &model,
-                    &manifest(args),
-                    Some(&sketch),
-                )
-                .map_err(|e| e.to_string())?;
-                println!(
-                    "model artifact saved to {out} ({bytes} bytes, drift baseline over {} pairs)",
-                    sketch.len()
-                );
-            }
-            Ok(())
-        }
-        "apply" => {
-            let model_path = args.require("model")?;
-            let bytes = std::fs::read(model_path)
-                .map_err(|e| format!("cannot read {model_path}: {e}"))?;
-            let saved: SavedWymModel = serde_json::from_slice(&bytes)
-                .map_err(|e| format!("cannot parse model: {e}"))?;
-            saved
-                .check_shapes()
-                .map_err(|e| format!("unusable model {model_path}: {e}"))?;
-            let model = WymModel::from_saved(saved);
-            let dataset = load(args.require("data")?)?;
-            check_schema(&dataset.schema.attributes, model.attr_names())?;
-            let explain = args.get("explain").is_some();
-            let mut predicted_matches = 0usize;
-            for pair in &dataset.pairs {
-                let label = if explain {
-                    let ex = model.explain(pair);
-                    println!("{ex}");
-                    ex.prediction
-                } else {
-                    let p = model.predict(pair);
-                    println!(
-                        "{}\t{}\t{:.4}",
-                        pair.id,
-                        if p.label { "match" } else { "non-match" },
-                        p.probability
-                    );
-                    p.label
-                };
-                predicted_matches += usize::from(label);
-            }
-            eprintln!(
-                "{predicted_matches} predicted matches out of {} pairs",
-                dataset.len()
+            // Freeze the train-time behaviour sketch into the artifact:
+            // the drift baseline `classify` compares live traffic to.
+            let split = paper_split(&dataset, args.num("seed", 42u64));
+            let train_pairs: Vec<RecordPair> =
+                split.train.iter().map(|&i| dataset.pairs[i].clone()).collect();
+            let sketch = model.sketch_on(&train_pairs);
+            let bytes = artifact::save_model_with_sketch(
+                Path::new(out),
+                &model,
+                &manifest(args),
+                Some(&sketch),
+            )
+            .map_err(|e| e.to_string())?;
+            println!(
+                "model artifact saved to {out} ({bytes} bytes, drift baseline over {} pairs)",
+                sketch.len()
             );
             Ok(())
         }
